@@ -87,12 +87,6 @@ def k_space(summands) -> RatMat:
     return kernel_basis_rat(mat)
 
 
-def _component_spans(p: AlphaProblem, element):
-    comps = p.components(element)
-    full = rank_rat([c for c in comps if any(c)] or [[Fraction(0)] * p.ambient.ambient_dim])
-    return comps, full
-
-
 def alpha(p: AlphaProblem) -> int:
     """Generic dimension of the span of the components of a K element."""
     if not p.k_basis:

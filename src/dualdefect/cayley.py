@@ -285,27 +285,92 @@ def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
     return pi
 
 
-def enumerate_simplex_projections(a: PointConfig, limit: int = 12):
+def _affine_basis(a: PointConfig) -> tuple[list[int], IntMat]:
+    """Greedy affine basis of a: point 0, then each point whose difference
+    from point 0 raises the rank.  Returns the indices and the differences."""
+    basis = [0]
+    rows: IntMat = []
+    for j in range(1, len(a)):
+        if len(rows) == a.dim:
+            break
+        diff = [x - y for x, y in zip(a.points[j], a.points[0])]
+        if rank_int(rows + [diff]) > len(rows):
+            rows.append(diff)
+            basis.append(j)
+    return basis, rows
+
+
+def enumerate_simplex_projections(a: PointConfig, limit: int = 11):
     """All Cayley structures of a, one per realizable point partition.
 
-    Exhausts set partitions of the points (at most dim+1 parts can carry
-    a surjection onto a simplex) and keeps those extending to a valid
-    projection.  Distinct structures have distinct projection kernels.
+    A projection onto the simplex is fixed by where it sends an affine
+    basis u_b0, ..., u_bn of a, so it suffices to try every labeling of
+    the basis points by vertices: Bell(dim+1) candidates.  With D the
+    matrix of differences u_bk - u_b0 and d = det D, the labeled map
+    sends u_j to (sum over each label of the entries of
+    W_j = adj(D)(u_j - u_b0)) / d; the labeling is kept when every point
+    lands on a vertex.  Since the differences of a normalized a generate
+    Z^n and every vertex is hit by a basis point, such a map is integral
+    and surjective, and every part contains a basis point, so each
+    partition is found exactly once.
     """
-    if len(a) > limit:
-        raise TooLarge(f"{len(a)} points exceeds enumeration limit {limit}")
-    assert is_normalized(a)
+    if a.dim > limit:
+        raise TooLarge(f"dim {a.dim} exceeds enumeration limit {limit}")
+    if not is_normalized(a):
+        raise ValueError("enumeration expects a normalized configuration")
+    n = a.dim
+    basis, diffs = _affine_basis(a)
+    u0 = a.points[0]
+    dmat = transpose(diffs)
+    d = det(dmat)
+    adj_cols = []
+    for i in range(n):
+        col = solve_int(dmat, [d if k == i else 0 for k in range(n)])
+        if col is None:
+            raise ArithmeticError("d * inverse of an integer matrix "
+                                  "must be integral")
+        adj_cols.append(col)
+    adj = transpose(adj_cols)
+    # nonzero entries of W_j for the points outside the basis, keyed by
+    # basis position (position 0 is u_b0 itself and has no column)
+    in_basis = set(basis)
+    others = []
+    for j, p in enumerate(a.points):
+        if j not in in_basis:
+            w = mat_vec(adj, [x - y for x, y in zip(p, u0)])
+            others.append((j, [(k + 1, x) for k, x in enumerate(w) if x]))
     out = []
-    seen_kernels = set()
-    for parts in _set_partitions(len(a), a.dim + 1):
-        pi = projection_for_partition(a, parts)
-        if pi is None:
-            continue
-        struct = decompose_along(a, pi)
-        key = tuple(map(tuple, struct.kernel_lattice()))
-        if key in seen_kernels:
-            continue
-        seen_kernels.add(key)
-        out.append(struct)
+    for bparts in _set_partitions(n + 1, n + 1):
+        label = [0] * (n + 1)
+        for lab, part in enumerate(bparts):
+            for k in part:
+                label[k] = lab
+        vertex = [0] * len(a)
+        for k, b in enumerate(basis):
+            vertex[b] = label[k]
+        for j, w in others:
+            sums = [0] * len(bparts)
+            for k, x in w:
+                sums[label[k]] += x
+            hit = [lab for lab in range(1, len(bparts)) if sums[lab]]
+            if not hit:
+                continue
+            if len(hit) > 1 or sums[hit[0]] != d:
+                break
+            vertex[j] = hit[0]
+        else:
+            by_vertex: dict[int, list[int]] = {}
+            for j, v in enumerate(vertex):
+                by_vertex.setdefault(v, []).append(j)
+            # dicts keep insertion order, so parts come by least index
+            parts = [tuple(p) for p in by_vertex.values()]
+            pi = projection_for_partition(a, parts)
+            if pi is None:
+                raise ArithmeticError(
+                    f"partition {parts} passed the vertex test but has "
+                    "no integral surjective projection")
+            # no kernel dedupe: the parts are the cosets of ker pi met
+            # with a, so distinct partitions have distinct kernels
+            out.append(decompose_along(a, pi))
     out.sort(key=lambda st: (st.r, st.parts))
     return out

@@ -14,7 +14,7 @@ import random
 import sys
 from pathlib import Path
 
-from .cayley import cayley_sum, is_join_type
+from .cayley import TooLarge, cayley_sum, is_join_type
 from .config import (
     GroupHom,
     PointConfig,
@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("config", type=Path)
     pa.add_argument("--exhaustive", action="store_true",
                     help="also run exhaustive enumeration checks")
-    pa.add_argument("--exhaustive-limit", type=int, default=12)
+    pa.add_argument("--exhaustive-limit", type=int, default=11,
+                    help="largest dim the enumeration accepts; the cost "
+                         "is Bell(dim+1) integer checks (default 11)")
     _add_common(pa)
 
     po = sub.add_parser("oracle", help="run only the corank oracle")
@@ -78,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("config", type=Path)
     pv.add_argument("certificate", type=Path)
     pv.add_argument("--exhaustive", action="store_true")
-    pv.add_argument("--exhaustive-limit", type=int, default=12)
+    pv.add_argument("--exhaustive-limit", type=int, default=11,
+                    help="largest dim the enumeration accepts (default 11)")
     _add_common(pv)
 
     pg = sub.add_parser("gen", help="generate a test corpus")
@@ -157,6 +160,8 @@ def cmd_analyze(args) -> int:
     except (CertificationError, GenericityFailure) as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
+    except TooLarge as exc:
+        return _fail_input(str(exc))
     if args.format == "json":
         payload = json.loads(certificate_to_json(cert))
         if report is not None:
@@ -203,9 +208,12 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         return _fail_input(f"cannot read certificate: {exc}")
     a, _ = normalize(cfg)
-    report = verify_certificate(
-        a, cert, exhaustive=args.exhaustive, limit=args.exhaustive_limit
-    )
+    try:
+        report = verify_certificate(
+            a, cert, exhaustive=args.exhaustive, limit=args.exhaustive_limit
+        )
+    except TooLarge as exc:
+        return _fail_input(str(exc))
     if args.format == "json":
         _emit(json.dumps({"checks": report,
                           "passed": report["all_passed"]}, indent=2),

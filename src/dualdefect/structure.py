@@ -142,8 +142,28 @@ def _restrict_to_kernel(pi1: GroupHom, pi_mat: IntMat, pi2_mat: IntMat,
     return GroupHom.make(mat, None, len(ker_pi))
 
 
-def _build_certificate(a: PointConfig, seed: int, bound: int, trials: int,
-                       oracle: DefectResult):
+def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
+    """The map pi2 with pi2 * pi1 = pi, or None when pi does not factor.
+
+    pi2 is read off by lifting the standard basis of the codomain of
+    pi1 through pi1.
+    """
+    m1 = pi1.matrix_rows
+    k = pi1.codomain_rank
+    cols = []
+    for j in range(k):
+        lift = solve_int(m1, [1 if i == j else 0 for i in range(k)])
+        if lift is None:
+            return None
+        cols.append([sum(pr * lv for pr, lv in zip(row, lift))
+                     for row in pi_mat])
+    pi2 = GroupHom.make(transpose(cols), None, k)
+    if mat_mul(pi2.matrix_rows, m1) != pi_mat:
+        return None
+    return pi2
+
+
+def _build_certificate(a: PointConfig, seed: int, bound: int, trials: int):
     """One attempt at the full pipeline; returns the certificate pieces."""
     n = a.dim
     tp = TangencyProblem.make(a, seed, bound, trials)
@@ -161,17 +181,9 @@ def _build_certificate(a: PointConfig, seed: int, bound: int, trials: int,
     c = alpha_of(ap)
     vp = vprime(ap)
     pi1 = _quotient_map(vp.integer_lattice(), n)
-    # pi2 with pi2 * pi1 = pi: lift the standard basis through pi1
-    m1 = pi1.matrix_rows
-    cols = []
-    for j in range(n - c):
-        e = [1 if i == j else 0 for i in range(n - c)]
-        lift = solve_int(m1, e)
-        assert lift is not None
-        cols.append([sum(pr * lv for pr, lv in zip(row, lift))
-                     for row in pi_mat])
-    pi2 = GroupHom.make(transpose(cols), None, n - c)
-    assert mat_mul(pi2.matrix_rows, m1) == pi_mat
+    pi2 = _factor_through(pi_mat, pi1)
+    if pi2 is None:
+        raise CertificationError("pi does not factor through pi1")
     p = _restrict_to_kernel(pi1, pi_mat, pi2.matrix_rows, n)
     delta = r - c
     return parts, struct, pi1, pi2, p, r, c, delta
@@ -209,7 +221,7 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
     last = None
     for _ in range(ESCALATIONS + 1):
         parts, struct, pi1, pi2, p, r, c, delta = _build_certificate(
-            a, seed, cur, trials, oracle
+            a, seed, cur, trials
         )
         last = (parts, struct, pi1, pi2, p, r, c, delta)
         if delta == oracle.delta:
@@ -282,7 +294,7 @@ def _alpha_for_structure(a: PointConfig, struct: CayleyStructure,
 
 
 def verify_certificate(a: PointConfig, cert: StructureCertificate,
-                       exhaustive: bool = False, limit: int = 12) -> dict:
+                       exhaustive: bool = False, limit: int = 11) -> dict:
     """Independent re-check of a certificate.
 
     Always checks the arithmetic invariants, the simplex image, join
@@ -342,21 +354,8 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
                 continue
             pi1b = _quotient_map(vp.integer_lattice(), cert.n)
             pim = st.pi.linear().matrix_rows
-            m1 = pi1b.matrix_rows
-            cols = []
-            solvable = True
-            for j in range(pi1b.codomain_rank):
-                e = [1 if i == j else 0 for i in range(pi1b.codomain_rank)]
-                lift = solve_int(m1, e)
-                if lift is None:
-                    solvable = False
-                    break
-                cols.append([sum(pr * lv for pr, lv in zip(row, lift))
-                             for row in pim])
-            if not solvable:
-                continue
-            pi2b = GroupHom.make(transpose(cols), None, pi1b.codomain_rank)
-            if mat_mul(pi2b.matrix_rows, m1) != pim:
+            pi2b = _factor_through(pim, pi1b)
+            if pi2b is None:
                 continue
             try:
                 if st.r > 0 and not join_type_wrt(a, pi1b, pi2b):

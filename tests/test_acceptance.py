@@ -195,8 +195,6 @@ def test_criterion_8_lower_bound_law_on_fixtures():
 
         for path in sorted(FIXTURES.iterdir()):
             cfg, _ = normalize(load_config_file(path))
-            if len(cfg) > 10:
-                continue
             cert = structure_certificate(cfg)
             if cert.oracle_delta.empty_dual:
                 continue

@@ -6,6 +6,7 @@ from dualdefect.cayley import (
     DimensionError,
     NotSimplexImage,
     TooLarge,
+    _set_partitions,
     apply_frame,
     cayley_sum,
     decompose_along,
@@ -14,9 +15,16 @@ from dualdefect.cayley import (
     join_type_wrt,
     projection_for_partition,
 )
-from dualdefect.config import GroupHom, PointConfig, is_normalized
+from dualdefect.config import (
+    GroupHom,
+    PointConfig,
+    apply_affine,
+    is_normalized,
+    load_config_file,
+    normalize,
+)
 
-from conftest import EX58_U, EX58_V, unit_vector
+from conftest import EX58_U, EX58_V, FIXTURES, random_unimodular, unit_vector
 
 
 def proj_last(m, r):
@@ -139,8 +147,92 @@ def test_enumerate_segre(segre_square):
 
 
 def test_enumerate_limit_guard(ex5_7):
+    # the limit bounds dim (5 here), not the number of points (14)
     with pytest.raises(TooLarge):
-        enumerate_simplex_projections(ex5_7, limit=10)
+        enumerate_simplex_projections(ex5_7, limit=4)
+    assert len(enumerate_simplex_projections(ex5_7, limit=5)) == 15
+
+
+def test_enumerate_rejects_unnormalized():
+    with pytest.raises(ValueError):
+        enumerate_simplex_projections(PointConfig.make([(0,), (2,)]))
+
+
+def _brute_force_projections(a):
+    """Reference enumeration: every set partition of the points into at
+    most dim+1 parts that extends to a simplex projection, deduplicated
+    by kernel.  Bell(#A) candidates, each solved over Z."""
+    out = []
+    seen_kernels = set()
+    for parts in _set_partitions(len(a), a.dim + 1):
+        pi = projection_for_partition(a, parts)
+        if pi is None:
+            continue
+        struct = decompose_along(a, pi)
+        key = tuple(map(tuple, struct.kernel_lattice()))
+        if key in seen_kernels:
+            continue
+        seen_kernels.add(key)
+        out.append(struct)
+    out.sort(key=lambda st: (st.r, st.parts))
+    return out
+
+
+def _signature(structs):
+    return [(st.r, st.parts, st.pi.matrix) for st in structs]
+
+
+def _random_normalized_config(rng):
+    """A random point set, or a Cayley sum moved by a unimodular map;
+    at most 9 points and dim at most 3 after normalization."""
+    if rng.random() < 0.5:
+        n = rng.randint(1, 3)
+        k = rng.randint(n + 2, (7, 9, 8)[n - 1])
+        pts = set()
+        while len(pts) < k:
+            pts.add(tuple(rng.randint(-3, 3) for _ in range(n)))
+        cfg = PointConfig.make(sorted(pts))
+    else:
+        m, r = rng.choice([(1, 1), (1, 2), (2, 1)])
+        fibers = []
+        for _ in range(r + 1):
+            k = rng.randint(2, 3)
+            pts = set()
+            while len(pts) < k:
+                pts.add(tuple(rng.randint(-1, 1) for _ in range(m)))
+            fibers.append(PointConfig.make(sorted(pts), dim=m))
+        cs = cayley_sum(fibers)
+        shift = [rng.randint(-3, 3) for _ in range(cs.dim)]
+        cfg = apply_affine(
+            cs, GroupHom.make(random_unimodular(rng, cs.dim), shift))
+    return normalize(cfg)[0]
+
+
+def test_enumerate_matches_brute_force_on_fixtures():
+    for path in sorted(FIXTURES.iterdir()):
+        a, _ = normalize(load_config_file(path))
+        if len(a) > 12:
+            continue
+        expected = _signature(_brute_force_projections(a))
+        assert _signature(enumerate_simplex_projections(a)) == expected, \
+            path.name
+
+
+def test_enumerate_matches_brute_force_on_random_configs():
+    rng = random.Random(0xB311)
+    for _ in range(100):
+        a = _random_normalized_config(rng)
+        expected = _signature(_brute_force_projections(a))
+        assert _signature(enumerate_simplex_projections(a)) == expected, \
+            a.points
+
+
+def test_enumerate_ex5_7_fixture():
+    a, _ = normalize(load_config_file(FIXTURES / "ex5_7.json"))
+    structs = enumerate_simplex_projections(a)
+    assert len(structs) == 15
+    for st in structs:
+        assert decompose_along(a, st.pi).parts == st.parts
 
 
 def test_enumerate_structures_are_valid(segre_square):

@@ -88,6 +88,33 @@ def test_verify_all_fixtures(tmp_path, capsys):
         assert code == 0, fx
 
 
+def test_exhaustive_limit_exit_2(tmp_path, capsys):
+    # ex5_8 has dim 6, above the limit: an input error, not a traceback
+    cfg = str(FIXTURES / "ex5_8.json")
+    code, _, err = invoke(capsys, "analyze", cfg, "--exhaustive",
+                          "--exhaustive-limit", "2")
+    assert code == 2
+    assert "error:" in err and "limit 2" in err
+    cert_path = tmp_path / "cert.json"
+    invoke(capsys, "analyze", cfg, "--out", str(cert_path))
+    code, out, err = invoke(capsys, "verify", cfg, str(cert_path),
+                            "--exhaustive", "--exhaustive-limit", "2")
+    assert code == 2 and out == ""
+    assert "error:" in err and "limit 2" in err
+
+
+def test_verify_exhaustive_ex5_7(tmp_path, capsys):
+    cfg = str(FIXTURES / "ex5_7.json")
+    cert_path = tmp_path / "cert.json"
+    invoke(capsys, "analyze", cfg, "--out", str(cert_path))
+    code, out, _ = invoke(capsys, "verify", cfg, str(cert_path),
+                          "--exhaustive")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks["lower_bound_law"] and checks["condition4_chain"]
+    assert checks["all_passed"]
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = invoke(capsys, "analyze", "/does/not/exist.json")
     assert code == 2
