@@ -13,78 +13,111 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .exact_linalg import RatMat, RationalSubspace, kernel_basis_rat, rank_rat
+from .exact_linalg import (
+    IntMat,
+    RationalSubspace,
+    clear_denominators,
+    kernel_basis_ff,
+    rank_int,
+)
 from .tangency import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     ESCALATIONS,
     GenericityFailure,
-    _sample_coeffs,
+    check_sampling,
+    sample_combination,
 )
 
 
 @dataclass(frozen=True)
 class AlphaProblem:
+    """A family of summands V_0, ..., V_r inside an ambient subspace.
+
+    ``bases`` holds the RREF bases of the summands scaled by one common
+    denominator, and ``k_basis`` the integer K basis in those
+    coordinates.  Every
+    sampled K element, and so every set of components, is the rational
+    one times a single positive integer, which leaves all ranks and
+    spans unchanged.
+    """
+
     ambient: RationalSubspace
-    summands: tuple[RationalSubspace, ...]
-    k_basis: tuple[tuple[Fraction, ...], ...]
+    k_basis: tuple[tuple[int, ...], ...]
+    bases: tuple[tuple[tuple[int, ...], ...], ...]
     seed: int = DEFAULT_SEED
     bound: int = DEFAULT_BOUND
     trials: int = DEFAULT_TRIALS
+
+    def __post_init__(self):
+        check_sampling(self.bound, self.trials)
 
     @classmethod
     def make(cls, summands, ambient: RationalSubspace | None = None,
              seed: int = DEFAULT_SEED, bound: int = DEFAULT_BOUND,
              trials: int = DEFAULT_TRIALS) -> "AlphaProblem":
         summands = tuple(summands)
-        assert summands
+        if not summands:
+            raise ValueError("alpha needs at least one summand")
         m = summands[0].ambient_dim
-        assert all(s.ambient_dim == m for s in summands)
+        if any(s.ambient_dim != m for s in summands):
+            raise ValueError("summands live in different ambient spaces")
         if ambient is None:
             ambient = RationalSubspace.from_rows(
                 m, [row for s in summands for row in s.basis]
             )
-        assert all(s <= ambient for s in summands)
+        bases = tuple(tuple(tuple(row) for row in basis)
+                      for basis in _integer_bases(summands))
+        stacked = clear_denominators(list(ambient.basis))
+        stacked += [list(row) for basis in bases for row in basis]
+        if rank_int(stacked) != ambient.dim:
+            raise ValueError("summands are not contained in the ambient")
         kb = tuple(tuple(row) for row in k_space(summands))
-        return cls(ambient, summands, kb, seed, bound, trials)
+        return cls(ambient, kb, bases, seed, bound, trials)
 
     @property
     def r(self) -> int:
-        return len(self.summands) - 1
+        return len(self.bases) - 1
 
-    def components(self, element):
+    def components(self, element) -> IntMat:
         """Split a K element (in summand coordinates) into ambient vectors."""
         m = self.ambient.ambient_dim
         out = []
         pos = 0
-        for s in self.summands:
-            comp = [Fraction(0)] * m
-            for j in range(s.dim):
-                c = element[pos + j]
-                if c:
-                    for k, x in enumerate(s.basis[j]):
-                        comp[k] += c * x
-            pos += s.dim
-            out.append(comp)
+        for basis in self.bases:
+            coeffs = element[pos:pos + len(basis)]
+            pos += len(basis)
+            if basis:
+                out.append([sum(map(mul, coeffs, col)) for col in zip(*basis)])
+            else:
+                out.append([0] * m)
         return out
 
 
-def k_space(summands) -> RatMat:
-    """Basis of the kernel of (m_0,...,m_r) -> m_0 + ... + m_r.
+def _integer_bases(summands) -> list[IntMat]:
+    """The summand bases times the common denominator of all entries."""
+    den = lcm(*(x.denominator for s in summands for row in s.basis
+                for x in row))
+    return [[[x.numerator * (den // x.denominator) for x in row]
+             for row in s.basis] for s in summands]
+
+
+def k_space(summands) -> IntMat:
+    """Integer basis of the kernel of (m_0,...,m_r) -> m_0 + ... + m_r.
 
     Rows are in concatenated summand coordinates; the rank equals
     sum dim V_i - dim(sum V_i).
     """
     summands = list(summands)
     m = summands[0].ambient_dim
-    cols = [list(row) for s in summands for row in s.basis]
+    cols = [row for basis in _integer_bases(summands) for row in basis]
     if not cols:
         return []
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
-    return kernel_basis_rat(mat)
+    return kernel_basis_ff([[col[i] for col in cols] for i in range(m)])
 
 
 def alpha(p: AlphaProblem) -> int:
@@ -94,9 +127,8 @@ def alpha(p: AlphaProblem) -> int:
     rng = random.Random(p.seed)
     best = 0
     for _ in range(p.trials):
-        element = _sample_coeffs(rng, p.k_basis, p.bound)
-        comps = p.components(element)
-        best = max(best, rank_rat(comps))
+        element = sample_combination(rng, p.k_basis, p.bound)
+        best = max(best, rank_int(p.components(element)))
     return best
 
 
@@ -114,13 +146,13 @@ def check_star(p: AlphaProblem) -> bool:
     for _ in range(ESCALATIONS + 1):
         verdicts = []
         for _ in range(p.trials):
-            element = _sample_coeffs(rng, p.k_basis, bound)
+            element = sample_combination(rng, p.k_basis, bound)
             comps = p.components(element)
-            full = rank_rat(comps)
+            full = rank_int(comps)
             ok = True
             for i, j in itertools.combinations(range(p.r + 1), 2):
                 rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-                if (rank_rat(rest) if rest else 0) != full:
+                if rank_int(rest) != full:
                     ok = False
                     break
             verdicts.append(ok)
@@ -130,52 +162,48 @@ def check_star(p: AlphaProblem) -> bool:
     raise GenericityFailure("removal condition unstable across samples")
 
 
-def vprime(p: AlphaProblem) -> RationalSubspace:
+def vprime(p: AlphaProblem, target: int) -> RationalSubspace:
     """Span of the components of a generic K element.
 
-    Requires the removal condition; the result is alpha-dimensional and
-    verified to make the summand images in the quotient sum directly
-    before it is returned.
+    ``target`` is alpha(p), and the removal condition check_star(p) must
+    hold; the caller computes both.  The result is target-dimensional
+    and verified to make the summand images in the quotient sum
+    directly before it is returned.
     """
     m = p.ambient.ambient_dim
     if not p.k_basis:
-        sub = RationalSubspace.from_rows(m, [])
-        assert _quotient_is_direct(p, sub)
-        return sub
-    assert check_star(p), "removal condition fails; no minimal quotient exists"
-    target = alpha(p)
+        if not _quotient_is_direct(p, [], 0):
+            raise RuntimeError("K is zero but the summands do not sum "
+                               "directly")
+        return RationalSubspace.from_rows(m, [])
     bound = p.bound
     rng = random.Random(p.seed)
     for _ in range(ESCALATIONS + 1):
         for _ in range(p.trials):
-            element = _sample_coeffs(rng, p.k_basis, bound)
+            element = sample_combination(rng, p.k_basis, bound)
             comps = p.components(element)
-            sub = RationalSubspace.from_rows(m, comps)
-            if sub.dim != target:
+            if rank_int(comps) != target:
                 continue
-            if _components_contained(p, sub) and _quotient_is_direct(p, sub):
-                return sub
+            if (_components_contained(p, comps, target)
+                    and _quotient_is_direct(p, comps, target)):
+                return RationalSubspace.from_rows(m, comps)
         bound *= 2
     raise GenericityFailure("no sampled component span passed verification")
 
 
-def _components_contained(p: AlphaProblem, sub: RationalSubspace) -> bool:
+def _components_contained(p: AlphaProblem, span: IntMat, dim: int) -> bool:
     """Components of every K basis element must lie in the span."""
-    for row in p.k_basis:
-        for comp in p.components(row):
-            if not sub.contains(comp):
-                return False
-    return True
+    rows = list(span)
+    for k_row in p.k_basis:
+        rows.extend(p.components(k_row))
+    return rank_int(rows) == dim
 
 
-def _quotient_is_direct(p: AlphaProblem, sub: RationalSubspace) -> bool:
-    """dim(sum V_i + V')/V' == sum of dim(V_i + V')/V'."""
-    m = p.ambient.ambient_dim
-    joined = list(sub.basis)
+def _quotient_is_direct(p: AlphaProblem, span: IntMat, dim: int) -> bool:
+    """dim(sum V_i + V')/V' == sum of dim(V_i + V')/V' for V' = span."""
+    joined = list(span)
     per_summand = 0
-    for s in p.summands:
-        lifted = RationalSubspace.from_rows(m, list(sub.basis) + list(s.basis))
-        per_summand += lifted.dim - sub.dim
-        joined.extend(s.basis)
-    total = RationalSubspace.from_rows(m, joined).dim - sub.dim
-    return total == per_summand
+    for basis in p.bases:
+        per_summand += rank_int(list(span) + list(basis)) - dim
+        joined.extend(basis)
+    return rank_int(joined) - dim == per_summand

@@ -38,11 +38,15 @@ from .tangency import (
     DEFAULT_TRIALS,
     GenericityFailure,
     TangencyProblem,
+    check_sampling,
     defect_oracle,
 )
 
 MAX_GEN_DIM = 8
 MAX_GEN_POINTS = 14
+# verify samples with the certificate's parameters and gen never samples,
+# so only these commands read --bound and --trials
+_SAMPLING_COMMANDS = ("analyze", "oracle", "batch")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -205,7 +209,7 @@ def cmd_verify(args) -> int:
         cert = certificate_from_json(
             args.certificate.read_text(encoding="utf-8")
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail_input(f"cannot read certificate: {exc}")
     a, _ = normalize(cfg)
     try:
@@ -355,6 +359,11 @@ def cmd_batch(args) -> int:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in _SAMPLING_COMMANDS:
+        try:
+            check_sampling(args.bound, args.trials)
+        except ValueError as exc:
+            return _fail_input(str(exc))
     handler = {
         "analyze": cmd_analyze,
         "oracle": cmd_oracle,

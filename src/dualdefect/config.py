@@ -12,7 +12,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact_linalg import (
     IntMat,
@@ -23,7 +22,7 @@ from .exact_linalg import (
     is_surjective,
     mat_mul,
     mat_vec,
-    rank_rat,
+    rank_int,
     solve_int,
     solve_int_left,
     transpose,
@@ -234,7 +233,7 @@ def _rational_basis_indices(rows: IntMat, n: int) -> list[int]:
     """Indices of rows forming a rational basis of the span (rank n)."""
     picked: list[int] = []
     for i, r in enumerate(rows):
-        if rank_rat([[Fraction(x) for x in rows[j]] for j in picked + [i]]) > len(picked):
+        if rank_int([rows[j] for j in picked + [i]]) > len(picked):
             picked.append(i)
             if len(picked) == n:
                 break

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntMat = list[list[int]]
 RatMat = list[list[Fraction]]
@@ -75,6 +75,80 @@ def det(m: IntMat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def rref_ff(m: IntMat) -> tuple[IntMat, list[int]]:
+    """Fraction-free reduced row-echelon form of an integer matrix.
+
+    Gauss-Jordan elimination by integer cross-multiplication, dividing
+    every changed row by its content so entries stay small.  Returns
+    (rows, pivot columns): row i has a positive entry in pivot column i
+    and zeros in the other pivot columns, so dividing it by that entry
+    gives row i of ``rref``.
+    """
+    cols = len(m[0]) if m else 0
+    a = [list(row) for row in m if any(row)]
+    rows = len(a)
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = None
+        for i in range(r, rows):
+            if a[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        prow = a[r]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = a[r] = [x // g for x in prow]
+        p = prow[c]
+        for i in range(rows):
+            f = a[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                pp, ff = p // g, f // g
+                row = [pp * x - ff * y for x, y in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        piv_cols.append(c)
+        r += 1
+    return a[:r], piv_cols
+
+
+def rank_int(m: IntMat) -> int:
+    """Rank over Q of an integer matrix, by fraction-free elimination."""
+    return len(rref_ff(m)[1])
+
+
+def kernel_basis_ff(m: IntMat) -> IntMat:
+    """Integer basis of {x : m * x^T = 0}.
+
+    Row i is L times row i of ``kernel_basis_rat`` of the same matrix,
+    with L > 0 the lcm of the pivots of ``rref_ff``; one common factor
+    for all rows, so every combination of the rows is L times the same
+    combination of the rational basis.
+    """
+    cols = len(m[0]) if m else 0
+    red, piv = rref_ff(m)
+    scale = lcm(*(row[c] for row, c in zip(red, piv)))
+    pivots = set(piv)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        vec = [0] * cols
+        vec[f] = scale
+        for row, c in zip(red, piv):
+            vec[c] = -row[f] * (scale // row[c])
+        basis.append(vec)
+    return basis
 
 
 def hnf(m: IntMat) -> tuple[IntMat, IntMat]:
@@ -232,11 +306,6 @@ def snf(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     return s, u, v
 
 
-def rank_int(m: IntMat) -> int:
-    """Rank over Q of an integer matrix."""
-    return len(hnf_basis(m))
-
-
 def kernel_basis_int(m: IntMat) -> IntMat:
     """Basis of the saturated integer kernel {x : m * x^T = 0}.
 
@@ -383,13 +452,9 @@ def clear_denominators(m: RatMat) -> IntMat:
         if not any(row):
             out.append([0] * len(row))
             continue
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        denom = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (denom // x.denominator) for x in row]
+        g = gcd(*ints)
         out.append([x // g for x in ints])
     return out
 
@@ -411,8 +476,8 @@ class RationalSubspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        stacked = [list(row) for row in self.basis]
-        return rank_rat(stacked + [[Fraction(x) for x in v]]) == self.dim
+        stacked = clear_denominators(list(self.basis) + [list(v)])
+        return rank_int(stacked) == self.dim
 
     def __le__(self, other: "RationalSubspace") -> bool:
         return all(other.contains(row) for row in self.basis)

@@ -10,8 +10,7 @@ randomized Hessian-corank oracle must agree or certification fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .alpha import AlphaProblem, alpha as alpha_of, check_star, vprime
 from .cayley import (
@@ -42,6 +41,7 @@ from .tangency import (
     ESCALATIONS,
     DefectResult,
     TangencyProblem,
+    check_sampling,
     contact_grouping,
     defect_oracle,
 )
@@ -118,7 +118,7 @@ def find_min_projection(a: PointConfig, seed: int = DEFAULT_SEED,
 
 def _part_difference_space(a: PointConfig, part) -> RationalSubspace:
     base = a.points[part[0]]
-    rows = [[Fraction(x - y) for x, y in zip(a.points[i], base)]
+    rows = [[x - y for x, y in zip(a.points[i], base)]
             for i in part[1:]]
     return RationalSubspace.from_rows(a.dim, rows)
 
@@ -163,23 +163,28 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
     return pi2
 
 
-def _build_certificate(a: PointConfig, seed: int, bound: int, trials: int):
-    """One attempt at the full pipeline; returns the certificate pieces."""
+def _build_certificate(tp: TangencyProblem):
+    """One attempt at the full pipeline; returns the certificate pieces.
+
+    Returns None when the removal condition fails on this attempt's
+    sample, so the caller can retry with a larger bound.
+    """
+    a = tp.config
     n = a.dim
-    tp = TangencyProblem.make(a, seed, bound, trials)
     parts, _ = contact_grouping(tp)
     pi = projection_for_partition(a, parts)
-    assert pi is not None, "contact grouping is not realizable over Z"
+    if pi is None:
+        raise CertificationError("contact grouping is not realizable over Z")
     struct = decompose_along(a, pi)
     r = struct.r
     pi_mat = pi.matrix_rows
-    ambient = RationalSubspace.from_rows(
-        n, [[Fraction(x) for x in row] for row in _saturated_kernel(pi_mat, n)]
-    )
+    ambient = RationalSubspace.from_rows(n, _saturated_kernel(pi_mat, n))
     summands = [_part_difference_space(a, part) for part in parts]
-    ap = AlphaProblem.make(summands, ambient, seed, bound, trials)
+    ap = AlphaProblem.make(summands, ambient, tp.seed, tp.bound, tp.trials)
     c = alpha_of(ap)
-    vp = vprime(ap)
+    if not check_star(ap):
+        return None
+    vp = vprime(ap, c)
     pi1 = _quotient_map(vp.integer_lattice(), n)
     pi2 = _factor_through(pi_mat, pi1)
     if pi2 is None:
@@ -196,12 +201,14 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
     """Compute delta with a replayable structure certificate.
 
     The structural computation delta = r - c and the Hessian corank
-    oracle must agree; persistent disagreement after escalating the
-    sampling bound raises CertificationError.
+    oracle must agree, and the removal condition must hold; either
+    failure persisting after escalating the sampling bound raises
+    CertificationError.
     """
     assert is_normalized(a), "normalize the configuration first"
     n = a.dim
-    oracle = defect_oracle(TangencyProblem.make(a, seed, bound, trials))
+    tp = TangencyProblem.make(a, seed, bound, trials)
+    oracle = defect_oracle(tp)
     if oracle.empty_dual or oracle.delta == 0:
         grouping = (tuple(range(len(a))),)
         checks = (
@@ -220,14 +227,17 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
     cur = bound
     last = None
     for _ in range(ESCALATIONS + 1):
-        parts, struct, pi1, pi2, p, r, c, delta = _build_certificate(
-            a, seed, cur, trials
-        )
-        last = (parts, struct, pi1, pi2, p, r, c, delta)
-        if delta == oracle.delta:
+        last = _build_certificate(replace(tp, bound=cur))
+        if last is not None and last[7] == oracle.delta:
             break
         cur *= 2
     else:
+        if last is None:
+            raise CertificationError(
+                f"removal condition fails at every sampling bound up to "
+                f"{cur // 2}: the samples are not generic, or no minimal "
+                f"quotient exists"
+            )
         raise CertificationError(
             f"structure delta {last[7]} disagrees with oracle "
             f"delta {oracle.delta} after escalation"
@@ -286,8 +296,7 @@ def _alpha_for_structure(a: PointConfig, struct: CayleyStructure,
                          seed: int, bound: int, trials: int) -> AlphaProblem:
     n = a.dim
     ambient = RationalSubspace.from_rows(
-        n, [[Fraction(x) for x in row]
-            for row in _saturated_kernel(struct.pi.linear().matrix_rows, n)]
+        n, _saturated_kernel(struct.pi.linear().matrix_rows, n)
     )
     summands = [_part_difference_space(a, part) for part in struct.parts]
     return AlphaProblem.make(summands, ambient, seed, bound, trials)
@@ -349,7 +358,7 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
             if st.r - c2 != cert.delta or not check_star(ap):
                 continue
             try:
-                vp = vprime(ap)
+                vp = vprime(ap, c2)
             except Exception:
                 continue
             pi1b = _quotient_map(vp.integer_lattice(), cert.n)
@@ -427,6 +436,9 @@ def certificate_from_json(text: str) -> StructureCertificate:
         od = DefectResult(None, None, 0)
     else:
         od = DefectResult(int(oracle), None, 0)
+    bound = _dec_int(obj["bound"])
+    trials = _dec_int(obj["trials"])
+    check_sampling(bound, trials)
     return StructureCertificate(
         n=n, r=r, c=c, delta=obj["delta"],
         grouping=tuple(tuple(g) for g in obj["grouping"]),
@@ -435,8 +447,8 @@ def certificate_from_json(text: str) -> StructureCertificate:
         p=mat("p", n - r),
         fibers=(),
         seed=_dec_int(obj["seed"]),
-        bound=_dec_int(obj["bound"]),
-        trials=obj["trials"],
+        bound=bound,
+        trials=trials,
         oracle_delta=od,
         checks=tuple(obj["checks"].items()),
     )

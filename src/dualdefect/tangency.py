@@ -6,17 +6,23 @@ generic such a, the corank of the quadratic form sum a_u u u^T equals the
 dual defect; its kernel spans the tangent directions of the contact
 plane, and grouping points by the induced linear functional recovers the
 minimal simplex projection.
+
+All sampled arithmetic is in integers.  The tangency basis and every
+Hessian kernel come from fraction-free elimination and are one positive
+integer multiple of the rational bases, so each sample is a positive
+multiple of the rational sample with the same draws, and every rank,
+kernel span and grouping is that of the rational computation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .config import PointConfig, is_normalized
 from .cayley import cayley_sum
-from .exact_linalg import RatMat, RationalSubspace, kernel_basis_rat, rank_rat
+from .exact_linalg import IntMat, RationalSubspace, kernel_basis_ff, rank_int
 
 DEFAULT_SEED = 0xA11CE
 DEFAULT_BOUND = 1 << 20
@@ -32,13 +38,24 @@ class ArityError(ValueError):
     """Coefficient vector length does not match the point count."""
 
 
+def check_sampling(bound: int, trials: int) -> None:
+    """Reject sampling parameters that draw nothing or never stop."""
+    if bound < 1:
+        raise ValueError(f"sampling bound must be at least 1, not {bound}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
+
+
 @dataclass(frozen=True)
 class TangencyProblem:
     config: PointConfig
-    tangency_basis: tuple[tuple[Fraction, ...], ...]
+    tangency_basis: tuple[tuple[int, ...], ...]
     seed: int = DEFAULT_SEED
     bound: int = DEFAULT_BOUND
     trials: int = DEFAULT_TRIALS
+
+    def __post_init__(self):
+        check_sampling(self.bound, self.trials)
 
     @classmethod
     def make(cls, config: PointConfig, seed: int = DEFAULT_SEED,
@@ -62,7 +79,7 @@ class DefectResult:
     """
 
     delta: int | None
-    rank_witness: tuple[Fraction, ...] | None
+    rank_witness: tuple[int, ...] | None
     samples_used: int
 
     @property
@@ -70,51 +87,44 @@ class DefectResult:
         return self.delta is None
 
 
-def tangency_space(a: PointConfig) -> RatMat:
-    """Basis of {coefficients a_u : sum a_u = 0, sum a_u u = 0}.
+def tangency_space(a: PointConfig) -> IntMat:
+    """Integer basis of {coefficients a_u : sum a_u = 0, sum a_u u = 0}.
 
-    For a normalized configuration the dimension is #A - n - 1.
+    For a normalized configuration the dimension is #A - n - 1.  The
+    rows are one common positive multiple of the rational kernel basis
+    (see ``kernel_basis_ff``).
     """
     assert is_normalized(a)
-    npts = len(a)
-    rows: RatMat = [[Fraction(1)] * npts]
-    for j in range(a.dim):
-        rows.append([Fraction(p[j]) for p in a.points])
-    return kernel_basis_rat(rows)
+    rows = [[1] * len(a)] + [list(col) for col in zip(*a.points)]
+    return kernel_basis_ff(rows)
 
 
-def hessian(a: PointConfig, coeffs) -> RatMat:
-    """The n x n matrix sum_u a_u u u^T over exact rationals."""
-    coeffs = [Fraction(c) for c in coeffs]
+def hessian(a: PointConfig, coeffs) -> IntMat:
+    """The n x n matrix sum_u a_u u u^T, exact in the coefficients' type."""
+    coeffs = list(coeffs)
     if len(coeffs) != len(a):
         raise ArityError(f"{len(coeffs)} coefficients for {len(a)} points")
     n = a.dim
-    h = [[Fraction(0)] * n for _ in range(n)]
-    for c, u in zip(coeffs, a.points):
-        if c == 0:
-            continue
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if u[j]:
-                    h[i][j] += c * u[i] * u[j]
+    cols = list(zip(*a.points))
+    h = [[0] * n for _ in range(n)]
+    for i in range(n):
+        weighted = [c * x for c, x in zip(coeffs, cols[i])]
+        for j in range(i, n):
+            h[i][j] = h[j][i] = sum(map(mul, weighted, cols[j]))
     return h
 
 
-def _sample_coeffs(rng: random.Random, basis, bound: int):
-    """A random nonzero rational combination of the basis rows."""
-    npts = len(basis[0])
+def sample_combination(rng: random.Random, basis, bound: int):
+    """A random nonzero integer combination of the basis rows.
+
+    One weight per row is drawn from [-bound, bound]; all weights are
+    redrawn while they are all zero.
+    """
     while True:
         weights = [rng.randint(-bound, bound) for _ in basis]
         if any(weights):
             break
-    out = [Fraction(0)] * npts
-    for w, row in zip(weights, basis):
-        if w:
-            for i, x in enumerate(row):
-                out[i] += w * x
-    return tuple(out)
+    return tuple(sum(map(mul, weights, col)) for col in zip(*basis))
 
 
 def defect_oracle(p: TangencyProblem) -> DefectResult:
@@ -130,21 +140,20 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
     best_rank = -1
     witness = None
     for _ in range(p.trials):
-        coeffs = _sample_coeffs(rng, p.tangency_basis, p.bound)
-        r = rank_rat(hessian(p.config, coeffs))
+        coeffs = sample_combination(rng, p.tangency_basis, p.bound)
+        r = rank_int(hessian(p.config, coeffs))
         if r > best_rank:
             best_rank = r
             witness = coeffs
     return DefectResult(p.config.dim - best_rank, witness, p.trials)
 
 
-def _grouping_from_kernel(a: PointConfig, kernel: RatMat):
+def _grouping_from_kernel(a: PointConfig, kernel: IntMat):
     """Partition points by the functional v -> <u, v> on the kernel."""
     keys = {}
     order = []
     for i, u in enumerate(a.points):
-        key = tuple(sum(Fraction(x) * v[j] for j, x in enumerate(u))
-                    for v in kernel)
+        key = tuple(sum(map(mul, u, v)) for v in kernel)
         if key not in keys:
             keys[key] = []
             order.append(key)
@@ -160,7 +169,8 @@ def contact_grouping(p: TangencyProblem):
     trials must produce the same partition; on disagreement the sampling
     bound is doubled and the whole round retried.
     """
-    assert p.dim_l >= 1
+    if p.dim_l == 0:
+        raise ValueError("contact grouping needs a nonempty tangency space")
     bound = p.bound
     rng = random.Random(p.seed)
     for _ in range(ESCALATIONS + 1):
@@ -169,9 +179,8 @@ def contact_grouping(p: TangencyProblem):
         agreed = True
         best_corank = None
         for _ in range(p.trials):
-            coeffs = _sample_coeffs(rng, p.tangency_basis, bound)
-            h = hessian(p.config, coeffs)
-            ker = kernel_basis_rat(h)
+            coeffs = sample_combination(rng, p.tangency_basis, bound)
+            ker = kernel_basis_ff(hessian(p.config, coeffs))
             grouping = _grouping_from_kernel(p.config, ker)
             if parts is None:
                 parts, kernel, best_corank = grouping, ker, len(ker)
@@ -196,6 +205,7 @@ def slice_contact_dim(fibers, seed: int = DEFAULT_SEED,
     moment vectors m_i = sum_j a_ij u_ij, for generic tangency
     coefficients of the Cayley sum.
     """
+    check_sampling(bound, trials)
     fibers = list(fibers)
     r = len(fibers) - 1
     if r == 0:
@@ -214,10 +224,10 @@ def slice_contact_dim(fibers, seed: int = DEFAULT_SEED,
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
-        coeffs = _sample_coeffs(rng, basis, bound)
-        moments = [[Fraction(0)] * m for _ in range(r + 1)]
+        coeffs = sample_combination(rng, basis, bound)
+        moments = [[0] * m for _ in range(r + 1)]
         for c, pt, fi in zip(coeffs, total.points, fiber_of):
             for j in range(m):
                 moments[fi][j] += c * pt[j]
-        best = max(best, rank_rat(moments))
+        best = max(best, rank_int(moments))
     return r - best

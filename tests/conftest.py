@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,31 @@ def ex5_8():
 def unit_simplex(n: int) -> PointConfig:
     pts = [(0,) * n] + [unit_vector(i, n) for i in range(1, n + 1)]
     return PointConfig.make(pts)
+
+
+def fraction_sample(rng: random.Random, basis, bound: int):
+    """Reference: the rational sampler the integer one replaced."""
+    npts = len(basis[0])
+    while True:
+        weights = [rng.randint(-bound, bound) for _ in basis]
+        if any(weights):
+            break
+    out = [Fraction(0)] * npts
+    for w, row in zip(weights, basis):
+        if w:
+            for i, x in enumerate(row):
+                out[i] += w * x
+    return tuple(out)
+
+
+def common_multiple(ints, fracs):
+    """The one positive factor L with ints == L * fracs, or None."""
+    nz = [(x, y) for x, y in zip(ints, fracs) if y]
+    if not nz or any(x for x, y in zip(ints, fracs) if not y):
+        return None
+    scale = Fraction(nz[0][0]) / nz[0][1]
+    if scale <= 0 or scale.denominator != 1:
+        return None
+    ok = all(Fraction(x) == scale * y for x, y in nz)
+    return scale if ok else None
+

@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dualdefect.alpha import AlphaProblem, alpha, check_star, k_space, vprime
-from dualdefect.exact_linalg import RationalSubspace
+from dualdefect.exact_linalg import RationalSubspace, kernel_basis_rat
+from dualdefect.tangency import sample_combination
+
+from conftest import common_multiple, fraction_sample
 
 
 def sub(dim, rows):
@@ -99,18 +104,18 @@ def test_vprime_ex5_7_full_plane():
     v1 = sub(2, [[0, 1]])
     v2 = sub(2, [[1, 0], [0, 1]])
     p = AlphaProblem.make([v0, v1, v2, v2])
-    vp = vprime(p)
+    vp = vprime(p, alpha(p))
     assert vp.dim == 2
 
 
 def test_vprime_zero_k():
     p = AlphaProblem.make([sub(2, [[1, 0]]), sub(2, [[0, 1]])])
-    assert vprime(p).dim == 0
+    assert vprime(p, alpha(p)).dim == 0
 
 
 def test_vprime_three_lines():
     p = AlphaProblem.make([LINE()] * 3)
-    assert vprime(p).dim == 1
+    assert vprime(p, alpha(p)).dim == 1
 
 
 def test_vprime_contains_k_components():
@@ -118,7 +123,7 @@ def test_vprime_contains_k_components():
     v1 = sub(2, [[0, 1]])
     v2 = sub(2, [[1, 0], [0, 1]])
     p = AlphaProblem.make([v0, v1, v2, v2])
-    vp = vprime(p)
+    vp = vprime(p, alpha(p))
     for row in p.k_basis:
         for comp in p.components(row):
             assert vp.contains(comp)
@@ -130,10 +135,10 @@ def test_vprime_quotient_rank_additivity():
     v2 = sub(3, [[1, 0, 0], [0, 0, 1]])
     p = AlphaProblem.make([v0, v1, v2])
     if check_star(p):
-        vp = vprime(p)
+        vp = vprime(p, alpha(p))
         joined = 0
         rows = list(vp.basis)
-        for s in p.summands:
+        for s in (v0, v1, v2):
             lifted = RationalSubspace.from_rows(
                 3, list(vp.basis) + list(s.basis))
             joined += lifted.dim - vp.dim
@@ -150,3 +155,63 @@ def test_alpha_monotone_in_trials():
             for t in (1, 2, 4)]
     for earlier, later in zip(vals, vals[1:]):
         assert later >= earlier
+
+
+def fraction_components(summands, element):
+    """Reference: components over the rational summand bases."""
+    m = summands[0].ambient_dim
+    out = []
+    pos = 0
+    for s in summands:
+        comp = [Fraction(0)] * m
+        for j in range(s.dim):
+            for k, x in enumerate(s.basis[j]):
+                comp[k] += element[pos + j] * x
+        pos += s.dim
+        out.append(comp)
+    return out
+
+
+def test_integer_components_are_one_multiple_of_fraction_components():
+    rng = random.Random(47)
+    checked = 0
+    while checked < 25:
+        m = rng.randint(1, 4)
+        summands = []
+        for _ in range(rng.randint(2, 4)):
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(m)] for _ in range(rng.randint(0, m))]
+            summands.append(sub(m, rows))
+        p = AlphaProblem.make(summands)
+        if not p.k_basis:
+            continue
+        cols = [row for s in summands for row in s.basis]
+        ref_k = kernel_basis_rat(
+            [[col[i] for col in cols] for i in range(m)])
+        seed = rng.randrange(1 << 30)
+        rng_int, rng_rat = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = p.components(sample_combination(rng_int, p.k_basis, 7))
+            want = fraction_components(summands,
+                                       fraction_sample(rng_rat, ref_k, 7))
+            flat_got = [x for comp in got for x in comp]
+            flat_want = [x for comp in want for x in comp]
+            assert all(isinstance(x, int) for x in flat_got)
+            assert common_multiple(flat_got, flat_want) is not None
+        checked += 1
+
+
+def test_make_rejects_summand_outside_ambient():
+    ambient = sub(2, [[1, 0]])
+    with pytest.raises(ValueError):
+        AlphaProblem.make([sub(2, [[1, 0]]), sub(2, [[0, 1]])], ambient)
+    with pytest.raises(ValueError):
+        AlphaProblem.make([])
+    with pytest.raises(ValueError):
+        AlphaProblem.make([sub(2, [[1, 0]]), sub(3, [[1, 0, 0]])])
+
+
+@pytest.mark.parametrize("field,value", [("bound", 0), ("trials", 0)])
+def test_make_rejects_bad_sampling_parameters(field, value):
+    with pytest.raises(ValueError):
+        AlphaProblem.make([LINE(), LINE()], **{field: value})

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from dualdefect.cli import generate_corpus, run
 
 from conftest import FIXTURES
+
+SRC = FIXTURES.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -203,3 +208,91 @@ def test_generate_corpus_validation():
         generate_corpus("random", 1, 0, 7, 1)
     with pytest.raises(ValueError):
         generate_corpus("random", 1, 3, 200, 1)
+
+
+def run_module(*args, timeout=120):
+    """Run python <args> as a subprocess with the package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "batch"])
+@pytest.mark.parametrize("flag,value", [("--trials", "0"),
+                                        ("--bound", "-5")])
+def test_bad_sampling_parameters_exit_2(capsys, command, flag, value):
+    code, out, err = invoke(capsys, command, str(FIXTURES / "ex5_8.json"),
+                            flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_bound_zero_exits_2():
+    # with bound 0 every weight is 0, so the sampler would redraw forever
+    proc = run_module("-m", "dualdefect", "analyze",
+                      str(FIXTURES / "ex5_8.json"), "--bound", "0",
+                      timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: sampling bound")
+
+
+def test_optimized_interpreter_same_certificate():
+    cfg = str(FIXTURES / "ex5_8.json")
+    plain = run_module("-m", "dualdefect", "analyze", cfg)
+    optimized = run_module("-O", "-m", "dualdefect", "analyze", cfg)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    assert json.loads(plain.stdout)["delta"] == 1
+
+
+def test_removal_condition_failure_escalates_the_bound(capsys):
+    # with bound 3 the sampled K element of ex5_8 fails the removal
+    # condition; a larger bound gives a generic sample and the default
+    # certificate's numbers
+    code, out, _ = invoke(capsys, "analyze", str(FIXTURES / "ex5_8.json"),
+                          "--bound", "3")
+    assert code == 0
+    cert = json.loads(out)
+    assert (cert["delta"], cert["bound"]) == (1, 3)
+
+
+def test_removal_condition_failure_exits_1(capsys):
+    # on ex5_7 one sample per bound fails the removal condition at bounds
+    # 1, 2 and 4; that is a named certification failure, not a traceback
+    code, out, err = invoke(capsys, "analyze", str(FIXTURES / "ex5_7.json"),
+                            "--bound", "1", "--trials", "1")
+    assert code == 1 and out == ""
+    assert "removal condition fails at every sampling bound up to 4" in err
+
+
+@pytest.mark.parametrize("field,value", [("bound", 0), ("trials", 0),
+                                         ("trials", None)])
+def test_certificate_with_bad_sampling_parameters_exit_2(tmp_path, capsys,
+                                                         field, value):
+    cfg = str(FIXTURES / "ex5_8.json")
+    code, out, _ = invoke(capsys, "analyze", cfg)
+    assert code == 0
+    cert = json.loads(out)
+    cert[field] = value
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", cfg, str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read certificate: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "gen"])
+def test_sampling_flags_unchecked_where_unused(tmp_path, capsys, command):
+    # verify samples with the certificate's parameters, gen never samples
+    cfg = str(FIXTURES / "ex5_8.json")
+    if command == "verify":
+        cert_path = tmp_path / "cert.json"
+        assert invoke(capsys, "analyze", cfg, "--out", str(cert_path))[0] == 0
+        args = ["verify", cfg, str(cert_path)]
+    else:
+        args = ["gen", "--kind", "random", "--count", "1",
+                "--out", str(tmp_path / "corpus")]
+    code, _, _ = invoke(capsys, *args, "--bound", "0", "--trials", "0")
+    assert code == 0

@@ -10,6 +10,7 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     identity,
     is_unimodular,
+    kernel_basis_ff,
     kernel_basis_int,
     kernel_basis_rat,
     lattice_eq,
@@ -17,6 +18,7 @@ from dualdefect.exact_linalg import (
     rank_int,
     rank_rat,
     rref,
+    rref_ff,
     saturate,
     snf,
     solve_int,
@@ -31,6 +33,18 @@ matrices = st.integers(1, 5).flatmap(
         )
     )
 )
+
+# products of a random (rows x k) and (k x cols) matrix: rank at most k,
+# so dependent rows and free columns are common
+low_rank = st.tuples(st.integers(1, 6), st.integers(1, 3),
+                     st.integers(1, 6)).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=d[1],
+                          max_size=d[1]), min_size=d[0], max_size=d[0]),
+        st.lists(st.lists(st.integers(-9, 9), min_size=d[2],
+                          max_size=d[2]), min_size=d[1], max_size=d[1]),
+    )
+).map(lambda ab: mat_mul(*ab))
 
 
 def test_hnf_identity_fixed_point():
@@ -188,8 +202,8 @@ def test_solve_int_roundtrip(m, x):
     assert [sum(a * v for a, v in zip(row, got)) for row in m] == b
 
 
-@settings(max_examples=100, deadline=None)
-@given(matrices)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, low_rank))
 def test_rational_rank_matches_integer_rank(m):
     assert rank_rat([[Fraction(x) for x in row] for row in m]) == rank_int(m)
 
@@ -209,3 +223,49 @@ def test_rref_pivots_and_kernel_rat():
     assert len(ker) == 2
     for v in ker:
         assert sum(a * b for a, b in zip(m[0], v)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, low_rank))
+def test_fraction_free_rref_scales_to_rref(m):
+    red, piv = rref_ff(m)
+    want, want_piv = rref([[Fraction(x) for x in row] for row in m])
+    assert piv == want_piv
+    assert all(row[c] > 0 for row, c in zip(red, piv))
+    assert [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(red, piv)] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, low_rank))
+def test_fraction_free_kernel_is_one_positive_multiple(m):
+    ker = kernel_basis_ff(m)
+    ref = kernel_basis_rat([[Fraction(x) for x in row] for row in m])
+    assert len(ker) == len(ref)
+    scales = set()
+    for row, ref_row in zip(ker, ref):
+        assert all(isinstance(x, int) for x in row)
+        # the free coordinate of a rational kernel row is 1
+        free = ref_row.index(1)
+        scale = row[free]
+        assert scale > 0
+        assert [Fraction(x, scale) for x in row] == ref_row
+        scales.add(scale)
+    assert len(scales) <= 1
+
+
+def test_fraction_free_edge_shapes():
+    assert rref_ff([]) == ([], [])
+    assert kernel_basis_ff([]) == []
+    assert rank_int([[0, 0], [0, 0]]) == 0
+    assert kernel_basis_ff([[0, 0]]) == [[1, 0], [0, 1]]
+    assert rref_ff([[-2, -4], [3, 6]]) == ([[1, 2]], [0])
+
+
+def test_subspace_contains_over_cleared_denominators():
+    s = RationalSubspace.from_rows(3, [[Fraction(1, 2), 0, Fraction(1, 3)]])
+    assert s.contains([3, 0, 2])
+    assert s.contains([Fraction(3, 7), 0, Fraction(2, 7)])
+    assert not s.contains([3, 1, 2])
+    assert RationalSubspace.from_rows(3, []).contains([0, 0, 0])
+    assert not RationalSubspace.from_rows(3, []).contains([0, 0, 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,17 +6,21 @@ import pytest
 
 from dualdefect.cayley import cayley_sum
 from dualdefect.config import GroupHom, PointConfig, apply_affine, is_normalized
+from dualdefect.exact_linalg import kernel_basis_rat
 from dualdefect.tangency import (
     ArityError,
     TangencyProblem,
     contact_grouping,
     defect_oracle,
     hessian,
+    sample_combination,
     slice_contact_dim,
     tangency_space,
 )
 
 from conftest import (
+    common_multiple,
+    fraction_sample,
     random_unimodular,
     segre_product,
     unit_simplex,
@@ -184,3 +189,46 @@ def test_join_defect_law_small():
     d0 = defect_oracle(TangencyProblem.make(
         PointConfig.make([(0,), (1,), (2,)]))).delta
     assert res.delta == 1 + d0 + d0
+
+
+def rational_tangency_space(a):
+    rows = [[Fraction(1)] * len(a)]
+    for j in range(a.dim):
+        rows.append([Fraction(p[j]) for p in a.points])
+    return kernel_basis_rat(rows)
+
+
+@pytest.mark.parametrize("bound", [1, 3, 1 << 20])
+def test_integer_sample_is_positive_multiple_of_fraction_sample(
+        bound, ex5_8, ex5_7, segre_square):
+    configs = [ex5_8, ex5_7, segre_square, segre_product(2, 3)]
+    for a in configs:
+        basis = tangency_space(a)
+        ref_basis = rational_tangency_space(a)
+        seed = 5 + len(a)
+        rng_int, rng_rat = random.Random(seed), random.Random(seed)
+        scales = set()
+        for _ in range(20):
+            got = sample_combination(rng_int, basis, bound)
+            want = fraction_sample(rng_rat, ref_basis, bound)
+            assert all(isinstance(x, int) for x in got)
+            scale = common_multiple(got, want)
+            assert scale is not None, (a.name, got, want)
+            scales.add(scale)
+        # same draws in the same order, all-zero redraws included (with
+        # bound 1 the one-row basis of segre_square redraws a third of
+        # the time)
+        assert rng_int.getstate() == rng_rat.getstate()
+        assert len(scales) == 1
+
+
+@pytest.mark.parametrize("field,value", [("bound", 0), ("bound", -5),
+                                         ("trials", 0)])
+def test_problem_rejects_bad_sampling_parameters(segre_square, field, value):
+    with pytest.raises(ValueError):
+        TangencyProblem.make(segre_square, **{field: value})
+    tp = TangencyProblem.make(segre_square)
+    with pytest.raises(ValueError):
+        dataclasses.replace(tp, **{field: value})
+    with pytest.raises(ValueError):
+        slice_contact_dim([segre_square], **{field: value})
