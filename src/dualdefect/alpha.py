@@ -11,7 +11,6 @@ check_star holds.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
@@ -27,10 +26,9 @@ from .tangency import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    ESCALATIONS,
     GenericityFailure,
     check_sampling,
-    sample_combination,
+    sample_rounds,
 )
 
 
@@ -124,10 +122,8 @@ def alpha(p: AlphaProblem) -> int:
     """Generic dimension of the span of the components of a K element."""
     if not p.k_basis:
         return 0
-    rng = random.Random(p.seed)
     best = 0
-    for _ in range(p.trials):
-        element = sample_combination(rng, p.k_basis, p.bound)
+    for element in next(sample_rounds(p.k_basis, p.seed, p.bound, p.trials)):
         best = max(best, rank_int(p.components(element)))
     return best
 
@@ -141,12 +137,9 @@ def check_star(p: AlphaProblem) -> bool:
         return True
     if p.r < 1:
         return True
-    bound = p.bound
-    rng = random.Random(p.seed)
-    for _ in range(ESCALATIONS + 1):
+    for samples in sample_rounds(p.k_basis, p.seed, p.bound, p.trials):
         verdicts = []
-        for _ in range(p.trials):
-            element = sample_combination(rng, p.k_basis, bound)
+        for element in samples:
             comps = p.components(element)
             full = rank_int(comps)
             ok = True
@@ -158,7 +151,6 @@ def check_star(p: AlphaProblem) -> bool:
             verdicts.append(ok)
         if len(set(verdicts)) == 1:
             return verdicts[0]
-        bound *= 2
     raise GenericityFailure("removal condition unstable across samples")
 
 
@@ -176,18 +168,14 @@ def vprime(p: AlphaProblem, target: int) -> RationalSubspace:
             raise RuntimeError("K is zero but the summands do not sum "
                                "directly")
         return RationalSubspace.from_rows(m, [])
-    bound = p.bound
-    rng = random.Random(p.seed)
-    for _ in range(ESCALATIONS + 1):
-        for _ in range(p.trials):
-            element = sample_combination(rng, p.k_basis, bound)
+    for samples in sample_rounds(p.k_basis, p.seed, p.bound, p.trials):
+        for element in samples:
             comps = p.components(element)
             if rank_int(comps) != target:
                 continue
             if (_components_contained(p, comps, target)
                     and _quotient_is_direct(p, comps, target)):
                 return RationalSubspace.from_rows(m, comps)
-        bound *= 2
     raise GenericityFailure("no sampled component span passed verification")
 
 

@@ -9,6 +9,7 @@ verification or certification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -59,6 +60,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dualdefect",
@@ -218,6 +220,9 @@ def cmd_verify(args) -> int:
         )
     except TooLarge as exc:
         return _fail_input(str(exc))
+    except GenericityFailure as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         _emit(json.dumps({"checks": report,
                           "passed": report["all_passed"]}, indent=2),

@@ -42,9 +42,12 @@ class PointConfig:
     name: str | None = None
 
     def __post_init__(self):
-        assert self.dim >= 0
+        if self.dim < 0:
+            raise ValueError(f"negative dimension {self.dim}")
         for p in self.points:
-            assert len(p) == self.dim, "point length != ambient dimension"
+            if len(p) != self.dim:
+                raise ValueError(f"point {list(p)} does not have length "
+                                 f"{self.dim}")
 
     @classmethod
     def make(cls, points, dim: int | None = None, name: str | None = None) -> "PointConfig":
@@ -320,8 +323,19 @@ def load_config_json(text: str) -> PointConfig:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValueError("expected a JSON object with a 'points' field")
-    pts = [[int(x) for x in p] for p in obj["points"]]
-    return PointConfig.make(pts, name=obj.get("name"))
+    pts = obj["points"]
+    if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
+        raise ValueError("'points' must be a list of points")
+    for x in itertools.chain(*pts):
+        # bool is an int subclass; floats and bools are refused, not truncated
+        if type(x) is not int:
+            raise ValueError(f"coordinate {x!r} is not an integer")
+    cfg = PointConfig.make(pts, name=obj.get("name"))
+    dim = obj.get("dim", cfg.dim)
+    if type(dim) is not int or dim != cfg.dim:
+        raise ValueError(f"'dim' is {dim!r} but the points have length "
+                         f"{cfg.dim}")
+    return cfg
 
 
 def load_config_text(text: str, name: str | None = None) -> PointConfig:

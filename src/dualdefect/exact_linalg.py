@@ -20,10 +20,6 @@ def identity(n: int) -> IntMat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> IntMat:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(a, b):
     """Matrix product; works for int and Fraction entries."""
     if not a:
@@ -478,9 +474,6 @@ class RationalSubspace:
     def contains(self, v) -> bool:
         stacked = clear_denominators(list(self.basis) + [list(v)])
         return rank_int(stacked) == self.dim
-
-    def __le__(self, other: "RationalSubspace") -> bool:
-        return all(other.contains(row) for row in self.basis)
 
     def integer_lattice(self) -> IntMat:
         """HNF basis of (this subspace) intersected with Z^n."""

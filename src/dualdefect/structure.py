@@ -26,7 +26,6 @@ from .config import GroupHom, PointConfig, apply_affine, is_normalized, normaliz
 from .exact_linalg import (
     IntMat,
     RationalSubspace,
-    hnf_basis,
     kernel_basis_int,
     lattice_leq,
     mat_mul,
@@ -91,12 +90,6 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
     return q
 
 
-def _saturated_kernel(m: IntMat, n: int) -> IntMat:
-    if not m:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return hnf_basis(kernel_basis_int(m))
-
-
 def find_min_projection(a: PointConfig, seed: int = DEFAULT_SEED,
                         bound: int = DEFAULT_BOUND,
                         trials: int = DEFAULT_TRIALS):
@@ -110,9 +103,15 @@ def find_min_projection(a: PointConfig, seed: int = DEFAULT_SEED,
     oracle = defect_oracle(tp)
     if oracle.empty_dual or oracle.delta == 0:
         return GroupHom.zero_map(a.dim), (tuple(range(len(a))),)
+    return _contact_projection(tp)
+
+
+def _contact_projection(tp: TangencyProblem):
+    """The simplex projection pi of the contact grouping, and the grouping."""
     parts, _kernel = contact_grouping(tp)
-    pi = projection_for_partition(a, parts)
-    assert pi is not None, "contact grouping is not realizable over Z"
+    pi = projection_for_partition(tp.config, parts)
+    if pi is None:
+        raise CertificationError("contact grouping is not realizable over Z")
     return pi, parts
 
 
@@ -123,11 +122,11 @@ def _part_difference_space(a: PointConfig, part) -> RationalSubspace:
     return RationalSubspace.from_rows(a.dim, rows)
 
 
-def _restrict_to_kernel(pi1: GroupHom, pi_mat: IntMat, pi2_mat: IntMat,
-                        n: int) -> GroupHom:
+def _restrict_to_kernel(pi1: GroupHom, pi: GroupHom,
+                        pi2: GroupHom) -> GroupHom:
     """The map p with p = pi1 restricted to ker pi, in kernel bases."""
-    ker_pi = _saturated_kernel(pi_mat, n)
-    ker_pi2 = _saturated_kernel(pi2_mat, pi1.codomain_rank)
+    ker_pi = pi.kernel_lattice()
+    ker_pi2 = pi2.kernel_lattice()
     cols = []
     for b in ker_pi:
         img = list(pi1.apply(b))
@@ -163,35 +162,46 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
     return pi2
 
 
+def _alpha_problem(a: PointConfig, struct: CayleyStructure, seed: int,
+                   bound: int, trials: int) -> AlphaProblem:
+    """The part difference spaces of a Cayley structure inside ker pi."""
+    ambient = RationalSubspace.from_rows(a.dim, struct.pi.kernel_lattice())
+    summands = [_part_difference_space(a, part) for part in struct.parts]
+    return AlphaProblem.make(summands, ambient, seed, bound, trials)
+
+
+def _minimal_quotient(a: PointConfig, struct: CayleyStructure,
+                      ap: AlphaProblem, c: int):
+    """The factorization pi = pi2 o pi1 with ker pi1 = V', as (pi1, pi2).
+
+    ``ap`` is the structure's alpha problem and ``c`` = alpha(ap).
+    Returns None when the removal condition fails on the sample, or when
+    pi does not factor through the quotient by V'.
+    """
+    if not check_star(ap):
+        return None
+    pi1 = _quotient_map(vprime(ap, c).integer_lattice(), a.dim)
+    pi2 = _factor_through(struct.pi.matrix_rows, pi1)
+    return None if pi2 is None else (pi1, pi2)
+
+
 def _build_certificate(tp: TangencyProblem):
     """One attempt at the full pipeline; returns the certificate pieces.
 
-    Returns None when the removal condition fails on this attempt's
+    Returns None when no minimal quotient is found on this attempt's
     sample, so the caller can retry with a larger bound.
     """
     a = tp.config
-    n = a.dim
-    parts, _ = contact_grouping(tp)
-    pi = projection_for_partition(a, parts)
-    if pi is None:
-        raise CertificationError("contact grouping is not realizable over Z")
+    pi, parts = _contact_projection(tp)
     struct = decompose_along(a, pi)
-    r = struct.r
-    pi_mat = pi.matrix_rows
-    ambient = RationalSubspace.from_rows(n, _saturated_kernel(pi_mat, n))
-    summands = [_part_difference_space(a, part) for part in parts]
-    ap = AlphaProblem.make(summands, ambient, tp.seed, tp.bound, tp.trials)
+    ap = _alpha_problem(a, struct, tp.seed, tp.bound, tp.trials)
     c = alpha_of(ap)
-    if not check_star(ap):
+    quotient = _minimal_quotient(a, struct, ap, c)
+    if quotient is None:
         return None
-    vp = vprime(ap, c)
-    pi1 = _quotient_map(vp.integer_lattice(), n)
-    pi2 = _factor_through(pi_mat, pi1)
-    if pi2 is None:
-        raise CertificationError("pi does not factor through pi1")
-    p = _restrict_to_kernel(pi1, pi_mat, pi2.matrix_rows, n)
-    delta = r - c
-    return parts, struct, pi1, pi2, p, r, c, delta
+    pi1, pi2 = quotient
+    p = _restrict_to_kernel(pi1, pi, pi2)
+    return parts, struct, pi1, pi2, p, struct.r, c, struct.r - c
 
 
 def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
@@ -224,19 +234,16 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
             seed=seed, bound=bound, trials=trials,
             oracle_delta=oracle, checks=checks,
         )
-    cur = bound
-    last = None
-    for _ in range(ESCALATIONS + 1):
-        last = _build_certificate(replace(tp, bound=cur))
+    for k in range(ESCALATIONS + 1):
+        last = _build_certificate(replace(tp, bound=bound << k))
         if last is not None and last[7] == oracle.delta:
             break
-        cur *= 2
     else:
         if last is None:
             raise CertificationError(
                 f"removal condition fails at every sampling bound up to "
-                f"{cur // 2}: the samples are not generic, or no minimal "
-                f"quotient exists"
+                f"{bound << ESCALATIONS}: the samples are not generic, or "
+                f"no minimal quotient exists"
             )
         raise CertificationError(
             f"structure delta {last[7]} disagrees with oracle "
@@ -283,25 +290,6 @@ def join_factors(cert: StructureCertificate, a: PointConfig):
     return factors
 
 
-def _kernel_chain_ok(inner: IntMat, outer: IntMat) -> bool:
-    """Saturated lattice containment inner <= outer, over Q is enough."""
-    if not inner:
-        return True
-    if not outer:
-        return False
-    return lattice_leq(inner, outer)
-
-
-def _alpha_for_structure(a: PointConfig, struct: CayleyStructure,
-                         seed: int, bound: int, trials: int) -> AlphaProblem:
-    n = a.dim
-    ambient = RationalSubspace.from_rows(
-        n, _saturated_kernel(struct.pi.linear().matrix_rows, n)
-    )
-    summands = [_part_difference_space(a, part) for part in struct.parts]
-    return AlphaProblem.make(summands, ambient, seed, bound, trials)
-
-
 def verify_certificate(a: PointConfig, cert: StructureCertificate,
                        exhaustive: bool = False, limit: int = 11) -> dict:
     """Independent re-check of a certificate.
@@ -314,12 +302,12 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     """
     checks: dict[str, bool] = {}
     checks["delta_consistent"] = cert.delta == cert.r - cert.c
-    checks["pi1_surjective"] = (
-        cert.pi1.is_surjective() if cert.pi1.matrix else cert.n == 0 or cert.pi1.codomain_rank == 0
-    )
+    checks["pi1_surjective"] = cert.pi1.is_surjective()
     pi = cert.pi
     ker_pi1 = cert.pi1.kernel_lattice()
     checks["pi1_kernel_rank"] = len(ker_pi1) == cert.c
+    checks["p_matches"] = cert.p == _restrict_to_kernel(cert.pi1, pi,
+                                                        cert.pi2)
     try:
         struct = decompose_along(a, pi)
         checks["simplex_image"] = struct.parts == cert.grouping
@@ -347,35 +335,26 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     elif exhaustive:
         lower_ok = True
         chain_ok = True
-        ker_pi = _saturated_kernel(pi.linear().matrix_rows, cert.n)
+        ker_pi = pi.kernel_lattice()
         for st in enumerate_simplex_projections(a, limit):
-            ap = _alpha_for_structure(a, st, cert.seed, cert.bound,
-                                      cert.trials)
+            ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials)
             c2 = alpha_of(ap)
             if st.r - c2 > cert.delta:
                 lower_ok = False
             # condition (4): pairs realizing delta with join-type quotient
-            if st.r - c2 != cert.delta or not check_star(ap):
+            if st.r - c2 != cert.delta:
                 continue
-            try:
-                vp = vprime(ap, c2)
-            except Exception:
+            quotient = _minimal_quotient(a, st, ap, c2)
+            if quotient is None:
                 continue
-            pi1b = _quotient_map(vp.integer_lattice(), cert.n)
-            pim = st.pi.linear().matrix_rows
-            pi2b = _factor_through(pim, pi1b)
-            if pi2b is None:
-                continue
-            try:
-                if st.r > 0 and not join_type_wrt(a, pi1b, pi2b):
-                    continue
-            except Exception:
+            pi1b, pi2b = quotient
+            if st.r > 0 and not join_type_wrt(a, pi1b, pi2b):
                 continue
             ker_pi1b = pi1b.kernel_lattice()
-            ker_pib = _saturated_kernel(pim, cert.n)
-            if not (_kernel_chain_ok(ker_pi1, ker_pi1b)
-                    and _kernel_chain_ok(ker_pi1b, ker_pib)
-                    and _kernel_chain_ok(ker_pib, ker_pi)):
+            ker_pib = st.pi.kernel_lattice()
+            if not (lattice_leq(ker_pi1, ker_pi1b)
+                    and lattice_leq(ker_pi1b, ker_pib)
+                    and lattice_leq(ker_pib, ker_pi)):
                 chain_ok = False
         checks["lower_bound_law"] = lower_ok
         checks["condition4_chain"] = chain_ok
@@ -426,10 +405,14 @@ def certificate_from_json(text: str) -> StructureCertificate:
     n = obj["n"]
     c = obj["c"]
     r = obj["r"]
+    if not (0 <= r and 0 <= c and r + c <= n):
+        raise ValueError(f"r = {r} and c = {c} do not fit n = {n}")
 
-    def mat(key, domain):
-        rows = [[_dec_int(x) for x in row] for row in obj[key]]
-        return GroupHom.make(rows, None, domain)
+    def mat(key, rows, cols):
+        m = [[_dec_int(x) for x in row] for row in obj[key]]
+        if len(m) != rows or any(len(row) != cols for row in m):
+            raise ValueError(f"{key} is not a {rows} x {cols} matrix")
+        return GroupHom.make(m, None, cols)
 
     oracle = obj["oracle_delta"]
     if oracle == "empty_dual":
@@ -442,9 +425,9 @@ def certificate_from_json(text: str) -> StructureCertificate:
     return StructureCertificate(
         n=n, r=r, c=c, delta=obj["delta"],
         grouping=tuple(tuple(g) for g in obj["grouping"]),
-        pi1=mat("pi1", n),
-        pi2=mat("pi2", n - c),
-        p=mat("p", n - r),
+        pi1=mat("pi1", n - c, n),
+        pi2=mat("pi2", r, n - c),
+        p=mat("p", n - r - c, n - r),
         fibers=(),
         seed=_dec_int(obj["seed"]),
         bound=bound,

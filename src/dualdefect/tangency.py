@@ -16,6 +16,7 @@ kernel span and grouping is that of the rational computation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -127,6 +128,21 @@ def sample_combination(rng: random.Random, basis, bound: int):
     return tuple(sum(map(mul, weights, col)) for col in zip(*basis))
 
 
+def sample_rounds(basis, seed: int, bound: int, trials: int):
+    """The one genericity policy: ESCALATIONS + 1 rounds of samples.
+
+    Round k lazily yields `trials` samples (see ``sample_combination``)
+    with weights in [-(bound << k), bound << k], all from one
+    ``random.Random(seed)``.  A caller that needs no escalation takes the
+    first round; one that meets disagreement moves on to the next round,
+    and a round left early draws nothing more.
+    """
+    rng = random.Random(seed)
+    for k in range(ESCALATIONS + 1):
+        yield (sample_combination(rng, basis, b)
+               for b in itertools.repeat(bound << k, trials))
+
+
 def defect_oracle(p: TangencyProblem) -> DefectResult:
     """delta = n - (generic rank of the Hessian), or EmptyDual.
 
@@ -136,11 +152,10 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
     """
     if p.dim_l == 0:
         return DefectResult(None, None, 0)
-    rng = random.Random(p.seed)
     best_rank = -1
     witness = None
-    for _ in range(p.trials):
-        coeffs = sample_combination(rng, p.tangency_basis, p.bound)
+    for coeffs in next(sample_rounds(p.tangency_basis, p.seed, p.bound,
+                                     p.trials)):
         r = rank_int(hessian(p.config, coeffs))
         if r > best_rank:
             best_rank = r
@@ -171,15 +186,13 @@ def contact_grouping(p: TangencyProblem):
     """
     if p.dim_l == 0:
         raise ValueError("contact grouping needs a nonempty tangency space")
-    bound = p.bound
-    rng = random.Random(p.seed)
-    for _ in range(ESCALATIONS + 1):
+    for samples in sample_rounds(p.tangency_basis, p.seed, p.bound,
+                                 p.trials):
         parts = None
         kernel = None
         agreed = True
         best_corank = None
-        for _ in range(p.trials):
-            coeffs = sample_combination(rng, p.tangency_basis, bound)
+        for coeffs in samples:
             ker = kernel_basis_ff(hessian(p.config, coeffs))
             grouping = _grouping_from_kernel(p.config, ker)
             if parts is None:
@@ -190,7 +203,6 @@ def contact_grouping(p: TangencyProblem):
         if agreed:
             sub = RationalSubspace.from_rows(p.config.dim, kernel)
             return parts, sub
-        bound *= 2
     raise GenericityFailure(
         "contact grouping unstable across samples; sampling bound too small"
     )
@@ -221,10 +233,8 @@ def slice_contact_dim(fibers, seed: int = DEFAULT_SEED,
     for pt in total.points:
         tail = pt[m:]
         fiber_of.append(tail.index(1) + 1 if any(tail) else 0)
-    rng = random.Random(seed)
     best = 0
-    for _ in range(trials):
-        coeffs = sample_combination(rng, basis, bound)
+    for coeffs in next(sample_rounds(basis, seed, bound, trials)):
         moments = [[0] * m for _ in range(r + 1)]
         for c, pt, fi in zip(coeffs, total.points, fiber_of):
             for j in range(m):

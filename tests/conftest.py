@@ -7,6 +7,7 @@ import pytest
 from dualdefect.config import PointConfig
 from dualdefect.cayley import cayley_sum
 from dualdefect.exact_linalg import identity
+from dualdefect.tangency import sample_combination
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -105,3 +106,21 @@ def common_multiple(ints, fracs):
     ok = all(Fraction(x) == scale * y for x, y in nz)
     return scale if ok else None
 
+
+def escalation_loop(basis, seed: int, bound: int, trials: int, taken):
+    """Reference: the hand-written loop that tangency.sample_rounds replaced.
+
+    Round k draws taken[k] of its `trials` samples (a round left early
+    draws no more), then the bound doubles; returns each round's samples.
+    """
+    rng = random.Random(seed)
+    rounds = []
+    for stop in taken:
+        drawn = []
+        for _ in range(trials):
+            drawn.append(sample_combination(rng, basis, bound))
+            if len(drawn) == stop:
+                break
+        rounds.append(drawn)
+        bound *= 2
+    return rounds

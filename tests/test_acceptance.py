@@ -191,7 +191,7 @@ def test_criterion_7_join_defect_law():
 
 def test_criterion_8_lower_bound_law_on_fixtures():
     with Budget(8, 300.0):
-        from dualdefect.structure import _alpha_for_structure
+        from dualdefect.structure import _alpha_problem
 
         for path in sorted(FIXTURES.iterdir()):
             cfg, _ = normalize(load_config_file(path))
@@ -199,8 +199,8 @@ def test_criterion_8_lower_bound_law_on_fixtures():
             if cert.oracle_delta.empty_dual:
                 continue
             for st in enumerate_simplex_projections(cfg):
-                ap = _alpha_for_structure(cfg, st, cert.seed, cert.bound,
-                                          cert.trials)
+                ap = _alpha_problem(cfg, st, cert.seed, cert.bound,
+                                    cert.trials)
                 c2 = alpha(ap)
                 assert st.r - c2 <= cert.delta, (
                     path.name, st.parts, st.r, c2, cert.delta

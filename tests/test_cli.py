@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from dualdefect import structure
 from dualdefect.cli import generate_corpus, run
+from dualdefect.tangency import GenericityFailure
 
 from conftest import FIXTURES
 
@@ -296,3 +298,93 @@ def test_sampling_flags_unchecked_where_unused(tmp_path, capsys, command):
                 "--out", str(tmp_path / "corpus")]
     code, _, _ = invoke(capsys, *args, "--bound", "0", "--trials", "0")
     assert code == 0
+
+
+def test_no_state_leaks_between_runs(capsys):
+    cfg = str(FIXTURES / "segre.json")
+    code, out, _ = invoke(capsys, "analyze", cfg, "--exhaustive")
+    assert code == 0 and "exhaustive_checks" in json.loads(out)
+    code, out, _ = invoke(capsys, "analyze", cfg)
+    assert code == 0 and "exhaustive_checks" not in json.loads(out)
+
+
+def _ex5_8_certificate(capsys) -> dict:
+    code, out, _ = invoke(capsys, "analyze", str(FIXTURES / "ex5_8.json"))
+    assert code == 0
+    return json.loads(out)
+
+
+def _verify_edited(tmp_path, capsys, cert, *flags):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
+    return invoke(capsys, "verify", str(FIXTURES / "ex5_8.json"),
+                  str(cert_path), *flags)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda cert: cert["pi1"].pop(), id="pi1_row_dropped"),
+    pytest.param(lambda cert: [row.pop() for row in cert["pi2"]],
+                 id="pi2_column_dropped"),
+    pytest.param(lambda cert: cert["p"].append(cert["p"][0]),
+                 id="p_row_added"),
+    pytest.param(lambda cert: cert.update(c=cert["n"]), id="c_too_large"),
+])
+def test_misshapen_certificate_exit_2(tmp_path, capsys, edit):
+    cert = _ex5_8_certificate(capsys)
+    edit(cert)
+    code, out, err = _verify_edited(tmp_path, capsys, cert)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read certificate: ")
+
+
+def test_verify_rejects_tampered_p(tmp_path, capsys):
+    cert = _ex5_8_certificate(capsys)
+    cert["p"][0][0] += 1
+    code, out, _ = _verify_edited(tmp_path, capsys, cert)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks["p_matches"] is False
+    assert [k for k, v in checks.items() if not v] == ["p_matches",
+                                                       "all_passed"]
+
+
+def test_exhaustive_genericity_failure_exits_1(tmp_path, capsys,
+                                               monkeypatch):
+    cert = _ex5_8_certificate(capsys)
+
+    def not_generic(p, target):
+        raise GenericityFailure("no sampled component span passed")
+
+    monkeypatch.setattr(structure, "vprime", not_generic)
+    code, out, err = _verify_edited(tmp_path, capsys, cert, "--exhaustive")
+    assert code == 1 and out == ""
+    assert "verification failed: no sampled component span" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"points": [[0, 0], [1.7, 0], [0, 1], [1, 1]]}', "not an integer"),
+    ('{"points": [[0, 0], [true, 0], [0, 1], [1, 1]]}', "not an integer"),
+    ('{"points": [[0, 0], [1, 0, 0], [0, 1], [1, 1]]}', "length 2"),
+    ('{"dim": 3, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}', "'dim'"),
+])
+def test_bad_config_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and message in err
+
+
+def test_ragged_text_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 0\n1 0 0\n0 1\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and "length 2" in err
+
+
+def test_matching_dim_field_accepted(tmp_path, capsys):
+    path = tmp_path / "segre.json"
+    path.write_text('{"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}',
+                    encoding="utf-8")
+    code, out, _ = invoke(capsys, "analyze", str(path))
+    assert code == 0 and json.loads(out)["delta"] == 0

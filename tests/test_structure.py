@@ -1,11 +1,20 @@
 import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 
 from dualdefect.cayley import cayley_sum, is_join_type
-from dualdefect.config import GroupHom, PointConfig, apply_affine, normalize
+from dualdefect import structure
+from dualdefect.cli import generate_corpus
+from dualdefect.config import (
+    GroupHom,
+    PointConfig,
+    apply_affine,
+    load_config_file,
+    normalize,
+)
 from dualdefect.exact_linalg import (
     hnf_basis,
     kernel_basis_int,
@@ -23,7 +32,7 @@ from dualdefect.structure import (
 )
 from dualdefect.tangency import TangencyProblem, defect_oracle
 
-from conftest import EX58_U, EX58_V, random_unimodular, unit_vector
+from conftest import FIXTURES, EX58_U, EX58_V, random_unimodular, unit_vector
 
 
 def test_find_min_projection_segre_trivial(segre_square):
@@ -262,3 +271,64 @@ def test_certification_error_message_path(ex5_8):
     cert = structure_certificate(ex5_8)
     assert cert.oracle_delta.delta == cert.delta
     assert dict(cert.checks)["oracle_agrees"]
+
+
+# SHA-256 of the default certificate of every fixture and of a seeded
+# join-type corpus.  The determinism contract fixes these bytes for a
+# fixed (seed, bound, trials): a refactor of the pipeline must keep them.
+PINNED_CERTIFICATE_DIGESTS = {
+    "ex5_7.json":
+        "03018a6c6aa14b87b02f4299d0cc5e41a7a94700d1fa703cb068338c313a6b6e",
+    "ex5_8.json":
+        "93dbdf2b76798b50114158323e55e7a6db4904b49677b2a536db69dd54a38e43",
+    "p1xp2.json":
+        "f82bac0ca18d9af93842a08c323aa6e7f5acee02486917c094a9bfcce1fea99d",
+    "segre.json":
+        "46c96dea611f523ee6a2adca81bccfdad80536c15dd98901f033e00bcf6e4c12",
+    "simplex1.txt":
+        "0836da7707b7ee0e9401a480336f45d57be2f33d758155320adf6911bbb13082",
+    "simplex2.txt":
+        "d9ca0c26e2fa3c84e0693d7fb89278f0d340d2a25d25a7ea929d0ba415c38035",
+    "simplex3.txt":
+        "ae45a02d3a44456aa5ac6a8c825a81af3651ea68b2cb5911db2310d237e11158",
+    "join_000":
+        "d5921529a4d9b60df505ae8ace63e0f0b93d8c3c457e7325661ff00fecacd489",
+    "join_001":
+        "4426c5a21d9691a95ce1ce3428876bad4909cf714e6e868603af68f6260da999",
+    "join_002":
+        "bc8a6ec0cf5865c6204a1d1e6978c590eb250ef9f75ae4afe92f2068ce2a2aad",
+    "join_003":
+        "ea28ce548cd3ace02d271429956efa314a008939699d8f3bd62e2ee238695438",
+    "join_004":
+        "f50ba60fa4abd901b496e124d9b25258bcdfa37ba9b8ffb0b8731f0cb51ac73b",
+    "join_005":
+        "d5921529a4d9b60df505ae8ace63e0f0b93d8c3c457e7325661ff00fecacd489",
+    "join_006":
+        "9963c8e0437371e0aa0027a2f4426b683ca42ece4c2b41878f12c5030413d392",
+    "join_007":
+        "74f38c83587c9151add05db8dfa76b2c4137aa7823b9fb8fdb30fed57efad8ef",
+    "join_008":
+        "f89b688b896b39f01b02521bd2068f44682280f39f1630b2741baa70ec38686b",
+    "join_009":
+        "4ebab37388140b9c43843579e04c9b937cab5366b3a6ab90ab8a83b111fe156e",
+}
+
+
+def test_certificate_bytes_pinned():
+    inputs = [(p.name, load_config_file(p))
+              for p in sorted(FIXTURES.iterdir())]
+    inputs += [(cfg.name, cfg) for cfg, _ in
+               generate_corpus("cayley_join_type", 10, 3, 7, 1)]
+    got = {}
+    for name, cfg in inputs:
+        text = certificate_to_json(structure_certificate(normalize(cfg)[0]))
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_CERTIFICATE_DIGESTS
+
+
+def test_unrealizable_grouping_raises_certification_error(ex5_8,
+                                                          monkeypatch):
+    monkeypatch.setattr(structure, "projection_for_partition",
+                        lambda a, parts: None)
+    with pytest.raises(CertificationError, match="not realizable"):
+        find_min_projection(ex5_8)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,18 +9,21 @@ from dualdefect.cayley import cayley_sum
 from dualdefect.config import GroupHom, PointConfig, apply_affine, is_normalized
 from dualdefect.exact_linalg import kernel_basis_rat
 from dualdefect.tangency import (
+    ESCALATIONS,
     ArityError,
     TangencyProblem,
     contact_grouping,
     defect_oracle,
     hessian,
     sample_combination,
+    sample_rounds,
     slice_contact_dim,
     tangency_space,
 )
 
 from conftest import (
     common_multiple,
+    escalation_loop,
     fraction_sample,
     random_unimodular,
     segre_product,
@@ -232,3 +236,20 @@ def test_problem_rejects_bad_sampling_parameters(segre_square, field, value):
         dataclasses.replace(tp, **{field: value})
     with pytest.raises(ValueError):
         slice_contact_dim([segre_square], **{field: value})
+
+
+@pytest.mark.parametrize("taken", [(3, 3, 3), (1, 3, 3), (1, 1, 1),
+                                   (3, 1, 2), (2,)])
+def test_sample_rounds_match_hand_written_loop(ex5_8, taken):
+    basis = tangency_space(ex5_8)
+    want = escalation_loop(basis, 9, 5, 3, taken)
+    rounds = sample_rounds(basis, 9, 5, 3)
+    got = [list(itertools.islice(next(rounds), k)) for k in taken]
+    assert got == want
+
+
+def test_sample_rounds_shape(segre_square):
+    basis = tangency_space(segre_square)
+    rounds = [list(r) for r in sample_rounds(basis, 1, 2, 4)]
+    assert len(rounds) == ESCALATIONS + 1
+    assert all(len(r) == 4 for r in rounds)
