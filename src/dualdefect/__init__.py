@@ -41,6 +41,7 @@ from .tangency import (
 )
 from .alpha import AlphaProblem, alpha, check_star, k_space, vprime
 from .structure import (
+    CertificateMismatch,
     CertificationError,
     StructureCertificate,
     certificate_from_json,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaProblem",
     "CayleyStructure",
+    "CertificateMismatch",
     "CertificationError",
     "CollapseError",
     "DefectResult",

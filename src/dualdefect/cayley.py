@@ -13,14 +13,15 @@ from dataclasses import dataclass
 from .config import GroupHom, PointConfig, difference_lattice, is_normalized
 from .exact_linalg import (
     IntMat,
+    adjugate,
     det,
     hnf_basis,
+    hnf_coords,
     identity,
     kernel_basis_int,
     mat_vec,
     rank_int,
-    solve_int,
-    solve_int_left,
+    solve_int_many,
     transpose,
 )
 
@@ -135,12 +136,9 @@ def _simplex_chart(values, r: int) -> GroupHom:
     if r > 0 and abs(det(d)) != 1:
         raise NotSimplexImage("image differences do not form a lattice basis")
     # invert the difference matrix; solve d * col = e_i over Z
-    cols = []
-    for i in range(r):
-        e = [1 if j == i else 0 for j in range(r)]
-        col = solve_int(d, e)
-        assert col is not None
-        cols.append(col)
+    cols = solve_int_many(d, identity(r))
+    if any(col is None for col in cols):
+        raise ArithmeticError("a unimodular matrix has an integral inverse")
     mat = transpose(cols) if r else []
     shift = [-x for x in mat_vec(mat, list(v0))]
     return GroupHom.make(mat, shift, r)
@@ -153,7 +151,9 @@ def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
     vertex i) - s(vertex i) written in kernel coordinates, and the
     lattice isomorphism f with f(a) = cayley_sum(fibers).
     """
-    assert pi.domain_rank == a.dim
+    if pi.domain_rank != a.dim:
+        raise ValueError(f"projection of Z^{pi.domain_rank} applied to a "
+                         f"configuration in Z^{a.dim}")
     assert is_normalized(a), "decompose_along expects a normalized configuration"
     n = a.dim
     r = pi.codomain_rank
@@ -164,15 +164,11 @@ def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
         f = GroupHom.identity_map(n)
         return CayleyStructure(a, 0, tuple(parts), pi, (a,), f, g)
     phi = chart.linear().matrix_rows
-    if not GroupHom.make(phi).is_surjective():
+    # section s of phi: integer right inverse, columnwise; it exists
+    # exactly when phi is surjective over Z
+    s_cols = solve_int_many(phi, identity(r))
+    if any(col is None for col in s_cols):
         raise NotSimplexImage("projection is not surjective over Z")
-    # section s of phi: integer right inverse, columnwise
-    s_cols = []
-    for i in range(r):
-        e = [1 if j == i else 0 for j in range(r)]
-        col = solve_int(phi, e)
-        assert col is not None
-        s_cols.append(col)
     s = transpose(s_cols)  # n x r
     # canonical (HNF) basis of the saturated kernel, so that coordinate
     # kernels get identity coordinates
@@ -182,48 +178,43 @@ def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
         # x - s(phi(x)) lies in ker phi; take its kernel coordinates
         img = mat_vec(phi, x_row)
         red = [xv - sv for xv, sv in zip(x_row, mat_vec(s, img))]
-        if kernel:
-            coords = solve_int_left(kernel, red)
-            assert coords is not None
-        else:
-            assert not any(red)
-            coords = []
+        coords = hnf_coords(kernel, red)
+        if coords is None:
+            raise ArithmeticError("x - s(phi(x)) lies outside the "
+                                  "saturated kernel of phi")
         f_rows.append(coords)
     # f(x) = (kernel coords of x - s(phi x), chart(x))
     top = transpose(f_rows)  # (n-r) x n acting on columns
     f_mat = top + chart.linear().matrix_rows
     tr = [0] * (n - r) + list(chart.translation or [0] * r)
     f = GroupHom.make(f_mat, tr if any(tr) else None, n)
-    fibers = []
-    for part in parts:
-        pts = [f.apply(a.points[i])[: n - r] for i in part]
-        fibers.append(PointConfig(n - r, tuple(sorted(pts))))
-    struct = CayleyStructure(a, r, tuple(parts), pi, tuple(fibers), f, g)
-    assert set(apply_frame(struct).points) == set(cayley_sum(fibers).points)
-    return struct
+    images = [f.apply(p) for p in a.points]
+    fibers = tuple(
+        PointConfig(n - r, tuple(sorted(images[i][: n - r] for i in part)))
+        for part in parts
+    )
+    if set(images) != set(cayley_sum(fibers).points):
+        raise ArithmeticError("the section frame does not carry the "
+                              "configuration onto the Cayley sum of its "
+                              "fibers")
+    return CayleyStructure(a, r, tuple(parts), pi, fibers, f, g)
 
 
-def apply_frame(struct: CayleyStructure) -> PointConfig:
-    """Image of the base under the section frame."""
-    pts = [struct.section_frame.apply(p) for p in struct.base.points]
-    return PointConfig(struct.base.dim, tuple(sorted(pts)))
+def join_type_wrt(struct: CayleyStructure, pi1: GroupHom) -> bool:
+    """Whether struct.base is of join type with respect to (pi1, pi2).
 
-
-def join_type_wrt(a: PointConfig, pi1: GroupHom, pi2: GroupHom) -> bool:
-    """Whether a is of join type with respect to the pair (pi1, pi2).
-
-    The parts of a along pi2 o pi1 have difference lattices M_i; the
-    predicate holds when the images pi1(M_i) inside ker pi2 sum directly.
+    struct is the Cayley structure of the base along pi = pi2 o pi1.
+    Its parts have difference lattices M_i; the predicate holds when
+    the images pi1(M_i) inside ker pi2 sum directly.
     """
-    assert pi1.is_surjective() if pi1.matrix else True
-    struct = decompose_along(a, pi2.compose(pi1))
+    a = struct.base
     lin = pi1.linear()
     total = 0
     stacked: IntMat = []
     for part in struct.parts:
-        base_pt = a.points[part[0]]
+        base_pt = lin.apply(a.points[part[0]])
         rows = [
-            [x - y for x, y in zip(lin.apply(a.points[i]), lin.apply(base_pt))]
+            [x - y for x, y in zip(lin.apply(a.points[i]), base_pt)]
             for i in part[1:]
         ]
         basis = hnf_basis(rows)
@@ -273,12 +264,9 @@ def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
             e_rows.append(v)
     if r == 0:
         return GroupHom.zero_map(a.dim)
-    p_rows = []
-    for jcol in range(r):
-        x = solve_int(d_rows, [row[jcol] for row in e_rows])
-        if x is None:
-            return None
-        p_rows.append(x)
+    p_rows = solve_int_many(d_rows, transpose(e_rows))
+    if any(x is None for x in p_rows):
+        return None
     pi = GroupHom.make(p_rows, None, a.dim)
     if not pi.is_surjective():
         return None
@@ -321,16 +309,7 @@ def enumerate_simplex_projections(a: PointConfig, limit: int = 11):
     n = a.dim
     basis, diffs = _affine_basis(a)
     u0 = a.points[0]
-    dmat = transpose(diffs)
-    d = det(dmat)
-    adj_cols = []
-    for i in range(n):
-        col = solve_int(dmat, [d if k == i else 0 for k in range(n)])
-        if col is None:
-            raise ArithmeticError("d * inverse of an integer matrix "
-                                  "must be integral")
-        adj_cols.append(col)
-    adj = transpose(adj_cols)
+    d, adj = adjugate(transpose(diffs))
     # nonzero entries of W_j for the points outside the basis, keyed by
     # basis position (position 0 is u_b0 itself and has no column)
     in_basis = set(basis)

@@ -27,6 +27,7 @@ from .config import (
 )
 from .exact_linalg import identity
 from .structure import (
+    CertificateMismatch,
     CertificationError,
     certificate_from_json,
     certificate_to_json,
@@ -218,7 +219,7 @@ def cmd_verify(args) -> int:
         report = verify_certificate(
             a, cert, exhaustive=args.exhaustive, limit=args.exhaustive_limit
         )
-    except TooLarge as exc:
+    except (TooLarge, CertificateMismatch) as exc:
         return _fail_input(str(exc))
     except GenericityFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

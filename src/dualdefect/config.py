@@ -15,16 +15,16 @@ from dataclasses import dataclass, field
 
 from .exact_linalg import (
     IntMat,
+    adjugate,
     det,
     hnf,
     hnf_basis,
+    hnf_coords,
     identity,
     is_surjective,
     mat_mul,
     mat_vec,
     rank_int,
-    solve_int,
-    solve_int_left,
     transpose,
 )
 
@@ -111,7 +111,7 @@ class GroupHom:
 
     def apply(self, v) -> tuple[int, ...]:
         assert len(v) == self.domain_rank
-        img = mat_vec(self.matrix_rows, list(v))
+        img = mat_vec(self.matrix, v)
         if self.translation is not None:
             img = [x + t for x, t in zip(img, self.translation)]
         return tuple(img)
@@ -208,15 +208,14 @@ def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
     base = list(a.points[0])
     # drop the translation entirely when the anchor lies in the lattice,
     # so already-normalized configurations map to themselves via identity
-    anchor_coords = solve_int_left(basis, base) if m else None
-    if anchor_coords is not None:
+    if hnf_coords(basis, base) is not None:
         base = [0] * a.dim
     coords = []
     for p in a.points:
-        d = [x - y for x, y in zip(p, base)]
-        y = solve_int_left(basis, d) if m else []
-        assert y is not None, "difference outside its own lattice"
-        coords.append(tuple(y))
+        k = hnf_coords(basis, [x - y for x, y in zip(p, base)])
+        if k is None:
+            raise ArithmeticError("difference outside its own lattice")
+        coords.append(tuple(k))
     b = PointConfig(m, tuple(sorted(coords)), a.name)
     # theta: k -> k * basis + base, column convention => matrix = basis^T
     matrix = transpose(basis) if basis else [[] for _ in range(a.dim)]
@@ -264,6 +263,7 @@ def affine_equivalent(a: PointConfig, b: PointConfig) -> GroupHom | None:
     d_a = [[x - y for x, y in zip(p, anchor_a)] for p in na.points]
     basis_idx = _rational_basis_indices(d_a, n)
     basis_a = [d_a[i] for i in basis_idx]
+    d, adj = adjugate(basis_a)
     basis_contents = [_content(r) for r in basis_a]
     contents_a = sorted(_content(r) for r in d_a)
     target = set(nb.points)
@@ -275,24 +275,20 @@ def affine_equivalent(a: PointConfig, b: PointConfig) -> GroupHom | None:
             [r for r in d_b if _content(r) == c] for c in basis_contents
         ]
         for chosen in itertools.product(*candidates):
-            # solve basis_a * X = chosen over Z, columnwise; the linear
-            # part acting on column vectors is then X^T
-            cols = []
-            for j in range(n):
-                col = solve_int(basis_a, [row[j] for row in chosen])
-                if col is None:
-                    break
-                cols.append(col)
-            else:
-                x = transpose(cols)  # basis_a * x == chosen
-                if abs(det(x)) != 1:
-                    continue
-                mat = transpose(x)
-                shift = [y - z for y, z in
-                         zip(anchor_b, mat_vec(mat, list(anchor_a)))]
-                cand = GroupHom.make(mat, shift, n)
-                if {cand.apply(p) for p in na.points} == target:
-                    return _conjugate_witness(cand, tha, thb, a, b)
+            # basis_a * x = chosen over Z; the linear part acting on
+            # column vectors is then x^T
+            num = mat_mul(adj, list(chosen))  # d * x
+            if any(v % d for row in num for v in row):
+                continue
+            x = [[v // d for v in row] for row in num]
+            if abs(det(x)) != 1:
+                continue
+            mat = transpose(x)
+            shift = [y - z for y, z in
+                     zip(anchor_b, mat_vec(mat, list(anchor_a)))]
+            cand = GroupHom.make(mat, shift, n)
+            if {cand.apply(p) for p in na.points} == target:
+                return _conjugate_witness(cand, tha, thb, a, b)
     return None
 
 

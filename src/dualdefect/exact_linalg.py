@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 IntMat = list[list[int]]
 RatMat = list[list[Fraction]]
@@ -35,7 +36,7 @@ def mat_mul(a, b):
 
 def mat_vec(m, v):
     """m * v for a column vector v."""
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def transpose(m):
@@ -332,43 +333,88 @@ def saturate(gens: IntMat) -> IntMat:
     return hnf_basis(kernel_basis_int(ann))
 
 
-def solve_int(m: IntMat, b: list[int]) -> list[int] | None:
-    """Solve m * x = b over the integers; None if no solution."""
+def solve_int_many(m: IntMat, rhs) -> list[list[int] | None]:
+    """Solve m * x = b over the integers for every b in rhs.
+
+    One Smith normal form of m serves all right-hand sides; each entry
+    of the result is the solution for its b, or None if there is none.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    assert len(b) == rows
+    rhs = list(rhs)
+    if any(len(b) != rows for b in rhs):
+        raise ValueError(f"right-hand side length differs from {rows} rows")
     if cols == 0:
-        return [] if all(x == 0 for x in b) else None
+        return [None if any(b) else [] for b in rhs]
     s, u, v = snf(m)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        d = s[i][i] if i < cols else 0
-        if d == 0:
-            if c[i] != 0:
+    diag = [s[i][i] if i < cols else 0 for i in range(rows)]
+
+    def solve(b):
+        y = [0] * cols
+        for i, (c, d) in enumerate(zip(mat_vec(u, b), diag)):
+            if d:
+                y[i], rem = divmod(c, d)
+                if rem:
+                    return None
+            elif c:
                 return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(v, y)
+        return mat_vec(v, y)
+
+    return [solve(b) for b in rhs]
 
 
-def solve_int_left(m: IntMat, b: list[int]) -> list[int] | None:
-    """Solve x * m = b over the integers (row-vector convention)."""
-    return solve_int(transpose(m), b)
+def solve_int(m: IntMat, b: list[int]) -> list[int] | None:
+    """Solve m * x = b over the integers; None if no solution."""
+    return solve_int_many(m, [b])[0]
 
 
-def lattice_contains(basis: IntMat, v: list[int]) -> bool:
-    """Whether v lies in the row lattice spanned by basis."""
-    if not basis:
-        return not any(v)
-    return solve_int_left(basis, v) is not None
+def adjugate(m: IntMat) -> tuple[int, IntMat]:
+    """(det m, adj m) of a nonsingular square integer matrix.
+
+    adj m = det m * m^-1 is integral; its columns solve
+    m * x = det m * e_i against one Smith normal form.
+    """
+    n = len(m)
+    d = det(m)
+    if d == 0:
+        raise ValueError("adjugate of a singular matrix")
+    cols = solve_int_many(m, [[d if k == i else 0 for k in range(n)]
+                              for i in range(n)])
+    if any(col is None for col in cols):
+        raise ArithmeticError("det * inverse of an integer matrix "
+                              "must be integral")
+    return d, transpose(cols)
+
+
+def hnf_coords(basis: IntMat, v) -> list[int] | None:
+    """The x with x * basis = v over the integers, or None.
+
+    basis must be in row echelon form with independent rows, as
+    ``hnf_basis`` returns it, so there is at most one solution; it is
+    found by forward substitution with exact division, without a
+    normal form.
+    """
+    rest = list(v)
+    coords = []
+    last = -1
+    for row in basis:
+        piv = next((j for j, x in enumerate(row) if x), None)
+        if piv is None or piv <= last:
+            raise ValueError("basis is not in row echelon form")
+        last = piv
+        q, rem = divmod(rest[piv], row[piv])
+        if rem:
+            return None
+        if q:
+            rest = [x - q * y for x, y in zip(rest, row)]
+        coords.append(q)
+    return None if any(rest) else coords
 
 
 def lattice_leq(a: IntMat, b: IntMat) -> bool:
     """Whether the row lattice of a is contained in that of b."""
-    return all(lattice_contains(b, row) for row in a)
+    basis = hnf_basis(b)
+    return all(hnf_coords(basis, row) is not None for row in a)
 
 
 def lattice_eq(a: IntMat, b: IntMat) -> bool:

@@ -10,11 +10,13 @@ randomized Hessian-corank oracle must agree or certification fails.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 
 from .alpha import AlphaProblem, alpha as alpha_of, check_star, vprime
 from .cayley import (
     CayleyStructure,
+    NotSimplexImage,
     decompose_along,
     cayley_sum,
     enumerate_simplex_projections,
@@ -26,11 +28,12 @@ from .config import GroupHom, PointConfig, apply_affine, is_normalized, normaliz
 from .exact_linalg import (
     IntMat,
     RationalSubspace,
+    hnf_coords,
+    identity,
     kernel_basis_int,
     lattice_leq,
     mat_mul,
-    solve_int,
-    solve_int_left,
+    solve_int_many,
     transpose,
 )
 from .tangency import (
@@ -49,6 +52,10 @@ from .tangency import (
 class CertificationError(RuntimeError):
     """The two independent defect computations disagree, or a certified
     invariant failed to verify."""
+
+
+class CertificateMismatch(ValueError):
+    """The certificate is for a configuration of another dimension."""
 
 
 @dataclass(frozen=True)
@@ -129,13 +136,9 @@ def _restrict_to_kernel(pi1: GroupHom, pi: GroupHom,
     ker_pi2 = pi2.kernel_lattice()
     cols = []
     for b in ker_pi:
-        img = list(pi1.apply(b))
-        if ker_pi2:
-            coords = solve_int_left(ker_pi2, img)
-            assert coords is not None, "pi1 does not map ker pi into ker pi2"
-        else:
-            assert not any(img)
-            coords = []
+        coords = hnf_coords(ker_pi2, pi1.apply(b))
+        if coords is None:
+            raise ArithmeticError("pi1 does not map ker pi into ker pi2")
         cols.append(coords)
     mat = transpose(cols) if ker_pi else []
     return GroupHom.make(mat, None, len(ker_pi))
@@ -149,14 +152,11 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
     """
     m1 = pi1.matrix_rows
     k = pi1.codomain_rank
-    cols = []
-    for j in range(k):
-        lift = solve_int(m1, [1 if i == j else 0 for i in range(k)])
-        if lift is None:
-            return None
-        cols.append([sum(pr * lv for pr, lv in zip(row, lift))
-                     for row in pi_mat])
-    pi2 = GroupHom.make(transpose(cols), None, k)
+    lifts = solve_int_many(m1, identity(k))
+    if any(lift is None for lift in lifts):
+        return None
+    pi2 = GroupHom.make(mat_mul(pi_mat, transpose(lifts)) if k else [],
+                        None, k)
     if mat_mul(pi2.matrix_rows, m1) != pi_mat:
         return None
     return pi2
@@ -255,7 +255,7 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
         ("pi1_surjective", pi1.is_surjective()),
         ("pi_factors", mat_mul(pi2.matrix_rows, pi1.matrix_rows)
          == struct.pi.matrix_rows),
-        ("join_type_wrt_pi2", join_type_wrt(a, pi1, pi2)),
+        ("join_type_wrt_pi2", join_type_wrt(struct, pi1)),
     )
     if not all(v for _, v in checks):
         raise CertificationError(f"certified invariant failed: {checks}")
@@ -294,12 +294,18 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
                        exhaustive: bool = False, limit: int = 11) -> dict:
     """Independent re-check of a certificate.
 
-    Always checks the arithmetic invariants, the simplex image, join
+    Raises CertificateMismatch when cert.n is not a.dim.  Otherwise
+    always checks the arithmetic invariants, the simplex image, join
     type, and a fresh oracle run under a different seed.  In exhaustive
     mode additionally enumerates every simplex projection of a and
     verifies the minimality kernel chain and the lower-bound inequality
     r' - c' <= delta.
     """
+    if cert.n != a.dim:
+        raise CertificateMismatch(
+            f"certificate has n = {cert.n}, but the configuration spans "
+            f"Z^{a.dim}"
+        )
     checks: dict[str, bool] = {}
     checks["delta_consistent"] = cert.delta == cert.r - cert.c
     checks["pi1_surjective"] = cert.pi1.is_surjective()
@@ -310,17 +316,14 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
                                                         cert.pi2)
     try:
         struct = decompose_along(a, pi)
-        checks["simplex_image"] = struct.parts == cert.grouping
-    except Exception:
+    except NotSimplexImage:
         struct = None
-        checks["simplex_image"] = False
+    checks["simplex_image"] = (struct is not None
+                               and struct.parts == cert.grouping)
     checks["r_matches"] = struct is not None and struct.r == cert.r
-    try:
-        checks["join_type_wrt_pi2"] = (
-            cert.r == 0 or join_type_wrt(a, cert.pi1, cert.pi2)
-        )
-    except Exception:
-        checks["join_type_wrt_pi2"] = False
+    checks["join_type_wrt_pi2"] = cert.r == 0 or (
+        struct is not None and join_type_wrt(struct, cert.pi1)
+    )
     fresh = defect_oracle(
         TangencyProblem.make(a, cert.seed + 1, cert.bound, cert.trials)
     )
@@ -347,8 +350,8 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
             quotient = _minimal_quotient(a, st, ap, c2)
             if quotient is None:
                 continue
-            pi1b, pi2b = quotient
-            if st.r > 0 and not join_type_wrt(a, pi1b, pi2b):
+            pi1b, _ = quotient
+            if st.r > 0 and not join_type_wrt(st, pi1b):
                 continue
             ker_pi1b = pi1b.kernel_lattice()
             ker_pib = st.pi.kernel_lattice()
@@ -375,8 +378,17 @@ def _enc_mat(m) -> list:
     return [[_enc_int(int(x)) for x in row] for row in m]
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _dec_int(x) -> int:
-    return int(x)
+    """An integer as ``_enc_int`` writes it: a JSON integer, or a decimal
+    string; floats and booleans are refused, not truncated."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
 
 
 def certificate_to_json(cert: StructureCertificate) -> str:
@@ -402,9 +414,9 @@ def certificate_to_json(cert: StructureCertificate) -> str:
 
 def certificate_from_json(text: str) -> StructureCertificate:
     obj = json.loads(text)
-    n = obj["n"]
-    c = obj["c"]
-    r = obj["r"]
+    n = _dec_int(obj["n"])
+    c = _dec_int(obj["c"])
+    r = _dec_int(obj["r"])
     if not (0 <= r and 0 <= c and r + c <= n):
         raise ValueError(f"r = {r} and c = {c} do not fit n = {n}")
 
@@ -418,13 +430,17 @@ def certificate_from_json(text: str) -> StructureCertificate:
     if oracle == "empty_dual":
         od = DefectResult(None, None, 0)
     else:
-        od = DefectResult(int(oracle), None, 0)
+        od = DefectResult(_dec_int(oracle), None, 0)
     bound = _dec_int(obj["bound"])
     trials = _dec_int(obj["trials"])
     check_sampling(bound, trials)
+    checks = obj["checks"]
+    if not isinstance(checks, dict):
+        raise ValueError("'checks' is not an object")
     return StructureCertificate(
-        n=n, r=r, c=c, delta=obj["delta"],
-        grouping=tuple(tuple(g) for g in obj["grouping"]),
+        n=n, r=r, c=c, delta=_dec_int(obj["delta"]),
+        grouping=tuple(tuple(_dec_int(i) for i in g)
+                       for g in obj["grouping"]),
         pi1=mat("pi1", n - c, n),
         pi2=mat("pi2", r, n - c),
         p=mat("p", n - r - c, n - r),
@@ -433,5 +449,5 @@ def certificate_from_json(text: str) -> StructureCertificate:
         bound=bound,
         trials=trials,
         oracle_delta=od,
-        checks=tuple(obj["checks"].items()),
+        checks=tuple(checks.items()),
     )

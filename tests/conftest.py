@@ -5,8 +5,14 @@ from pathlib import Path
 import pytest
 
 from dualdefect.config import PointConfig
-from dualdefect.cayley import cayley_sum
-from dualdefect.exact_linalg import identity
+from dualdefect.cayley import cayley_sum, decompose_along
+from dualdefect.exact_linalg import (
+    hnf_basis,
+    identity,
+    rank_int,
+    solve_int,
+    transpose,
+)
 from dualdefect.tangency import sample_combination
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -124,3 +130,34 @@ def escalation_loop(basis, seed: int, bound: int, trials: int, taken):
         rounds.append(drawn)
         bound *= 2
     return rounds
+
+
+def solve_int_left(m, b):
+    """Reference: x * m = b over Z by an SNF solve of the transpose, the
+    general solver that the HNF substitution ``hnf_coords`` replaced."""
+    if not m:
+        return None if any(b) else []
+    return solve_int(transpose(m), b)
+
+
+def join_type_wrt_recompute(a, pi1, pi2):
+    """Reference: join type w.r.t. (pi1, pi2) as it was computed before
+    callers passed their Cayley structure, decomposing a along pi2 o pi1
+    afresh."""
+    struct = decompose_along(a, pi2.compose(pi1))
+    lin = pi1.linear()
+    total = 0
+    stacked = []
+    for part in struct.parts:
+        base_pt = a.points[part[0]]
+        rows = [
+            [x - y for x, y in zip(lin.apply(a.points[i]),
+                                   lin.apply(base_pt))]
+            for i in part[1:]
+        ]
+        basis = hnf_basis(rows)
+        total += len(basis)
+        stacked.extend(basis)
+    if not stacked:
+        return True
+    return rank_int(stacked) == total

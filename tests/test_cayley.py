@@ -7,7 +7,6 @@ from dualdefect.cayley import (
     NotSimplexImage,
     TooLarge,
     _set_partitions,
-    apply_frame,
     cayley_sum,
     decompose_along,
     enumerate_simplex_projections,
@@ -96,7 +95,8 @@ def test_decompose_ex5_8(ex5_8):
         frozenset([e(1), e(2), EX58_U]),
         frozenset([e(3), e(4), EX58_V]),
     }
-    assert set(apply_frame(st).points) == set(cayley_sum(st.fibers).points)
+    frame_image = {st.section_frame.apply(p) for p in st.base.points}
+    assert frame_image == set(cayley_sum(st.fibers).points)
 
 
 def test_decompose_rejects_non_simplex_image(segre_square):
@@ -114,15 +114,18 @@ def test_join_type_wrt_ex5_8(ex5_8):
         [0, 0, 0, 0, 1, 2],
     ])
     pi2 = GroupHom.make([[1, 1, 0, 0, 0], [0, 0, 1, 1, 0]])
-    assert join_type_wrt(ex5_8, pi1, pi2) is True
-    assert join_type_wrt(ex5_8, pi1, GroupHom.zero_map(5)) is True
+    st = decompose_along(ex5_8, pi2.compose(pi1))
+    assert join_type_wrt(st, pi1) is True
+    st0 = decompose_along(ex5_8, GroupHom.zero_map(5).compose(pi1))
+    assert join_type_wrt(st0, pi1) is True
 
 
 def test_join_type_wrt_ex5_7(ex5_7):
     # pi1 the projection killing the first two coordinates, pi2 identity
     pi1 = GroupHom.make([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
     pi2 = GroupHom.identity_map(3)
-    assert join_type_wrt(ex5_7, pi1, pi2) is True
+    st = decompose_along(ex5_7, pi2.compose(pi1))
+    assert join_type_wrt(st, pi1) is True
 
 
 def test_enumerate_two_points():

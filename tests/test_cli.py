@@ -328,6 +328,13 @@ def _verify_edited(tmp_path, capsys, cert, *flags):
     pytest.param(lambda cert: cert["p"].append(cert["p"][0]),
                  id="p_row_added"),
     pytest.param(lambda cert: cert.update(c=cert["n"]), id="c_too_large"),
+    pytest.param(lambda cert: cert.update(checks=[]), id="checks_list"),
+    pytest.param(lambda cert: cert.update(seed=1.5), id="seed_fraction"),
+    pytest.param(lambda cert: cert.update(seed=True), id="seed_bool"),
+    pytest.param(lambda cert: cert.update(bound=cert["bound"] + 0.5),
+                 id="bound_fraction"),
+    pytest.param(lambda cert: cert["pi1"][0].__setitem__(
+        0, cert["pi1"][0][0] + 0.5), id="pi1_entry_fraction"),
 ])
 def test_misshapen_certificate_exit_2(tmp_path, capsys, edit):
     cert = _ex5_8_certificate(capsys)
@@ -335,6 +342,90 @@ def test_misshapen_certificate_exit_2(tmp_path, capsys, edit):
     code, out, err = _verify_edited(tmp_path, capsys, cert)
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read certificate: ")
+
+
+def test_decimal_string_numbers_accepted(tmp_path, capsys):
+    # _enc_int writes |x| >= 2^53 as decimal strings; any size reads back
+    cert = _ex5_8_certificate(capsys)
+    cert["seed"] = str(cert["seed"])
+    cert["pi1"][0][0] = str(cert["pi1"][0][0])
+    code, out, _ = _verify_edited(tmp_path, capsys, cert)
+    assert code == 0
+
+
+def _write_certificate(tmp_path, capsys, fixture, edit=None) -> str:
+    code, out, _ = invoke(capsys, "analyze", str(FIXTURES / fixture))
+    assert code == 0
+    cert = json.loads(out)
+    if edit:
+        edit(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    return str(path)
+
+
+def test_certificate_of_another_dimension_exit_2_optimized(tmp_path,
+                                                           capsys):
+    # without an explicit check only an assert stopped this, and -O
+    # strips asserts
+    cert = _write_certificate(tmp_path, capsys, "p1xp2.json")
+    proc = run_module("-O", "-m", "dualdefect", "verify",
+                      str(FIXTURES / "ex5_8.json"), cert)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode().startswith("error: certificate has n = 3")
+
+
+def test_non_simplex_image_is_a_failed_check_optimized(tmp_path, capsys):
+    def double_pi2_row(cert):
+        cert["pi2"][0] = [2 * x for x in cert["pi2"][0]]
+
+    cert = _write_certificate(tmp_path, capsys, "ex5_8.json",
+                              double_pi2_row)
+    proc = run_module("-O", "-m", "dualdefect", "verify",
+                      str(FIXTURES / "ex5_8.json"), cert, "--format", "json")
+    assert proc.returncode == 1
+    checks = json.loads(proc.stdout)["checks"]
+    assert [k for k, v in checks.items() if not v] == [
+        "simplex_image", "r_matches", "join_type_wrt_pi2", "all_passed"]
+
+
+_BROKEN_INVARIANTS = """
+from dualdefect import cayley, config, structure
+from dualdefect.config import GroupHom, PointConfig
+
+square = PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)])
+pr2 = GroupHom.make([[0, 1]])
+cases = [
+    (config, "hnf_coords", lambda b, v: None,
+     lambda: config.normalize(square)),
+    (cayley, "solve_int_many", lambda m, rhs: [None for _ in rhs],
+     lambda: cayley._simplex_chart([(0,), (1,)], 1)),
+    (cayley, "hnf_coords", lambda b, v: None,
+     lambda: cayley.decompose_along(square, pr2)),
+    (cayley, "cayley_sum", lambda fibers: PointConfig(2, ()),
+     lambda: cayley.decompose_along(square, pr2)),
+    (structure, "hnf_coords", lambda b, v: None,
+     lambda: structure._restrict_to_kernel(GroupHom.identity_map(2), pr2,
+                                           pr2)),
+]
+for module, name, fake, call in cases:
+    real = getattr(module, name)
+    setattr(module, name, fake)
+    try:
+        call()
+        print("passed")
+    except ArithmeticError as exc:
+        print(type(exc).__name__)
+    finally:
+        setattr(module, name, real)
+"""
+
+
+def test_solve_path_invariants_survive_optimized_interpreter():
+    # each case fakes the one impossible outcome its check guards against
+    proc = run_module("-O", "-c", _BROKEN_INVARIANTS)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["ArithmeticError"] * 5
 
 
 def test_verify_rejects_tampered_p(tmp_path, capsys):

@@ -1,20 +1,25 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualdefect.exact_linalg import (
     RationalSubspace,
+    adjugate,
     det,
     hnf,
     hnf_basis,
+    hnf_coords,
     identity,
     is_unimodular,
     kernel_basis_ff,
     kernel_basis_int,
     kernel_basis_rat,
     lattice_eq,
+    lattice_leq,
     mat_mul,
+    mat_vec,
     rank_int,
     rank_rat,
     rref,
@@ -22,8 +27,11 @@ from dualdefect.exact_linalg import (
     saturate,
     snf,
     solve_int,
+    solve_int_many,
     transpose,
 )
+
+from conftest import solve_int_left
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -200,6 +208,74 @@ def test_solve_int_roundtrip(m, x):
     got = solve_int(m, b)
     assert got is not None
     assert [sum(a * v for a, v in zip(row, got)) for row in m] == b
+
+
+def vectors(n):
+    return st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, low_rank), st.data())
+def test_solve_int_many_matches_single_solves(m, data):
+    # images of integer vectors are solvable; free vectors often are not
+    images = [mat_vec(m, x) for x in data.draw(
+        st.lists(vectors(len(m[0])), max_size=3))]
+    free = data.draw(st.lists(vectors(len(m)), max_size=3))
+    rhs = data.draw(st.permutations(images + free))
+    got = solve_int_many(m, rhs)
+    assert got == [solve_int(m, b) for b in rhs]
+    for b, x in zip(rhs, got):
+        assert x is None or mat_vec(m, x) == b
+        assert x is not None or b not in images
+
+
+def test_solve_int_many_edge_shapes():
+    assert solve_int_many([[2]], []) == []
+    assert solve_int_many([[2, 0]], [[4], [3], [0]]) == [[2, 0], None,
+                                                         [0, 0]]
+    assert solve_int_many([[], []], [[0, 0], [0, 1]]) == [[], None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, low_rank), st.data())
+def test_hnf_coords_match_snf_reference(m, data):
+    basis = hnf_basis(m)
+    cols = len(m[0])
+    k = data.draw(vectors(len(basis)))
+    member = [sum(x * row[j] for x, row in zip(k, basis))
+              for j in range(cols)]
+    assert hnf_coords(basis, member) == k == solve_int_left(basis, member)
+    other = data.draw(vectors(cols))
+    for v in (other, [x + y for x, y in zip(member, other)],
+              [3 * x for x in other]):
+        assert hnf_coords(basis, v) == solve_int_left(basis, v)
+    assert lattice_leq(m, basis) and lattice_leq(basis, m)
+
+
+def test_hnf_coords_rejects_non_echelon_basis():
+    with pytest.raises(ValueError):
+        hnf_coords([[0, 1], [1, 0]], [1, 1])
+    with pytest.raises(ValueError):
+        hnf_coords([[1, 0], [0, 0]], [1, 0])
+    assert hnf_coords([], [0, 0]) == []
+    assert hnf_coords([], [0, 1]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(vectors(n), min_size=n, max_size=n)
+).filter(lambda m: det(m) != 0))
+def test_adjugate(m):
+    d, adj = adjugate(m)
+    n = len(m)
+    assert d == det(m)
+    assert mat_mul(adj, m) == [[d if i == j else 0 for j in range(n)]
+                               for i in range(n)]
+
+
+def test_adjugate_rejects_singular():
+    with pytest.raises(ValueError):
+        adjugate([[1, 2], [2, 4]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from dualdefect.cayley import cayley_sum, is_join_type
+from dualdefect.alpha import alpha
+from dualdefect.cayley import (
+    cayley_sum,
+    decompose_along,
+    enumerate_simplex_projections,
+    is_join_type,
+    join_type_wrt,
+)
 from dualdefect import structure
 from dualdefect.cli import generate_corpus
 from dualdefect.config import (
@@ -22,6 +29,7 @@ from dualdefect.exact_linalg import (
     mat_mul,
 )
 from dualdefect.structure import (
+    CertificateMismatch,
     CertificationError,
     certificate_from_json,
     certificate_to_json,
@@ -32,7 +40,14 @@ from dualdefect.structure import (
 )
 from dualdefect.tangency import TangencyProblem, defect_oracle
 
-from conftest import FIXTURES, EX58_U, EX58_V, random_unimodular, unit_vector
+from conftest import (
+    EX58_U,
+    EX58_V,
+    FIXTURES,
+    join_type_wrt_recompute,
+    random_unimodular,
+    unit_vector,
+)
 
 
 def test_find_min_projection_segre_trivial(segre_square):
@@ -201,6 +216,56 @@ def test_verify_rejects_non_surjective_pi1(ex5_8):
     report = verify_certificate(ex5_8, bad)
     assert not report["pi1_surjective"]
     assert not report["all_passed"]
+
+
+def test_verify_rejects_certificate_of_another_dimension(ex5_8):
+    p1xp2, _ = normalize(load_config_file(FIXTURES / "p1xp2.json"))
+    cert = structure_certificate(p1xp2)
+    with pytest.raises(CertificateMismatch, match="n = 3"):
+        verify_certificate(ex5_8, cert)
+
+
+def test_verify_reports_non_simplex_image(ex5_8):
+    cert = structure_certificate(ex5_8)
+    rows = [list(r) for r in cert.pi2.matrix]
+    rows[0] = [2 * x for x in rows[0]]
+    bad = dataclasses.replace(
+        cert, pi2=GroupHom.make(rows, None, cert.pi2.domain_rank))
+    report = verify_certificate(ex5_8, bad)
+    assert [k for k, v in report.items() if not v] == [
+        "simplex_image", "r_matches", "join_type_wrt_pi2", "all_passed"]
+
+
+def test_verify_does_not_hide_decomposition_bugs(ex5_8, monkeypatch):
+    cert = structure_certificate(ex5_8)
+
+    def broken(a, pi):
+        raise RuntimeError("bug in decompose_along")
+
+    monkeypatch.setattr(structure, "decompose_along", broken)
+    with pytest.raises(RuntimeError, match="bug in decompose_along"):
+        verify_certificate(ex5_8, cert)
+
+
+def test_join_type_wrt_given_structure_matches_recompute():
+    outcomes = set()
+    for path in sorted(FIXTURES.iterdir()):
+        a, _ = normalize(load_config_file(path))
+        cert = structure_certificate(a)
+        pairs = [(cert.pi1, cert.pi2)]
+        for st in enumerate_simplex_projections(a):
+            pairs.append((GroupHom.identity_map(a.dim), st.pi))
+            ap = structure._alpha_problem(a, st, cert.seed, cert.bound,
+                                          cert.trials)
+            quotient = structure._minimal_quotient(a, st, ap, alpha(ap))
+            if quotient is not None:
+                pairs.append(quotient)
+        for pi1, pi2 in pairs:
+            st = decompose_along(a, pi2.compose(pi1))
+            got = join_type_wrt(st, pi1)
+            assert got == join_type_wrt_recompute(a, pi1, pi2), path.name
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_verify_exhaustive_ex5_8(ex5_8):
