@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .exact_linalg import (
-    IntMat,
-    RationalSubspace,
-    clear_denominators,
-    kernel_basis_ff,
-    rank_int,
-)
+from .exact_linalg import IntMat, RationalSubspace, kernel_basis_ff, rank_int
 from .tangency import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
@@ -38,10 +32,9 @@ class AlphaProblem:
 
     ``bases`` holds the RREF bases of the summands scaled by one common
     denominator, and ``k_basis`` the integer K basis in those
-    coordinates.  Every
-    sampled K element, and so every set of components, is the rational
-    one times a single positive integer, which leaves all ranks and
-    spans unchanged.
+    coordinates.  Every sampled K element, and so every set of
+    components, is the rational one times a single positive integer,
+    which leaves all ranks and spans unchanged.
     """
 
     ambient: RationalSubspace
@@ -70,7 +63,7 @@ class AlphaProblem:
             )
         bases = tuple(tuple(tuple(row) for row in basis)
                       for basis in _integer_bases(summands))
-        stacked = clear_denominators(list(ambient.basis))
+        stacked = [list(row) for row in ambient.basis]
         stacked += [list(row) for basis in bases for row in basis]
         if rank_int(stacked) != ambient.dim:
             raise ValueError("summands are not contained in the ambient")
@@ -97,11 +90,16 @@ class AlphaProblem:
 
 
 def _integer_bases(summands) -> list[IntMat]:
-    """The summand bases times the common denominator of all entries."""
-    den = lcm(*(x.denominator for s in summands for row in s.basis
-                for x in row))
-    return [[[x.numerator * (den // x.denominator) for x in row]
-             for row in s.basis] for s in summands]
+    """The RREF bases of the summands times their common denominator.
+
+    A primitive ``rref_ff`` row is its RREF row times its pivot, so the
+    common denominator of all RREF entries is the lcm of the pivots and
+    row i is scaled by that lcm over its own pivot.
+    """
+    den = lcm(*(row[c] for s in summands
+                for row, c in zip(s.basis, s.pivots)))
+    return [[[x * (den // row[c]) for x in row]
+             for row, c in zip(s.basis, s.pivots)] for s in summands]
 
 
 def k_space(summands) -> IntMat:

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import GroupHom, PointConfig, difference_lattice, is_normalized
+from .config import (
+    GroupHom,
+    PointConfig,
+    difference_lattice,
+    require_normalized,
+)
 from .exact_linalg import (
     IntMat,
     adjugate,
@@ -154,7 +159,7 @@ def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
     if pi.domain_rank != a.dim:
         raise ValueError(f"projection of Z^{pi.domain_rank} applied to a "
                          f"configuration in Z^{a.dim}")
-    assert is_normalized(a), "decompose_along expects a normalized configuration"
+    require_normalized(a, "decompose_along")
     n = a.dim
     r = pi.codomain_rank
     parts, values = _group_by_image(a, pi)
@@ -304,8 +309,7 @@ def enumerate_simplex_projections(a: PointConfig, limit: int = 11):
     """
     if a.dim > limit:
         raise TooLarge(f"dim {a.dim} exceeds enumeration limit {limit}")
-    if not is_normalized(a):
-        raise ValueError("enumeration expects a normalized configuration")
+    require_normalized(a, "enumerate_simplex_projections")
     n = a.dim
     basis, diffs = _affine_basis(a)
     u0 = a.points[0]

@@ -21,7 +21,6 @@ from .config import (
     PointConfig,
     apply_affine,
     dump_config_json,
-    is_normalized,
     load_config_file,
     normalize,
 )

@@ -7,6 +7,7 @@ optional translation part, applied as v -> matrix * v + translation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -68,6 +69,17 @@ class PointConfig:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def normalized(self) -> bool:
+        """Whether the differences of the points generate Z^dim.
+
+        Computed at most once per configuration; ``normalize`` records
+        it for the configurations it returns, so they never compute it.
+        """
+        if not self.dim:
+            return True
+        return difference_lattice(self) == identity(self.dim)
 
     def translate(self, v) -> "PointConfig":
         pts = [tuple(x + y for x, y in zip(p, v)) for p in self.points]
@@ -192,7 +204,21 @@ def difference_lattice(a: PointConfig) -> IntMat:
 
 def is_normalized(a: PointConfig) -> bool:
     """Whether the differences of a generate the full ambient lattice."""
-    return difference_lattice(a) == identity(a.dim) if a.dim else True
+    return a.normalized
+
+
+def require_normalized(a: PointConfig, what: str) -> None:
+    """Raise ValueError unless a is normalized (see ``normalize``)."""
+    if not a.normalized:
+        raise ValueError(f"{what} expects a normalized configuration; "
+                         f"normalize it first")
+
+
+def _normalized(dim: int, points, name: str | None) -> PointConfig:
+    """A configuration that is normalized by construction, marked so."""
+    b = PointConfig(dim, points, name)
+    vars(b)["normalized"] = True  # the value of the cached property
+    return b
 
 
 def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
@@ -200,14 +226,19 @@ def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
 
     Returns (b, theta) where b spans Z^m with full difference lattice,
     m = rank of the difference lattice of a, and theta is a Z-affine
-    embedding Z^m -> Z^dim with theta(b) = a as point sets.
+    embedding Z^m -> Z^dim with theta(b) = a as point sets.  The
+    coordinates of b are taken in a basis of the lattice its
+    differences generate, so b is normalized, and is marked so.
     """
     assert len(a) > 0
     basis = difference_lattice(a)  # rows, HNF
     m = len(basis)
+    if basis == identity(a.dim):
+        # every coordinate below is the point itself and theta the identity
+        return (_normalized(m, tuple(sorted(a.points)), a.name),
+                GroupHom.identity_map(m))
     base = list(a.points[0])
-    # drop the translation entirely when the anchor lies in the lattice,
-    # so already-normalized configurations map to themselves via identity
+    # drop the translation entirely when the anchor lies in the lattice
     if hnf_coords(basis, base) is not None:
         base = [0] * a.dim
     coords = []
@@ -216,7 +247,7 @@ def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
         if k is None:
             raise ArithmeticError("difference outside its own lattice")
         coords.append(tuple(k))
-    b = PointConfig(m, tuple(sorted(coords)), a.name)
+    b = _normalized(m, tuple(sorted(coords)), a.name)
     # theta: k -> k * basis + base, column convention => matrix = basis^T
     matrix = transpose(basis) if basis else [[] for _ in range(a.dim)]
     translation = tuple(base) if any(base) else None

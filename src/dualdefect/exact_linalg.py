@@ -1,9 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here works with arbitrary-precision Python ints and
-``fractions.Fraction``; there is deliberately no floating-point path.
-Matrices are plain lists of lists in row-major order, and all lattice
-maps act on row vectors (u * m = h convention for normal forms).
+Everything here works with arbitrary-precision Python ints; there is
+deliberately no floating-point path.  Ranks, kernels and reduced
+row-echelon bases over Q come from fraction-free elimination
+(``rref_ff``), whose rows are the rational ones times one positive
+integer each, and subspaces of Q^n (``RationalSubspace``) are held as
+those integer rows.  Lattices are handled by Hermite and Smith normal
+forms.  The one rational routine, ``rref`` over ``fractions.Fraction``,
+is the definition the integer rows are checked against; nothing in the
+pipeline calls it.  Matrices are plain lists of lists in row-major
+order, and all lattice maps act on row vectors (u * m = h convention
+for normal forms).
 """
 
 from __future__ import annotations
@@ -79,9 +86,9 @@ def rref_ff(m: IntMat) -> tuple[IntMat, list[int]]:
 
     Gauss-Jordan elimination by integer cross-multiplication, dividing
     every changed row by its content so entries stay small.  Returns
-    (rows, pivot columns): row i has a positive entry in pivot column i
-    and zeros in the other pivot columns, so dividing it by that entry
-    gives row i of ``rref``.
+    (rows, pivot columns): row i is primitive, has a positive entry in
+    pivot column i and zeros in the other pivot columns, so dividing it
+    by that entry gives row i of ``rref``.
     """
     cols = len(m[0]) if m else 0
     a = [list(row) for row in m if any(row)]
@@ -127,7 +134,8 @@ def rank_int(m: IntMat) -> int:
 def kernel_basis_ff(m: IntMat) -> IntMat:
     """Integer basis of {x : m * x^T = 0}.
 
-    Row i is L times row i of ``kernel_basis_rat`` of the same matrix,
+    Row i is L times row i of the rational kernel basis read off
+    ``rref`` (free coordinate 1, the others minus the reduced entries),
     with L > 0 the lcm of the pivots of ``rref_ff``; one common factor
     for all rows, so every combination of the rows is L times the same
     combination of the rational basis.
@@ -148,17 +156,16 @@ def kernel_basis_ff(m: IntMat) -> IntMat:
     return basis
 
 
-def hnf(m: IntMat) -> tuple[IntMat, IntMat]:
-    """Row-style Hermite normal form.
+def _hermite(m: IntMat, u: IntMat | None) -> IntMat:
+    """Row-style Hermite normal form of m (m itself is left unchanged).
 
-    Returns (h, u) with u unimodular and u * m = h, where h is in
-    staircase form with positive pivots and entries above each pivot
-    reduced into [0, pivot).
+    Every row operation is repeated on the rows of u, in place, unless u
+    is None, so the one elimination serves both ``hnf`` and
+    ``hnf_basis``.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     h = copy_mat(m)
-    u = identity(rows)
     piv_row = 0
     pivots = []
     for col in range(cols):
@@ -172,20 +179,21 @@ def hnf(m: IntMat) -> tuple[IntMat, IntMat]:
             continue
         if pivot != piv_row:
             h[piv_row], h[pivot] = h[pivot], h[piv_row]
-            u[piv_row], u[pivot] = u[pivot], u[piv_row]
+            if u is not None:
+                u[piv_row], u[pivot] = u[pivot], u[piv_row]
         # clear entries below with extended-gcd row operations
         for i in range(piv_row + 1, rows):
             while h[i][col] != 0:
                 q = h[piv_row][col] // h[i][col]
-                for j in range(cols):
-                    h[piv_row][j] -= q * h[i][j]
-                for j in range(rows):
-                    u[piv_row][j] -= q * u[i][j]
+                h[piv_row] = [x - q * y for x, y in zip(h[piv_row], h[i])]
                 h[piv_row], h[i] = h[i], h[piv_row]
-                u[piv_row], u[i] = u[i], u[piv_row]
+                if u is not None:
+                    u[piv_row] = [x - q * y for x, y in zip(u[piv_row], u[i])]
+                    u[piv_row], u[i] = u[i], u[piv_row]
         if h[piv_row][col] < 0:
             h[piv_row] = [-x for x in h[piv_row]]
-            u[piv_row] = [-x for x in u[piv_row]]
+            if u is not None:
+                u[piv_row] = [-x for x in u[piv_row]]
         pivots.append((piv_row, col))
         piv_row += 1
     # reduce entries above each pivot into [0, pivot)
@@ -194,17 +202,29 @@ def hnf(m: IntMat) -> tuple[IntMat, IntMat]:
         for i in range(r):
             q = h[i][c] // p
             if q:
-                for j in range(cols):
-                    h[i][j] -= q * h[r][j]
-                for j in range(rows):
-                    u[i][j] -= q * u[r][j]
-    return h, u
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+    return h
+
+
+def hnf(m: IntMat) -> tuple[IntMat, IntMat]:
+    """Row-style Hermite normal form.
+
+    Returns (h, u) with u unimodular and u * m = h, where h is in
+    staircase form with positive pivots and entries above each pivot
+    reduced into [0, pivot).
+    """
+    u = identity(len(m))
+    return _hermite(m, u), u
 
 
 def hnf_basis(m: IntMat) -> IntMat:
-    """Nonzero rows of the HNF: a canonical basis of the row lattice."""
-    h, _ = hnf(m)
-    return [row for row in h if any(row)]
+    """Nonzero rows of the HNF: a canonical basis of the row lattice.
+
+    The same elimination as ``hnf``, without the transform.
+    """
+    return [row for row in _hermite(m, None) if any(row)]
 
 
 def snf(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -438,7 +458,11 @@ def is_surjective(m: IntMat) -> bool:
 
 
 def rref(m: RatMat) -> tuple[RatMat, list[int]]:
-    """Reduced row-echelon form over Q; returns (rref, pivot columns)."""
+    """Reduced row-echelon form over Q; returns (rref, pivot columns).
+
+    The rational definition that ``rref_ff`` and ``RationalSubspace``
+    are scaled versions of; the pipeline itself never calls it.
+    """
     a = [[Fraction(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -464,65 +488,48 @@ def rref(m: RatMat) -> tuple[RatMat, list[int]]:
     return [row for row in a[:r]], piv_cols
 
 
-def rank_rat(m: RatMat) -> int:
-    return len(rref(m)[0])
-
-
-def kernel_basis_rat(m: RatMat) -> RatMat:
-    """Basis of {x : x applied to rows, i.e. m * x^T = 0} over Q."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [[Fraction(1 if i == j else 0) for j in range(cols)]
-                for i in range(cols)]
-    red, piv = rref(m)
-    free = [c for c in range(cols) if c not in piv]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for i, c in enumerate(piv):
-            vec[c] = -red[i][f]
-        basis.append(vec)
-    return basis
-
-
-def clear_denominators(m: RatMat) -> IntMat:
-    """Scale each row to a primitive integer vector with the same span."""
-    out = []
-    for row in m:
-        if not any(row):
-            out.append([0] * len(row))
-            continue
-        denom = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (denom // x.denominator) for x in row]
-        g = gcd(*ints)
-        out.append([x // g for x in ints])
-    return out
-
-
 @dataclass(frozen=True)
 class RationalSubspace:
-    """A subspace of Q^n represented by its canonical RREF basis."""
+    """A subspace of Q^n spanned by integer rows.
+
+    ``basis`` holds the rows of ``rref_ff`` of the spanning rows and
+    ``pivots`` their pivot columns: row i is primitive with a positive
+    entry in column pivots[i] and zeros in the other pivot columns, so
+    it is row i of the reduced row-echelon basis times that entry.  The
+    representation is canonical, and equal subspaces compare equal.
+    """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "RationalSubspace":
-        red, _ = rref([[Fraction(x) for x in row] for row in rows])
-        return cls(ambient_dim, tuple(tuple(r) for r in red))
+        red, piv = rref_ff([list(row) for row in rows])
+        return cls(ambient_dim, tuple(tuple(r) for r in red), tuple(piv))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        stacked = clear_denominators(list(self.basis) + [list(v)])
-        return rank_int(stacked) == self.dim
+        """Whether the integer vector v lies in the subspace.
+
+        Clears v at each pivot column by cross-multiplication with the
+        row of that pivot, which leaves the other pivot columns of v
+        scaled but otherwise unchanged; v is in the span exactly when
+        nothing is left.
+        """
+        v = list(v)
+        for row, c in zip(self.basis, self.pivots):
+            f = v[c]
+            if f:
+                p = row[c]
+                v = [p * x - f * y for x, y in zip(v, row)]
+        return not any(v)
 
     def integer_lattice(self) -> IntMat:
         """HNF basis of (this subspace) intersected with Z^n."""
         if not self.basis:
             return []
-        return saturate(clear_denominators([list(r) for r in self.basis]))
+        return saturate([list(r) for r in self.basis])

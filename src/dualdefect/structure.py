@@ -24,7 +24,13 @@ from .cayley import (
     join_type_wrt,
     projection_for_partition,
 )
-from .config import GroupHom, PointConfig, apply_affine, is_normalized, normalize
+from .config import (
+    GroupHom,
+    PointConfig,
+    apply_affine,
+    normalize,
+    require_normalized,
+)
 from .exact_linalg import (
     IntMat,
     RationalSubspace,
@@ -56,6 +62,11 @@ class CertificationError(RuntimeError):
 
 class CertificateMismatch(ValueError):
     """The certificate is for a configuration of another dimension."""
+
+
+# the self-checks analyze records in a certificate, in this order
+RECORDED_CHECKS = ("oracle_agrees", "pi1_surjective", "pi_factors",
+                   "join_type_wrt_pi2")
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,7 @@ def find_min_projection(a: PointConfig, seed: int = DEFAULT_SEED,
     Returns (pi, grouping).  Configurations with empty dual or defect
     zero get the zero map and a single group.
     """
-    assert is_normalized(a)
+    require_normalized(a, "find_min_projection")
     tp = TangencyProblem.make(a, seed, bound, trials)
     oracle = defect_oracle(tp)
     if oracle.empty_dual or oracle.delta == 0:
@@ -215,18 +226,13 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
     failure persisting after escalating the sampling bound raises
     CertificationError.
     """
-    assert is_normalized(a), "normalize the configuration first"
+    require_normalized(a, "structure_certificate")
     n = a.dim
     tp = TangencyProblem.make(a, seed, bound, trials)
     oracle = defect_oracle(tp)
     if oracle.empty_dual or oracle.delta == 0:
         grouping = (tuple(range(len(a))),)
-        checks = (
-            ("oracle_agrees", True),
-            ("pi1_surjective", True),
-            ("pi_factors", True),
-            ("join_type_wrt_pi2", True),
-        )
+        checks = tuple((name, True) for name in RECORDED_CHECKS)
         return StructureCertificate(
             n=n, r=0, c=0, delta=0, grouping=grouping,
             pi1=GroupHom.identity_map(n), pi2=GroupHom.zero_map(n),
@@ -250,13 +256,12 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
             f"delta {oracle.delta} after escalation"
         )
     parts, struct, pi1, pi2, p, r, c, delta = last
-    checks = (
-        ("oracle_agrees", delta == oracle.delta),
-        ("pi1_surjective", pi1.is_surjective()),
-        ("pi_factors", mat_mul(pi2.matrix_rows, pi1.matrix_rows)
-         == struct.pi.matrix_rows),
-        ("join_type_wrt_pi2", join_type_wrt(struct, pi1)),
-    )
+    checks = tuple(zip(RECORDED_CHECKS, (
+        delta == oracle.delta,
+        pi1.is_surjective(),
+        mat_mul(pi2.matrix_rows, pi1.matrix_rows) == struct.pi.matrix_rows,
+        join_type_wrt(struct, pi1),
+    )))
     if not all(v for _, v in checks):
         raise CertificationError(f"certified invariant failed: {checks}")
     return StructureCertificate(
@@ -295,8 +300,10 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     """Independent re-check of a certificate.
 
     Raises CertificateMismatch when cert.n is not a.dim.  Otherwise
-    always checks the arithmetic invariants, the simplex image, join
-    type, and a fresh oracle run under a different seed.  In exhaustive
+    always checks the arithmetic invariants, that the recorded oracle
+    value agrees with delta and the recorded self-checks are exactly
+    the passing RECORDED_CHECKS, the simplex image, join type, and a
+    fresh oracle run under a different seed.  In exhaustive
     mode additionally enumerates every simplex projection of a and
     verifies the minimality kernel chain and the lower-bound inequality
     r' - c' <= delta.
@@ -308,6 +315,16 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         )
     checks: dict[str, bool] = {}
     checks["delta_consistent"] = cert.delta == cert.r - cert.c
+    recorded_oracle = cert.oracle_delta
+    checks["oracle_recorded"] = (
+        (recorded_oracle.empty_dual and cert.delta == 0)
+        or recorded_oracle.delta == cert.delta
+    )
+    recorded = cert.checks_dict()
+    checks["checks_recorded"] = (
+        sorted(recorded) == sorted(RECORDED_CHECKS)
+        and all(v is True for v in recorded.values())
+    )
     checks["pi1_surjective"] = cert.pi1.is_surjective()
     pi = cert.pi
     ker_pi1 = cert.pi1.kernel_lattice()

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .config import PointConfig, is_normalized
+from .config import PointConfig, require_normalized
 from .cayley import cayley_sum
 from .exact_linalg import IntMat, RationalSubspace, kernel_basis_ff, rank_int
 
@@ -95,7 +95,7 @@ def tangency_space(a: PointConfig) -> IntMat:
     rows are one common positive multiple of the rational kernel basis
     (see ``kernel_basis_ff``).
     """
-    assert is_normalized(a)
+    require_normalized(a, "tangency_space")
     rows = [[1] * len(a)] + [list(col) for col in zip(*a.points)]
     return kernel_basis_ff(rows)
 
@@ -223,7 +223,7 @@ def slice_contact_dim(fibers, seed: int = DEFAULT_SEED,
     if r == 0:
         return 0
     total = cayley_sum(fibers)
-    assert is_normalized(total)
+    require_normalized(total, "slice_contact_dim")
     m = fibers[0].dim
     basis = tangency_space(total)
     if not basis:

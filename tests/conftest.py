@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
-from dualdefect.config import PointConfig
+from dualdefect.config import GroupHom, PointConfig, difference_lattice
 from dualdefect.cayley import cayley_sum, decompose_along
 from dualdefect.exact_linalg import (
     hnf_basis,
+    hnf_coords,
     identity,
     rank_int,
+    rref,
     solve_int,
     transpose,
 )
@@ -161,3 +164,65 @@ def join_type_wrt_recompute(a, pi1, pi2):
     if not stacked:
         return True
     return rank_int(stacked) == total
+
+
+def rank_rat(m):
+    """Reference: rank over Q by ``rref``."""
+    return len(rref(m)[0])
+
+
+def kernel_basis_rat(m):
+    """Reference: basis of {x : m * x^T = 0} over Q read off ``rref``;
+    each row has a 1 in its free coordinate."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if rows == 0:
+        return [[Fraction(1 if i == j else 0) for j in range(cols)]
+                for i in range(cols)]
+    red, piv = rref(m)
+    basis = []
+    for f in (c for c in range(cols) if c not in piv):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for i, c in enumerate(piv):
+            vec[c] = -red[i][f]
+        basis.append(vec)
+    return basis
+
+
+def clear_denominators(m):
+    """Reference: each rational row scaled to a primitive integer vector
+    with the same span (zero rows stay zero)."""
+    out = []
+    for row in m:
+        if not any(row):
+            out.append([0] * len(row))
+            continue
+        denom = lcm(*(Fraction(x).denominator for x in row))
+        ints = [int(Fraction(x) * denom) for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
+
+
+def rational_basis(sub):
+    """The reduced row-echelon basis of a ``RationalSubspace`` over Q:
+    each integer row divided by its pivot entry."""
+    return [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(sub.basis, sub.pivots)]
+
+
+def normalize_general(a):
+    """Reference: ``normalize`` without its shortcut for a configuration
+    whose difference lattice is already the identity."""
+    basis = difference_lattice(a)
+    m = len(basis)
+    base = list(a.points[0])
+    if hnf_coords(basis, base) is not None:
+        base = [0] * a.dim
+    coords = [tuple(hnf_coords(basis, [x - y for x, y in zip(p, base)]))
+              for p in a.points]
+    b = PointConfig(m, tuple(sorted(coords)), a.name)
+    matrix = transpose(basis) if basis else [[] for _ in range(a.dim)]
+    translation = tuple(base) if any(base) else None
+    return b, GroupHom.make(matrix, translation, m)

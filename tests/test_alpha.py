@@ -4,16 +4,20 @@ from fractions import Fraction
 import pytest
 
 from dualdefect.alpha import AlphaProblem, alpha, check_star, k_space, vprime
-from dualdefect.exact_linalg import RationalSubspace, kernel_basis_rat
+from dualdefect.exact_linalg import RationalSubspace
 from dualdefect.tangency import sample_combination
 
-from conftest import common_multiple, fraction_sample
+from conftest import (
+    clear_denominators,
+    common_multiple,
+    fraction_sample,
+    kernel_basis_rat,
+    rational_basis,
+)
 
 
 def sub(dim, rows):
-    return RationalSubspace.from_rows(
-        dim, [[Fraction(x) for x in row] for row in rows]
-    )
+    return RationalSubspace.from_rows(dim, rows)
 
 
 LINE = lambda: sub(1, [[1]])
@@ -84,7 +88,7 @@ def test_alpha_invariant_under_ambient_change():
                 break
 
         def push(s):
-            rows = [[sum(Fraction(g[i][j]) * row[j] for j in range(2))
+            rows = [[sum(g[i][j] * row[j] for j in range(2))
                      for i in range(2)] for row in s.basis]
             return sub(2, rows)
 
@@ -164,8 +168,8 @@ def fraction_components(summands, element):
     pos = 0
     for s in summands:
         comp = [Fraction(0)] * m
-        for j in range(s.dim):
-            for k, x in enumerate(s.basis[j]):
+        for j, row in enumerate(rational_basis(s)):
+            for k, x in enumerate(row):
                 comp[k] += element[pos + j] * x
         pos += s.dim
         out.append(comp)
@@ -181,11 +185,11 @@ def test_integer_components_are_one_multiple_of_fraction_components():
         for _ in range(rng.randint(2, 4)):
             rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                      for _ in range(m)] for _ in range(rng.randint(0, m))]
-            summands.append(sub(m, rows))
+            summands.append(sub(m, clear_denominators(rows)))
         p = AlphaProblem.make(summands)
         if not p.k_basis:
             continue
-        cols = [row for s in summands for row in s.basis]
+        cols = [row for s in summands for row in rational_basis(s)]
         ref_k = kernel_basis_rat(
             [[col[i] for col in cols] for i in range(m)])
         seed = rng.randrange(1 << 30)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dualdefect import structure
+from dualdefect import exact_linalg, structure
 from dualdefect.cli import generate_corpus, run
 from dualdefect.tangency import GenericityFailure
 
@@ -394,10 +394,12 @@ from dualdefect import cayley, config, structure
 from dualdefect.config import GroupHom, PointConfig
 
 square = PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)])
+# normalize of an already normalized square takes no coordinates at all
+doubled = PointConfig.make([(0, 0), (2, 0), (0, 2), (2, 2)])
 pr2 = GroupHom.make([[0, 1]])
 cases = [
     (config, "hnf_coords", lambda b, v: None,
-     lambda: config.normalize(square)),
+     lambda: config.normalize(doubled)),
     (cayley, "solve_int_many", lambda m, rhs: [None for _ in rhs],
      lambda: cayley._simplex_chart([(0,), (1,)], 1)),
     (cayley, "hnf_coords", lambda b, v: None,
@@ -426,6 +428,82 @@ def test_solve_path_invariants_survive_optimized_interpreter():
     proc = run_module("-O", "-c", _BROKEN_INVARIANTS)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == ["ArithmeticError"] * 5
+
+
+_UNNORMALIZED_ENTRY_POINTS = """
+from dualdefect import cayley, structure, tangency
+from dualdefect.config import GroupHom, PointConfig
+
+doubled = PointConfig.make([(0, 0), (2, 0), (0, 2), (2, 2)])
+pair = PointConfig.make([(0,), (2,)])
+cases = [
+    lambda: structure.structure_certificate(doubled),
+    lambda: structure.find_min_projection(doubled),
+    lambda: cayley.decompose_along(doubled, GroupHom.make([[0, 1]])),
+    lambda: tangency.tangency_space(doubled),
+    # the Cayley sum of two copies of {0, 2} spans 2Z x Z
+    lambda: tangency.slice_contact_dim([pair, pair]),
+]
+for call in cases:
+    try:
+        call()
+        print("passed")
+    except ValueError as exc:
+        print("ValueError" if "expects a normalized" in str(exc) else exc)
+"""
+
+
+def test_unnormalized_input_refused_optimized():
+    # the precondition is an explicit check, so -O keeps it
+    proc = run_module("-O", "-c", _UNNORMALIZED_ENTRY_POINTS)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["ValueError"] * 5
+
+
+@pytest.mark.parametrize("edit,check", [
+    pytest.param(lambda cert: cert.update(oracle_delta=4),
+                 "oracle_recorded", id="oracle_delta_4"),
+    pytest.param(lambda cert: cert.update(oracle_delta="empty_dual"),
+                 "oracle_recorded", id="oracle_delta_empty_dual"),
+    pytest.param(lambda cert: cert.update(checks={}),
+                 "checks_recorded", id="checks_empty"),
+    pytest.param(lambda cert: cert["checks"].update(oracle_agrees=False),
+                 "checks_recorded", id="checks_oracle_agrees_false"),
+    pytest.param(lambda cert: cert["checks"].update(extra=True),
+                 "checks_recorded", id="checks_extra_key"),
+    pytest.param(lambda cert: cert["checks"].update(pi_factors=1),
+                 "checks_recorded", id="checks_value_not_true"),
+])
+def test_verify_rejects_tampered_record(tmp_path, capsys, edit, check):
+    cert = _ex5_8_certificate(capsys)
+    edit(cert)
+    code, out, _ = _verify_edited(tmp_path, capsys, cert)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [k for k, v in checks.items() if not v] == [check, "all_passed"]
+
+
+def test_no_fraction_on_analyze_and_verify(tmp_path, capsys, monkeypatch):
+    # the pipeline is integer-only: forbidding Fraction changes no byte
+    def outputs():
+        out = []
+        for fx in sorted(FIXTURES.iterdir()):
+            cert = tmp_path / (fx.stem + ".cert.json")
+            out.append(invoke(capsys, "analyze", str(fx), "--out", str(cert)))
+            out.append((cert.read_bytes(),))
+            out.append(invoke(capsys, "verify", str(fx), str(cert),
+                              "--exhaustive"))
+        return out
+
+    plain = outputs()
+    assert all(res[0] == 0 for res in plain[::3] + plain[2::3]), plain
+
+    class NoFraction:
+        def __init__(self, *args):
+            raise AssertionError("Fraction built on an integer-only path")
+
+    monkeypatch.setattr(exact_linalg, "Fraction", NoFraction)
+    assert outputs() == plain
 
 
 def test_verify_rejects_tampered_p(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualdefect.config import (
     CollapseError,
@@ -19,7 +20,13 @@ from dualdefect.config import (
 )
 from dualdefect.exact_linalg import identity, snf
 
-from conftest import EX58_U, EX58_V, random_unimodular, unit_vector
+from conftest import (
+    EX58_U,
+    EX58_V,
+    normalize_general,
+    random_unimodular,
+    unit_vector,
+)
 
 
 def test_normalize_collinear_points():
@@ -183,3 +190,38 @@ def test_text_format_empty_rejected():
 def test_json_missing_points_rejected():
     with pytest.raises(ValueError):
         load_config_json(json.dumps({"name": "x"}))
+
+
+configs = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                       min_size=1, max_size=7, unique=True)
+    .map(lambda pts: PointConfig.make(pts, dim=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs, st.sampled_from([1, 2, 3]))
+def test_normalize_matches_general_path(a, scale):
+    # scale > 1 usually leaves the difference lattice a proper sublattice
+    a = PointConfig(a.dim, tuple(tuple(scale * x for x in p)
+                                 for p in a.points))
+    b, theta = normalize(a)
+    ref_b, ref_theta = normalize_general(a)
+    assert b == ref_b and theta == ref_theta
+    assert vars(b)["normalized"] is True and is_normalized(ref_b)
+    if is_normalized(a):
+        assert b.points == a.points
+        assert theta == GroupHom.identity_map(a.dim)
+
+
+def test_normalized_is_computed_once_and_marked_by_normalize(monkeypatch):
+    from dualdefect import config
+
+    calls = []
+    real = config.difference_lattice
+    monkeypatch.setattr(config, "difference_lattice",
+                        lambda a: calls.append(a) or real(a))
+    doubled = PointConfig.make([(0, 0), (2, 0), (0, 2), (2, 2)])
+    assert not is_normalized(doubled) and not is_normalized(doubled)
+    assert len(calls) == 1
+    b, _ = normalize(doubled)
+    assert is_normalized(b) and len(calls) == 2  # normalize's own lattice

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,13 +16,11 @@ from dualdefect.exact_linalg import (
     is_unimodular,
     kernel_basis_ff,
     kernel_basis_int,
-    kernel_basis_rat,
     lattice_eq,
     lattice_leq,
     mat_mul,
     mat_vec,
     rank_int,
-    rank_rat,
     rref,
     rref_ff,
     saturate,
@@ -31,7 +30,7 @@ from dualdefect.exact_linalg import (
     transpose,
 )
 
-from conftest import solve_int_left
+from conftest import kernel_basis_rat, rank_rat, rational_basis, solve_int_left
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -124,13 +123,12 @@ def test_solve_int_examples():
 
 
 def test_rational_subspace_canonical():
-    a = RationalSubspace.from_rows(3, [[Fraction(2), Fraction(0), Fraction(2)],
-                                       [Fraction(0), Fraction(1), Fraction(1)]])
-    b = RationalSubspace.from_rows(3, [[Fraction(1), Fraction(1), Fraction(2)],
-                                       [Fraction(1), Fraction(-1), Fraction(0)]])
+    a = RationalSubspace.from_rows(3, [[2, 0, 2], [0, 1, 1]])
+    b = RationalSubspace.from_rows(3, [[1, 1, 2], [1, -1, 0]])
     assert a == b
     assert a.dim == 2
-    assert a.contains([Fraction(1), Fraction(0), Fraction(1)])
+    assert a.basis == ((1, 0, 1), (0, 1, 1)) and a.pivots == (0, 1)
+    assert a.contains([1, 0, 1])
 
 
 @settings(max_examples=120, deadline=None)
@@ -193,11 +191,9 @@ def test_saturate_idempotent_and_span_preserving(m):
     assert saturate(sat) == sat
     assert rank_int(sat) == rank_int(m)
     # every original row lies in the rational span of the saturation
-    sub = RationalSubspace.from_rows(
-        len(m[0]), [[Fraction(x) for x in row] for row in sat]
-    )
+    sub = RationalSubspace.from_rows(len(m[0]), sat)
     for row in m:
-        assert sub.contains([Fraction(x) for x in row])
+        assert sub.contains(row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -339,9 +335,41 @@ def test_fraction_free_edge_shapes():
 
 
 def test_subspace_contains_over_cleared_denominators():
-    s = RationalSubspace.from_rows(3, [[Fraction(1, 2), 0, Fraction(1, 3)]])
+    # the line through (1/2, 0, 1/3), given by its cleared row (3, 0, 2)
+    s = RationalSubspace.from_rows(3, [[3, 0, 2]])
     assert s.contains([3, 0, 2])
-    assert s.contains([Fraction(3, 7), 0, Fraction(2, 7)])
+    assert s.contains([-6, 0, -4])
     assert not s.contains([3, 1, 2])
+    assert not s.contains([3, 0, 1])
     assert RationalSubspace.from_rows(3, []).contains([0, 0, 0])
     assert not RationalSubspace.from_rows(3, []).contains([0, 0, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, low_rank))
+def test_subspace_rows_over_pivots_are_rref(m):
+    sub = RationalSubspace.from_rows(len(m[0]), m)
+    want, want_piv = rref([[Fraction(x) for x in row] for row in m])
+    assert list(sub.pivots) == want_piv
+    assert rational_basis(sub) == want
+    for row, c in zip(sub.basis, sub.pivots):
+        assert row[c] > 0 and gcd(*row) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, low_rank), st.data())
+def test_subspace_contains_matches_rank(m, data):
+    sub = RationalSubspace.from_rows(len(m[0]), m)
+    v = data.draw(vectors(len(m[0])))
+    k = data.draw(vectors(len(m)))
+    member = [sum(x * row[j] for x, row in zip(k, m))
+              for j in range(len(m[0]))]
+    assert sub.contains(member)
+    assert sub.contains(v) == (rank_int(m + [v]) == rank_int(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, low_rank))
+def test_hnf_basis_is_nonzero_rows_of_hnf(m):
+    h, _ = hnf(m)
+    assert hnf_basis(m) == [row for row in h if any(row)]

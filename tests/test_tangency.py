@@ -7,7 +7,6 @@ import pytest
 
 from dualdefect.cayley import cayley_sum
 from dualdefect.config import GroupHom, PointConfig, apply_affine, is_normalized
-from dualdefect.exact_linalg import kernel_basis_rat
 from dualdefect.tangency import (
     ESCALATIONS,
     ArityError,
@@ -25,6 +24,7 @@ from conftest import (
     common_multiple,
     escalation_loop,
     fraction_sample,
+    kernel_basis_rat,
     random_unimodular,
     segre_product,
     unit_simplex,
@@ -174,10 +174,7 @@ def test_slice_contact_dim_matches_alpha(ex5_7_fibers):
     fibers = list(ex5_7_fibers)
     m = fibers[0].dim
     summands = [
-        RationalSubspace.from_rows(
-            m, [[Fraction(x) for x in row]
-                for row in difference_lattice(f)]
-        )
+        RationalSubspace.from_rows(m, difference_lattice(f))
         for f in fibers
     ]
     a = alpha(AlphaProblem.make(summands))
