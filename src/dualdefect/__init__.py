@@ -11,7 +11,6 @@ from .config import (
     CollapseError,
     GroupHom,
     PointConfig,
-    affine_equivalent,
     apply_affine,
     difference_lattice,
     is_normalized,
@@ -36,7 +35,6 @@ from .tangency import (
     contact_grouping,
     defect_oracle,
     hessian,
-    slice_contact_dim,
     tangency_space,
 )
 from .alpha import AlphaProblem, alpha, check_star, k_space, vprime
@@ -46,7 +44,6 @@ from .structure import (
     StructureCertificate,
     certificate_from_json,
     certificate_to_json,
-    find_min_projection,
     join_factors,
     structure_certificate,
     verify_certificate,
@@ -69,7 +66,6 @@ __all__ = [
     "StructureCertificate",
     "TangencyProblem",
     "TooLarge",
-    "affine_equivalent",
     "alpha",
     "apply_affine",
     "cayley_sum",
@@ -81,7 +77,6 @@ __all__ = [
     "defect_oracle",
     "difference_lattice",
     "enumerate_simplex_projections",
-    "find_min_projection",
     "hessian",
     "is_join_type",
     "is_normalized",
@@ -90,7 +85,6 @@ __all__ = [
     "k_space",
     "load_config_file",
     "normalize",
-    "slice_contact_dim",
     "structure_certificate",
     "tangency_space",
     "verify_certificate",

@@ -21,20 +21,20 @@ from .tangency import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     GenericityFailure,
-    check_sampling,
-    sample_rounds,
+    SampledProblem,
 )
 
 
 @dataclass(frozen=True)
-class AlphaProblem:
+class AlphaProblem(SampledProblem):
     """A family of summands V_0, ..., V_r inside an ambient subspace.
 
     ``bases`` holds the RREF bases of the summands scaled by one common
     denominator, and ``k_basis`` the integer K basis in those
     coordinates.  Every sampled K element, and so every set of
     components, is the rational one times a single positive integer,
-    which leaves all ranks and spans unchanged.
+    which leaves all ranks and spans unchanged.  Each sample is kept
+    as its components and their rank.
     """
 
     ambient: RationalSubspace
@@ -43,9 +43,6 @@ class AlphaProblem:
     seed: int = DEFAULT_SEED
     bound: int = DEFAULT_BOUND
     trials: int = DEFAULT_TRIALS
-
-    def __post_init__(self):
-        check_sampling(self.bound, self.trials)
 
     @classmethod
     def make(cls, summands, ambient: RationalSubspace | None = None,
@@ -67,12 +64,20 @@ class AlphaProblem:
         stacked += [list(row) for basis in bases for row in basis]
         if rank_int(stacked) != ambient.dim:
             raise ValueError("summands are not contained in the ambient")
-        kb = tuple(tuple(row) for row in k_space(summands))
+        kb = tuple(tuple(row) for row in k_space(summands, bases))
         return cls(ambient, kb, bases, seed, bound, trials)
 
     @property
     def r(self) -> int:
         return len(self.bases) - 1
+
+    @property
+    def sample_basis(self):
+        return self.k_basis
+
+    def evaluate(self, element):
+        comps = self.components(element)
+        return comps, rank_int(comps)
 
     def components(self, element) -> IntMat:
         """Split a K element (in summand coordinates) into ambient vectors."""
@@ -102,15 +107,18 @@ def _integer_bases(summands) -> list[IntMat]:
              for row, c in zip(s.basis, s.pivots)] for s in summands]
 
 
-def k_space(summands) -> IntMat:
+def k_space(summands, bases=None) -> IntMat:
     """Integer basis of the kernel of (m_0,...,m_r) -> m_0 + ... + m_r.
 
-    Rows are in concatenated summand coordinates; the rank equals
+    Rows are in concatenated coordinates of ``bases``, the summands'
+    ``_integer_bases`` (computed here when not given); the rank equals
     sum dim V_i - dim(sum V_i).
     """
     summands = list(summands)
     m = summands[0].ambient_dim
-    cols = [row for basis in _integer_bases(summands) for row in basis]
+    if bases is None:
+        bases = _integer_bases(summands)
+    cols = [row for basis in bases for row in basis]
     if not cols:
         return []
     return kernel_basis_ff([[col[i] for col in cols] for i in range(m)])
@@ -120,10 +128,7 @@ def alpha(p: AlphaProblem) -> int:
     """Generic dimension of the span of the components of a K element."""
     if not p.k_basis:
         return 0
-    best = 0
-    for element in next(sample_rounds(p.k_basis, p.seed, p.bound, p.trials)):
-        best = max(best, rank_int(p.components(element)))
-    return best
+    return max(rank for _comps, rank in p.first_round)
 
 
 def check_star(p: AlphaProblem) -> bool:
@@ -135,11 +140,9 @@ def check_star(p: AlphaProblem) -> bool:
         return True
     if p.r < 1:
         return True
-    for samples in sample_rounds(p.k_basis, p.seed, p.bound, p.trials):
+    for samples in p.rounds():
         verdicts = []
-        for element in samples:
-            comps = p.components(element)
-            full = rank_int(comps)
+        for comps, full in samples:
             ok = True
             for i, j in itertools.combinations(range(p.r + 1), 2):
                 rest = [c for k, c in enumerate(comps) if k not in (i, j)]
@@ -166,10 +169,9 @@ def vprime(p: AlphaProblem, target: int) -> RationalSubspace:
             raise RuntimeError("K is zero but the summands do not sum "
                                "directly")
         return RationalSubspace.from_rows(m, [])
-    for samples in sample_rounds(p.k_basis, p.seed, p.bound, p.trials):
-        for element in samples:
-            comps = p.components(element)
-            if rank_int(comps) != target:
+    for samples in p.rounds():
+        for comps, rank in samples:
+            if rank != target:
                 continue
             if (_components_contained(p, comps, target)
                     and _quotient_is_direct(p, comps, target)):

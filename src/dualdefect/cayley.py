@@ -305,7 +305,8 @@ def enumerate_simplex_projections(a: PointConfig, limit: int = 11):
     lands on a vertex.  Since the differences of a normalized a generate
     Z^n and every vertex is hit by a basis point, such a map is integral
     and surjective, and every part contains a basis point, so each
-    partition is found exactly once.
+    partition is found exactly once.  Row l of its matrix is the sum of
+    the rows of adj(D) at the basis points labeled l, divided by d.
     """
     if a.dim > limit:
         raise TooLarge(f"dim {a.dim} exceeds enumeration limit {limit}")
@@ -347,11 +348,18 @@ def enumerate_simplex_projections(a: PointConfig, limit: int = 11):
                 by_vertex.setdefault(v, []).append(j)
             # dicts keep insertion order, so parts come by least index
             parts = [tuple(p) for p in by_vertex.values()]
-            pi = projection_for_partition(a, parts)
-            if pi is None:
+            rows = [[0] * n for _ in bparts[1:]]
+            for k in range(1, n + 1):
+                if label[k]:
+                    row = rows[label[k] - 1]
+                    for i, x in enumerate(adj[k - 1]):
+                        row[i] += x
+            if any(x % d for row in rows for x in row):
                 raise ArithmeticError(
-                    f"partition {parts} passed the vertex test but has "
-                    "no integral surjective projection")
+                    f"partition {parts} passed the vertex test but its "
+                    "projection is not integral")
+            pi = GroupHom.make([[x // d for x in row] for row in rows],
+                               None, n)
             # no kernel dedupe: the parts are the cosets of ker pi met
             # with a, so distinct partitions have distinct kernels
             out.append(decompose_along(a, pi))

@@ -10,22 +10,17 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 from .exact_linalg import (
     IntMat,
-    adjugate,
-    det,
-    hnf,
     hnf_basis,
     hnf_coords,
     identity,
     is_surjective,
     mat_mul,
     mat_vec,
-    rank_int,
     transpose,
 )
 
@@ -155,17 +150,6 @@ class GroupHom:
             return identity(self.domain_rank)
         return hnf_basis(kernel_basis_int(mat)) if self.domain_rank else []
 
-    def inverse(self) -> "GroupHom":
-        """Inverse of a Z-affine isomorphism (square unimodular matrix)."""
-        m = self.matrix_rows
-        n = len(m)
-        assert n == self.domain_rank and (n == 0 or abs(det(m)) == 1)
-        inv = _unimodular_inverse(m)
-        tr = None
-        if self.translation is not None:
-            tr = tuple(-x for x in mat_vec(inv, list(self.translation)))
-        return GroupHom.make(inv, tr, n)
-
     @classmethod
     def identity_map(cls, n: int) -> "GroupHom":
         return cls.make(identity(n), None, n)
@@ -173,15 +157,6 @@ class GroupHom:
     @classmethod
     def zero_map(cls, domain_rank: int) -> "GroupHom":
         return cls(matrix=(), translation=None, domain_rank=domain_rank)
-
-
-def _unimodular_inverse(m: IntMat) -> IntMat:
-    h, u = hnf(m)
-    # h is the identity up to pivot signs for a unimodular m
-    assert all(h[i][i] in (1, -1) for i in range(len(m))) and all(
-        h[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i != j
-    )
-    return [[x * h[i][i] for x in u[i]] for i in range(len(m))]
 
 
 def apply_affine(a: PointConfig, f: GroupHom, dedupe: bool = False) -> PointConfig:
@@ -253,94 +228,6 @@ def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
     translation = tuple(base) if any(base) else None
     theta = GroupHom.make(matrix, translation, m)
     return b, theta
-
-
-def _content(v) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g
-
-
-def _rational_basis_indices(rows: IntMat, n: int) -> list[int]:
-    """Indices of rows forming a rational basis of the span (rank n)."""
-    picked: list[int] = []
-    for i, r in enumerate(rows):
-        if rank_int([rows[j] for j in picked + [i]]) > len(picked):
-            picked.append(i)
-            if len(picked) == n:
-                break
-    assert len(picked) == n
-    return picked
-
-
-def affine_equivalent(a: PointConfig, b: PointConfig) -> GroupHom | None:
-    """A Z-affine isomorphism mapping a onto b, or None.
-
-    Both sides are normalized first, then a search over anchor pairs and
-    basis assignments recovers the linear part.  The gcd of the entries of
-    a difference vector is preserved by any unimodular map, which prunes
-    the assignment search.
-    """
-    na, tha = normalize(a)
-    nb, thb = normalize(b)
-    if na.dim != nb.dim or len(na) != len(nb):
-        return None
-    n = na.dim
-    if n == 0:
-        cand = GroupHom(matrix=(), translation=None, domain_rank=0)
-        return _conjugate_witness(cand, tha, thb, a, b)
-    anchor_a = na.points[0]
-    d_a = [[x - y for x, y in zip(p, anchor_a)] for p in na.points]
-    basis_idx = _rational_basis_indices(d_a, n)
-    basis_a = [d_a[i] for i in basis_idx]
-    d, adj = adjugate(basis_a)
-    basis_contents = [_content(r) for r in basis_a]
-    contents_a = sorted(_content(r) for r in d_a)
-    target = set(nb.points)
-    for anchor_b in nb.points:
-        d_b = [[x - y for x, y in zip(q, anchor_b)] for q in nb.points]
-        if sorted(_content(r) for r in d_b) != contents_a:
-            continue
-        candidates = [
-            [r for r in d_b if _content(r) == c] for c in basis_contents
-        ]
-        for chosen in itertools.product(*candidates):
-            # basis_a * x = chosen over Z; the linear part acting on
-            # column vectors is then x^T
-            num = mat_mul(adj, list(chosen))  # d * x
-            if any(v % d for row in num for v in row):
-                continue
-            x = [[v // d for v in row] for row in num]
-            if abs(det(x)) != 1:
-                continue
-            mat = transpose(x)
-            shift = [y - z for y, z in
-                     zip(anchor_b, mat_vec(mat, list(anchor_a)))]
-            cand = GroupHom.make(mat, shift, n)
-            if {cand.apply(p) for p in na.points} == target:
-                return _conjugate_witness(cand, tha, thb, a, b)
-    return None
-
-
-def _conjugate_witness(phi, theta_a, theta_b, a, b):
-    """Lift a witness between normalized configs to the original ambients.
-
-    When both configurations span their ambient lattices the witness is
-    conjugated back through the normalization isomorphisms; otherwise the
-    witness between the normalized representatives is returned as-is.
-    """
-    if phi is None:
-        return None
-    def invertible(th):
-        return (th.codomain_rank == th.domain_rank
-                and (th.domain_rank == 0 or abs(det(th.matrix_rows)) == 1))
-
-    if a.dim == b.dim and invertible(theta_a) and invertible(theta_b):
-        full = theta_b.compose(phi).compose(theta_a.inverse())
-        if set(apply_affine(a, full).points) == set(b.points):
-            return full
-    return phi
 
 
 # --- file formats -----------------------------------------------------------

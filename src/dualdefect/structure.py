@@ -103,30 +103,13 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
     if not lattice:
         return GroupHom.identity_map(n)
     rows = kernel_basis_int([list(r) for r in lattice])
-    q = GroupHom.make(rows, None, n)
-    assert q.is_surjective()
-    return q
-
-
-def find_min_projection(a: PointConfig, seed: int = DEFAULT_SEED,
-                        bound: int = DEFAULT_BOUND,
-                        trials: int = DEFAULT_TRIALS):
-    """Minimal simplex projection whose plane contains the contact locus.
-
-    Returns (pi, grouping).  Configurations with empty dual or defect
-    zero get the zero map and a single group.
-    """
-    require_normalized(a, "find_min_projection")
-    tp = TangencyProblem.make(a, seed, bound, trials)
-    oracle = defect_oracle(tp)
-    if oracle.empty_dual or oracle.delta == 0:
-        return GroupHom.zero_map(a.dim), (tuple(range(len(a))),)
-    return _contact_projection(tp)
+    return GroupHom.make(rows, None, n)
 
 
 def _contact_projection(tp: TangencyProblem):
-    """The simplex projection pi of the contact grouping, and the grouping."""
-    parts, _kernel = contact_grouping(tp)
+    """The minimal simplex projection pi, read off the contact grouping,
+    and the grouping."""
+    parts = contact_grouping(tp)
     pi = projection_for_partition(tp.config, parts)
     if pi is None:
         raise CertificationError("contact grouping is not realizable over Z")
@@ -241,7 +224,9 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
             oracle_delta=oracle, checks=checks,
         )
     for k in range(ESCALATIONS + 1):
-        last = _build_certificate(replace(tp, bound=bound << k))
+        # the first attempt reads the oracle's samples from tp itself
+        last = _build_certificate(tp if k == 0 else
+                                  replace(tp, bound=bound << k))
         if last is not None and last[7] == oracle.delta:
             break
     else:

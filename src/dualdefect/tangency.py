@@ -16,14 +16,14 @@ kernel span and grouping is that of the rational computation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from operator import mul
 
 from .config import PointConfig, require_normalized
-from .cayley import cayley_sum
-from .exact_linalg import IntMat, RationalSubspace, kernel_basis_ff, rank_int
+from .exact_linalg import IntMat, kernel_basis_ff
 
 DEFAULT_SEED = 0xA11CE
 DEFAULT_BOUND = 1 << 20
@@ -47,16 +47,59 @@ def check_sampling(bound: int, trials: int) -> None:
         raise ValueError(f"trials must be at least 1, not {trials}")
 
 
+class SampledProblem:
+    """The one sample stream of a problem with seed, bound and trials.
+
+    A subclass names the basis it samples from (``sample_basis``) and
+    what each sample becomes (``evaluate``).  The first round of
+    ``sample_rounds`` is drawn and evaluated once, in ``first_round``,
+    and every reader of the problem shares it; ``rounds`` serves it
+    again and draws the later rounds only on escalation.
+    """
+
+    def __post_init__(self):
+        check_sampling(self.bound, self.trials)
+
+    @functools.cached_property
+    def first_round(self) -> tuple:
+        rounds = sample_rounds(self.sample_basis, self.seed, self.bound,
+                               self.trials)
+        return tuple(map(self.evaluate, next(rounds)))
+
+    def rounds(self):
+        """``sample_rounds`` with every sample evaluated.
+
+        Round 0 is ``first_round``.  A later round first replays as many
+        round-0 draws as the caller took, so it draws exactly what
+        ``sample_rounds`` draws after a first round left at that place.
+        """
+        used = 0
+
+        def first():
+            nonlocal used
+            for item in self.first_round:
+                used += 1
+                yield item
+
+        yield first()
+        rounds = sample_rounds(self.sample_basis, self.seed, self.bound,
+                               self.trials)
+        for _ in itertools.islice(next(rounds), used):
+            pass
+        for samples in rounds:
+            yield map(self.evaluate, samples)
+
+
 @dataclass(frozen=True)
-class TangencyProblem:
+class TangencyProblem(SampledProblem):
+    """Tangency coefficients of a configuration; each sample is kept
+    with the kernel of its Hessian (``kernel_basis_ff``)."""
+
     config: PointConfig
     tangency_basis: tuple[tuple[int, ...], ...]
     seed: int = DEFAULT_SEED
     bound: int = DEFAULT_BOUND
     trials: int = DEFAULT_TRIALS
-
-    def __post_init__(self):
-        check_sampling(self.bound, self.trials)
 
     @classmethod
     def make(cls, config: PointConfig, seed: int = DEFAULT_SEED,
@@ -69,6 +112,13 @@ class TangencyProblem:
     @property
     def dim_l(self) -> int:
         return len(self.tangency_basis)
+
+    @property
+    def sample_basis(self):
+        return self.tangency_basis
+
+    def evaluate(self, coeffs):
+        return coeffs, kernel_basis_ff(hessian(self.config, coeffs))
 
 
 @dataclass(frozen=True)
@@ -146,21 +196,15 @@ def sample_rounds(basis, seed: int, bound: int, trials: int):
 def defect_oracle(p: TangencyProblem) -> DefectResult:
     """delta = n - (generic rank of the Hessian), or EmptyDual.
 
-    The generic rank is the maximum over `trials` seeded samples; lower
-    semicontinuity of rank makes the maximum correct with overwhelming
+    delta is the least Hessian corank over the first round of samples,
+    and the witness the first sample that reaches it; lower
+    semicontinuity of rank makes the minimum correct with overwhelming
     probability.
     """
     if p.dim_l == 0:
         return DefectResult(None, None, 0)
-    best_rank = -1
-    witness = None
-    for coeffs in next(sample_rounds(p.tangency_basis, p.seed, p.bound,
-                                     p.trials)):
-        r = rank_int(hessian(p.config, coeffs))
-        if r > best_rank:
-            best_rank = r
-            witness = coeffs
-    return DefectResult(p.config.dim - best_rank, witness, p.trials)
+    witness, kernel = min(p.first_round, key=lambda s: len(s[1]))
+    return DefectResult(len(kernel), witness, p.trials)
 
 
 def _grouping_from_kernel(a: PointConfig, kernel: IntMat):
@@ -179,65 +223,25 @@ def _grouping_from_kernel(a: PointConfig, kernel: IntMat):
 def contact_grouping(p: TangencyProblem):
     """Group points touching the same contact-plane functional.
 
-    Samples generic tangency coefficients, takes the Hessian kernel, and
-    groups u ~ u' when <u - u', v> = 0 for every kernel vector v.  All
-    trials must produce the same partition; on disagreement the sampling
-    bound is doubled and the whole round retried.
+    Takes the Hessian kernel of each sampled tangency coefficient
+    vector and groups u ~ u' when <u - u', v> = 0 for every kernel
+    vector v.  All trials of a round must produce the same partition
+    and corank; on disagreement the next round, with a doubled bound,
+    is tried.
     """
     if p.dim_l == 0:
         raise ValueError("contact grouping needs a nonempty tangency space")
-    for samples in sample_rounds(p.tangency_basis, p.seed, p.bound,
-                                 p.trials):
+    for samples in p.rounds():
         parts = None
-        kernel = None
-        agreed = True
-        best_corank = None
-        for coeffs in samples:
-            ker = kernel_basis_ff(hessian(p.config, coeffs))
-            grouping = _grouping_from_kernel(p.config, ker)
+        corank = None
+        for _coeffs, kernel in samples:
+            grouping = _grouping_from_kernel(p.config, kernel)
             if parts is None:
-                parts, kernel, best_corank = grouping, ker, len(ker)
-            elif grouping != parts or len(ker) != best_corank:
-                agreed = False
+                parts, corank = grouping, len(kernel)
+            elif grouping != parts or len(kernel) != corank:
                 break
-        if agreed:
-            sub = RationalSubspace.from_rows(p.config.dim, kernel)
-            return parts, sub
+        else:
+            return parts
     raise GenericityFailure(
         "contact grouping unstable across samples; sampling bound too small"
     )
-
-
-def slice_contact_dim(fibers, seed: int = DEFAULT_SEED,
-                      bound: int = DEFAULT_BOUND,
-                      trials: int = DEFAULT_TRIALS) -> int:
-    """Dimension of the open contact slice of a Cayley sum.
-
-    Equals r minus the generic dimension of the span of the fiberwise
-    moment vectors m_i = sum_j a_ij u_ij, for generic tangency
-    coefficients of the Cayley sum.
-    """
-    check_sampling(bound, trials)
-    fibers = list(fibers)
-    r = len(fibers) - 1
-    if r == 0:
-        return 0
-    total = cayley_sum(fibers)
-    require_normalized(total, "slice_contact_dim")
-    m = fibers[0].dim
-    basis = tangency_space(total)
-    if not basis:
-        return 0
-    # fiber index of each Cayley point, read off the simplex tail
-    fiber_of = []
-    for pt in total.points:
-        tail = pt[m:]
-        fiber_of.append(tail.index(1) + 1 if any(tail) else 0)
-    best = 0
-    for coeffs in next(sample_rounds(basis, seed, bound, trials)):
-        moments = [[0] * m for _ in range(r + 1)]
-        for c, pt, fi in zip(coeffs, total.points, fiber_of):
-            for j in range(m):
-                moments[fi][j] += c * pt[j]
-        best = max(best, rank_int(moments))
-    return r - best

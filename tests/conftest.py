@@ -65,14 +65,6 @@ def ex5_7():
     return cayley_sum([f0, f1, f2, f2])
 
 
-@pytest.fixture
-def ex5_7_fibers():
-    f0 = PointConfig.make([(0, 0), (1, 0), (2, 0)])
-    f1 = PointConfig.make([(0, 0), (0, 1), (0, 2)])
-    f2 = PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)])
-    return (f0, f1, f2, f2)
-
-
 EX58_U = (-1, 2, 0, 0, -2, 1)
 EX58_V = (0, 0, -1, 2, -2, 1)
 

@@ -10,6 +10,7 @@ from dualdefect.tangency import sample_combination
 from conftest import (
     clear_denominators,
     common_multiple,
+    escalation_loop,
     fraction_sample,
     kernel_basis_rat,
     rational_basis,
@@ -101,6 +102,28 @@ def test_check_star_examples():
     assert check_star(AlphaProblem.make([LINE()] * 2)) is False
     z = sub(2, [])
     assert check_star(AlphaProblem.make([z, z, z])) is True
+
+
+def test_check_star_escalation_draws_reference_samples(monkeypatch):
+    v0 = sub(2, [[1, 0]])
+    v1 = sub(2, [[0, 1]])
+    v2 = sub(2, [[1, 0], [0, 1]])
+    p = AlphaProblem.make([v0, v1, v2, v2])
+    real = AlphaProblem.evaluate
+    elements = []
+
+    def evaluate(self, element):
+        elements.append(element)
+        comps, rank = real(self, element)
+        # a wrong rank flips the verdict of the first sample alone
+        return comps, rank + (len(elements) == 1)
+
+    monkeypatch.setattr(AlphaProblem, "evaluate", evaluate)
+    assert check_star(p) is True
+    # the first round is evaluated once; the second is the reference's
+    want = escalation_loop(p.k_basis, p.seed, p.bound, p.trials,
+                           (p.trials, p.trials))
+    assert elements == want[0] + want[1]
 
 
 def test_vprime_ex5_7_full_plane():

@@ -9,7 +9,6 @@ from dualdefect.config import (
     CollapseError,
     GroupHom,
     PointConfig,
-    affine_equivalent,
     apply_affine,
     difference_lattice,
     dump_config_json,
@@ -74,52 +73,6 @@ def test_difference_lattice_snf_identity_after_normalize():
     d = difference_lattice(b)
     s, _, _ = snf(d)
     assert all(s[i][i] == 1 for i in range(len(d)))
-
-
-def test_affine_equivalent_translation(segre_square):
-    b = segre_square.translate((3, -2))
-    w = affine_equivalent(segre_square, b)
-    assert w is not None
-    assert {w.apply(p) for p in segre_square.points} == set(b.points)
-
-
-def test_affine_equivalent_negative():
-    a = PointConfig.make([(0,), (1,), (2,)])
-    b = PointConfig.make([(0,), (1,), (3,)])
-    assert affine_equivalent(a, b) is None
-
-
-def test_affine_equivalent_random_witness_fuzz():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        pts = set()
-        while len(pts) < rng.randint(2, 7):
-            pts.add(tuple(rng.randint(-3, 3) for _ in range(n)))
-        a = PointConfig.make(sorted(pts))
-        u = random_unimodular(rng, n)
-        t = [rng.randint(-4, 4) for _ in range(n)]
-        b = apply_affine(a, GroupHom.make(u, t))
-        w = affine_equivalent(a, b)
-        assert w is not None
-        if is_normalized(a):
-            assert {w.apply(p) for p in a.points} == set(b.points)
-        # symmetric and reflexive
-        assert affine_equivalent(b, a) is not None
-        assert affine_equivalent(a, a) is not None
-
-
-def test_affine_equivalent_transitive_witnesses():
-    rng = random.Random(23)
-    a = PointConfig.make([(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
-    u1 = random_unimodular(rng, 2)
-    u2 = random_unimodular(rng, 2)
-    b = apply_affine(a, GroupHom.make(u1, (1, -1)))
-    c = apply_affine(b, GroupHom.make(u2, (0, 3)))
-    wab = affine_equivalent(a, b)
-    wbc = affine_equivalent(b, c)
-    composed = wbc.compose(wab)
-    assert {composed.apply(p) for p in a.points} == set(c.points)
 
 
 def test_apply_affine_identity(segre_square):

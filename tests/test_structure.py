@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -33,7 +34,6 @@ from dualdefect.structure import (
     CertificationError,
     certificate_from_json,
     certificate_to_json,
-    find_min_projection,
     join_factors,
     structure_certificate,
     verify_certificate,
@@ -50,14 +50,17 @@ from conftest import (
 )
 
 
+# the minimal simplex projection is published as cert.pi = pi2 o pi1
+
+
 def test_find_min_projection_segre_trivial(segre_square):
-    pi, grouping = find_min_projection(segre_square)
-    assert pi.codomain_rank == 0
-    assert grouping == (tuple(range(4)),)
+    cert = structure_certificate(segre_square)
+    assert cert.pi.codomain_rank == 0
+    assert cert.grouping == (tuple(range(4)),)
 
 
 def test_find_min_projection_ex5_8(ex5_8):
-    pi, grouping = find_min_projection(ex5_8)
+    pi = structure_certificate(ex5_8).pi
     assert pi.codomain_rank == 2
     expected = [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]
     assert lattice_eq(
@@ -67,7 +70,7 @@ def test_find_min_projection_ex5_8(ex5_8):
 
 
 def test_find_min_projection_ex5_7(ex5_7):
-    pi, grouping = find_min_projection(ex5_7)
+    pi = structure_certificate(ex5_7).pi
     assert pi.codomain_rank == 3
     # kernel = Z^2 x {0}, the projection factors through pr
     assert lattice_eq(
@@ -391,9 +394,31 @@ def test_certificate_bytes_pinned():
     assert got == PINNED_CERTIFICATE_DIGESTS
 
 
+def test_pi1_tampering_fails_a_named_check(ex5_8):
+    # every single-entry (+1) and row-add edit of pi1 on ex5_8
+    obj = json.loads(certificate_to_json(structure_certificate(ex5_8)))
+    pi1 = obj["pi1"]
+    edits = []
+    for i, row in enumerate(pi1):
+        for j in range(len(row)):
+            edited = [list(r) for r in pi1]
+            edited[i][j] += 1
+            edits.append(edited)
+    for i, j in itertools.permutations(range(len(pi1)), 2):
+        edited = [list(r) for r in pi1]
+        edited[i] = [x + y for x, y in zip(pi1[i], pi1[j])]
+        edits.append(edited)
+    assert len(edits) == 50
+    for edited in edits:
+        cert = certificate_from_json(json.dumps(dict(obj, pi1=edited)))
+        report = verify_certificate(ex5_8, cert)
+        failed = [name for name, ok in report.items() if not ok]
+        assert "all_passed" in failed and len(failed) > 1, edited
+
+
 def test_unrealizable_grouping_raises_certification_error(ex5_8,
                                                           monkeypatch):
     monkeypatch.setattr(structure, "projection_for_partition",
                         lambda a, parts: None)
     with pytest.raises(CertificationError, match="not realizable"):
-        find_min_projection(ex5_8)
+        structure_certificate(ex5_8)

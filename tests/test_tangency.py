@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualdefect import tangency
 from dualdefect.cayley import cayley_sum
 from dualdefect.config import GroupHom, PointConfig, apply_affine, is_normalized
 from dualdefect.tangency import (
@@ -16,7 +17,6 @@ from dualdefect.tangency import (
     hessian,
     sample_combination,
     sample_rounds,
-    slice_contact_dim,
     tangency_space,
 )
 
@@ -125,7 +125,8 @@ def test_oracle_monotone_in_trials(ex5_8):
 
 
 def test_contact_grouping_ex5_8(ex5_8):
-    parts, kernel = contact_grouping(TangencyProblem.make(ex5_8))
+    tp = TangencyProblem.make(ex5_8)
+    parts = contact_grouping(tp)
     e = lambda i: unit_vector(i, 6)
     psets = {frozenset(ex5_8.points[i] for i in part) for part in parts}
     assert psets == {
@@ -133,53 +134,64 @@ def test_contact_grouping_ex5_8(ex5_8):
         frozenset([e(1), e(2), (-1, 2, 0, 0, -2, 1)]),
         frozenset([e(3), e(4), (0, 0, -1, 2, -2, 1)]),
     }
-    assert kernel.dim == 1
+    assert defect_oracle(tp).delta == 1
 
 
 def test_contact_grouping_segre_single_part(segre_square):
-    parts, kernel = contact_grouping(TangencyProblem.make(segre_square))
-    assert parts == (tuple(range(4)),)
-    assert kernel.dim == 0
+    tp = TangencyProblem.make(segre_square)
+    assert contact_grouping(tp) == (tuple(range(4)),)
+    assert defect_oracle(tp).delta == 0
 
 
 def test_contact_grouping_ex5_7_fibers(ex5_7):
-    parts, kernel = contact_grouping(TangencyProblem.make(ex5_7))
+    tp = TangencyProblem.make(ex5_7)
+    parts = contact_grouping(tp)
     by_tail = {}
     for i, pt in enumerate(ex5_7.points):
         by_tail.setdefault(pt[2:], []).append(i)
     assert {frozenset(g) for g in parts} == {
         frozenset(g) for g in by_tail.values()
     }
-    assert kernel.dim == 1
+    assert defect_oracle(tp).delta == 1
 
 
 def test_contact_grouping_stable_with_more_trials(ex5_8):
-    p3 = contact_grouping(TangencyProblem.make(ex5_8, trials=3))[0]
-    p6 = contact_grouping(TangencyProblem.make(ex5_8, trials=6))[0]
+    p3 = contact_grouping(TangencyProblem.make(ex5_8, trials=3))
+    p6 = contact_grouping(TangencyProblem.make(ex5_8, trials=6))
     assert p3 == p6
 
 
-def test_slice_contact_dim_examples(ex5_7_fibers, segre_square):
-    assert slice_contact_dim(list(ex5_7_fibers)) == 1
-    assert slice_contact_dim([segre_square]) == 0
-    s01 = PointConfig.make([(0,), (1,)])
-    assert slice_contact_dim([s01, s01]) == 0
+@pytest.mark.parametrize("left_at", [2, 3])
+def test_contact_grouping_escalation_draws_reference_samples(
+        ex5_8, monkeypatch, left_at):
+    tp = TangencyProblem.make(ex5_8)
+    real_grouping, real_hessian = (tangency._grouping_from_kernel,
+                                   tangency.hessian)
+    groupings = []
+    evaluated = []
 
+    def grouping(a, kernel):
+        # sample `left_at` of the first round disagrees with the first
+        groupings.append(kernel)
+        if len(groupings) == left_at:
+            return ()
+        return real_grouping(a, kernel)
 
-def test_slice_contact_dim_matches_alpha(ex5_7_fibers):
-    from dualdefect.alpha import AlphaProblem, alpha
-    from dualdefect.config import difference_lattice
-    from dualdefect.exact_linalg import RationalSubspace
+    def hessian(a, coeffs):
+        evaluated.append(coeffs)
+        return real_hessian(a, coeffs)
 
-    fibers = list(ex5_7_fibers)
-    m = fibers[0].dim
-    summands = [
-        RationalSubspace.from_rows(m, difference_lattice(f))
-        for f in fibers
-    ]
-    a = alpha(AlphaProblem.make(summands))
-    r = len(fibers) - 1
-    assert slice_contact_dim(fibers) == r - a
+    monkeypatch.setattr(tangency, "_grouping_from_kernel", grouping)
+    monkeypatch.setattr(tangency, "hessian", hessian)
+    assert len(contact_grouping(tp)) == 3
+    # the first round is evaluated whole, once, and read up to the
+    # disagreement; the second round is what the reference loop draws
+    # after leaving the first at the same sample
+    want = escalation_loop(tp.tangency_basis, tp.seed, tp.bound, tp.trials,
+                           (left_at, tp.trials))
+    assert evaluated[:left_at] == want[0]
+    assert evaluated[tp.trials:] == want[1]
+    assert len(groupings) == left_at + tp.trials
 
 
 def test_join_defect_law_small():
@@ -231,8 +243,6 @@ def test_problem_rejects_bad_sampling_parameters(segre_square, field, value):
     tp = TangencyProblem.make(segre_square)
     with pytest.raises(ValueError):
         dataclasses.replace(tp, **{field: value})
-    with pytest.raises(ValueError):
-        slice_contact_dim([segre_square], **{field: value})
 
 
 @pytest.mark.parametrize("taken", [(3, 3, 3), (1, 3, 3), (1, 1, 1),
