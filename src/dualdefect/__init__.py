@@ -21,6 +21,7 @@ from .cayley import (
     CayleyStructure,
     DimensionError,
     NotSimplexImage,
+    SimplexProjection,
     TooLarge,
     cayley_sum,
     decompose_along,
@@ -63,6 +64,7 @@ __all__ = [
     "GroupHom",
     "NotSimplexImage",
     "PointConfig",
+    "SimplexProjection",
     "StructureCertificate",
     "TangencyProblem",
     "TooLarge",

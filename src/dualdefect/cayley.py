@@ -49,31 +49,46 @@ def _simplex_vertex(i: int, r: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class CayleyStructure:
-    """A realization of a configuration as a Cayley sum.
+class SimplexProjection:
+    """A projection of a configuration onto the unit simplex.
 
-    base is the ambient configuration, parts a partition of its point
-    indices, pi the projection with simplex image, fibers the translated
-    preimages A_i, and section_frame the isomorphism f of the ambient
-    lattice onto Z^{n-r} x Z^r carrying base onto cayley_sum(fibers).
-    g is the affine automorphism of the codomain with g(pi(part i)) =
-    vertex i, so pr2 composed with section_frame equals g composed with pi.
+    base is the ambient configuration, pi a surjection of its lattice
+    onto Z^r that carries base onto a translate of {0, e_1, ..., e_r},
+    and parts the partition of the point indices into the preimages of
+    the vertices, ordered by least index.
     """
 
     base: PointConfig
     r: int
     parts: tuple[tuple[int, ...], ...]
     pi: GroupHom
+
+    def __post_init__(self):
+        assert self.r + 1 == len(self.parts)
+        assert sorted(i for p in self.parts for i in p) == list(range(len(self.base)))
+
+    def kernel_lattice(self) -> IntMat:
+        return self.pi.kernel_lattice()
+
+
+@dataclass(frozen=True)
+class CayleyStructure(SimplexProjection):
+    """A realization of a configuration as a Cayley sum.
+
+    Extends its simplex projection by the fibers, the translated
+    preimages A_i, and section_frame, the isomorphism f of the ambient
+    lattice onto Z^{n-r} x Z^r carrying base onto cayley_sum(fibers).
+    g is the affine automorphism of the codomain with g(pi(part i)) =
+    vertex i, so pr2 composed with section_frame equals g composed with pi.
+    """
+
     fibers: tuple[PointConfig, ...]
     section_frame: GroupHom
     g: GroupHom
 
     def __post_init__(self):
-        assert self.r + 1 == len(self.parts) == len(self.fibers)
-        assert sorted(i for p in self.parts for i in p) == list(range(len(self.base)))
-
-    def kernel_lattice(self) -> IntMat:
-        return self.pi.kernel_lattice()
+        super().__post_init__()
+        assert len(self.fibers) == len(self.parts)
 
 
 def cayley_sum(fibers) -> PointConfig:
@@ -205,10 +220,10 @@ def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
     return CayleyStructure(a, r, tuple(parts), pi, fibers, f, g)
 
 
-def join_type_wrt(struct: CayleyStructure, pi1: GroupHom) -> bool:
+def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:
     """Whether struct.base is of join type with respect to (pi1, pi2).
 
-    struct is the Cayley structure of the base along pi = pi2 o pi1.
+    struct is the simplex projection of the base along pi = pi2 o pi1.
     Its parts have difference lattices M_i; the predicate holds when
     the images pi1(M_i) inside ker pi2 sum directly.
     """
@@ -228,27 +243,6 @@ def join_type_wrt(struct: CayleyStructure, pi1: GroupHom) -> bool:
     if not stacked:
         return True
     return rank_int(stacked) == total
-
-
-def _set_partitions(n: int, max_parts: int):
-    """Restricted-growth-string enumeration of set partitions of range(n)."""
-    rgs = [0] * n
-
-    def rec(i: int, k: int):
-        if i == n:
-            parts: list[list[int]] = [[] for _ in range(k)]
-            for j, c in enumerate(rgs):
-                parts[c].append(j)
-            yield [tuple(p) for p in parts]
-            return
-        for c in range(min(k + 1, max_parts)):
-            rgs[i] = c
-            yield from rec(i + 1, max(k, c + 1))
-
-    if n == 0:
-        yield []
-        return
-    yield from rec(0, 0)
 
 
 def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
@@ -293,75 +287,136 @@ def _affine_basis(a: PointConfig) -> tuple[list[int], IntMat]:
     return basis, rows
 
 
-def enumerate_simplex_projections(a: PointConfig, limit: int = 11):
-    """All Cayley structures of a, one per realizable point partition.
+def enumerate_simplex_projections(a: PointConfig, limit: int = 11,
+                                  r_min: int = 0):
+    """All simplex projections of a with r >= r_min, one per realizable
+    point partition, ordered by (r, parts).
 
     A projection onto the simplex is fixed by where it sends an affine
     basis u_b0, ..., u_bn of a, so it suffices to try every labeling of
-    the basis points by vertices: Bell(dim+1) candidates.  With D the
-    matrix of differences u_bk - u_b0 and d = det D, the labeled map
-    sends u_j to (sum over each label of the entries of
-    W_j = adj(D)(u_j - u_b0)) / d; the labeling is kept when every point
-    lands on a vertex.  Since the differences of a normalized a generate
-    Z^n and every vertex is hit by a basis point, such a map is integral
-    and surjective, and every part contains a basis point, so each
-    partition is found exactly once.  Row l of its matrix is the sum of
-    the rows of adj(D) at the basis points labeled l, divided by d.
+    the basis points by vertices, in restricted-growth order: Bell(dim+1)
+    candidates at most.  With D the matrix of differences u_bk - u_b0
+    and d = det D, the labeled map sends u_j to (sum over each label of
+    the entries of W_j = adj(D)(u_j - u_b0)) / d; the labeling is kept
+    when every point lands on a vertex.  Since the differences of a
+    normalized a generate Z^n and every vertex is hit by a basis point,
+    such a map is integral and surjective, and every part contains a
+    basis point, so each partition is found exactly once.  Row l of its
+    matrix is the sum of the rows of adj(D) at the basis points labeled
+    l, divided by d.
+
+    The labeling is searched depth first, one basis position at a time.
+    A point outside the basis is tested as soon as the last position in
+    the support of its W_j is labeled, and a failed test cuts every
+    labeling that extends the prefix; so does a prefix that can no
+    longer reach r_min + 1 labels.
     """
     if a.dim > limit:
         raise TooLarge(f"dim {a.dim} exceeds enumeration limit {limit}")
     require_normalized(a, "enumerate_simplex_projections")
     n = a.dim
+    if r_min > n:
+        return []
     basis, diffs = _affine_basis(a)
     u0 = a.points[0]
     d, adj = adjugate(transpose(diffs))
-    # nonzero entries of W_j for the points outside the basis, keyed by
-    # basis position (position 0 is u_b0 itself and has no column)
+    offsets = [[x - y for x, y in zip(p, u0)] for p in a.points]
+    # the nonzero entries of W_j for the points outside the basis, keyed
+    # by basis position (position 0 is u_b0 itself and has no column),
+    # filed under the last position of their support; W_j != 0 as
+    # u_j != u_b0
+    tests: list[list] = [[] for _ in range(n + 1)]
     in_basis = set(basis)
-    others = []
-    for j, p in enumerate(a.points):
+    for j, off in enumerate(offsets):
         if j not in in_basis:
-            w = mat_vec(adj, [x - y for x, y in zip(p, u0)])
-            others.append((j, [(k + 1, x) for k, x in enumerate(w) if x]))
-    out = []
-    for bparts in _set_partitions(n + 1, n + 1):
-        label = [0] * (n + 1)
-        for lab, part in enumerate(bparts):
-            for k in part:
-                label[k] = lab
-        vertex = [0] * len(a)
-        for k, b in enumerate(basis):
-            vertex[b] = label[k]
-        for j, w in others:
-            sums = [0] * len(bparts)
-            for k, x in w:
-                sums[label[k]] += x
-            hit = [lab for lab in range(1, len(bparts)) if sums[lab]]
-            if not hit:
-                continue
-            if len(hit) > 1 or sums[hit[0]] != d:
-                break
-            vertex[j] = hit[0]
-        else:
-            by_vertex: dict[int, list[int]] = {}
-            for j, v in enumerate(vertex):
-                by_vertex.setdefault(v, []).append(j)
-            # dicts keep insertion order, so parts come by least index
-            parts = [tuple(p) for p in by_vertex.values()]
-            rows = [[0] * n for _ in bparts[1:]]
-            for k in range(1, n + 1):
-                if label[k]:
-                    row = rows[label[k] - 1]
-                    for i, x in enumerate(adj[k - 1]):
-                        row[i] += x
-            if any(x % d for row in rows for x in row):
-                raise ArithmeticError(
-                    f"partition {parts} passed the vertex test but its "
-                    "projection is not integral")
-            pi = GroupHom.make([[x // d for x in row] for row in rows],
-                               None, n)
-            # no kernel dedupe: the parts are the cosets of ker pi met
-            # with a, so distinct partitions have distinct kernels
-            out.append(decompose_along(a, pi))
+            w = [(k + 1, x) for k, x in enumerate(mat_vec(adj, off)) if x]
+            tests[w[-1][0]].append((j, w))
+    label = [0] * (n + 1)
+    vertex = [0] * len(a)
+    out = [_labeled_projection(a, basis, label, vertex, labels, d, adj,
+                               offsets)
+           for labels in _kept_labelings(tests, d, r_min, label, vertex)]
     out.sort(key=lambda st: (st.r, st.parts))
     return out
+
+
+def _kept_labelings(tests, d, r_min, label, vertex, k=1, labels=1):
+    """Depth-first search over the labelings of basis positions k..n.
+
+    label[0..k-1] is a restricted-growth prefix using labels
+    0..labels-1.  Extends it in place and yields the number of labels of
+    every complete labeling that passes the vertex tests in tests and
+    uses at least r_min + 1 labels; vertex then holds the vertex of
+    every point outside the basis.
+    """
+    n = len(label) - 1
+    if k > n:
+        yield labels
+        return
+    for lab in range(labels + 1):
+        used = max(labels, lab + 1)
+        if used + n - k < r_min + 1:
+            continue
+        label[k] = lab
+        for j, w in tests[k]:
+            v = _vertex_of(w, label, used, d)
+            if v is None:
+                break
+            vertex[j] = v
+        else:
+            yield from _kept_labelings(tests, d, r_min, label, vertex,
+                                       k + 1, used)
+
+
+def _vertex_of(w, label, labels, d):
+    """The vertex that a point with W entries w lands on under the
+    labeling, or None when it lands on no vertex."""
+    sums = [0] * labels
+    for k, x in w:
+        sums[label[k]] += x
+    hit = [lab for lab in range(1, labels) if sums[lab]]
+    if not hit:
+        return 0
+    if len(hit) > 1 or sums[hit[0]] != d:
+        return None
+    return hit[0]
+
+
+def _labeled_projection(a, basis, label, vertex, labels, d, adj,
+                        offsets) -> SimplexProjection:
+    """The simplex projection of a kept labeling of the affine basis.
+
+    vertex holds the vertex of every point outside the basis; the
+    entries of the basis points are filled in from label.  Checks
+    that the map is integral and sends every u_j - u_b0 to its vertex,
+    so that, every vertex being hit by a basis point, the image of a is
+    a translated unit simplex.
+    """
+    n = a.dim
+    for k, b in enumerate(basis):
+        vertex[b] = label[k]
+    by_vertex: dict[int, list[int]] = {}
+    for j, v in enumerate(vertex):
+        by_vertex.setdefault(v, []).append(j)
+    # dicts keep insertion order, so parts come by least index
+    parts = tuple(tuple(p) for p in by_vertex.values())
+    rows = [[0] * n for _ in range(labels - 1)]
+    for k in range(1, n + 1):
+        if label[k]:
+            row = rows[label[k] - 1]
+            for i, x in enumerate(adj[k - 1]):
+                row[i] += x
+    if any(x % d for row in rows for x in row):
+        raise ArithmeticError(
+            f"partition {parts} passed the vertex test but its "
+            "projection is not integral")
+    mat = [[x // d for x in row] for row in rows]
+    r = labels - 1
+    for j, off in enumerate(offsets):
+        if tuple(mat_vec(mat, off)) != _simplex_vertex(vertex[j], r):
+            raise ArithmeticError(
+                f"partition {parts} passed the vertex test but its "
+                f"projection does not send point {j} to its vertex")
+    # no kernel dedupe: the parts are the cosets of ker pi met with a,
+    # so distinct partitions have distinct kernels
+    return SimplexProjection(a, r, parts, GroupHom.make(mat, None, n))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 from .alpha import AlphaProblem, alpha as alpha_of, check_star, vprime
 from .cayley import (
-    CayleyStructure,
     NotSimplexImage,
+    SimplexProjection,
     decompose_along,
     cayley_sum,
     enumerate_simplex_projections,
@@ -156,15 +156,15 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
     return pi2
 
 
-def _alpha_problem(a: PointConfig, struct: CayleyStructure, seed: int,
+def _alpha_problem(a: PointConfig, struct: SimplexProjection, seed: int,
                    bound: int, trials: int) -> AlphaProblem:
-    """The part difference spaces of a Cayley structure inside ker pi."""
+    """The part difference spaces of a simplex projection inside ker pi."""
     ambient = RationalSubspace.from_rows(a.dim, struct.pi.kernel_lattice())
     summands = [_part_difference_space(a, part) for part in struct.parts]
     return AlphaProblem.make(summands, ambient, seed, bound, trials)
 
 
-def _minimal_quotient(a: PointConfig, struct: CayleyStructure,
+def _minimal_quotient(a: PointConfig, struct: SimplexProjection,
                       ap: AlphaProblem, c: int):
     """The factorization pi = pi2 o pi1 with ker pi1 = V', as (pi1, pi2).
 
@@ -289,9 +289,10 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     value agrees with delta and the recorded self-checks are exactly
     the passing RECORDED_CHECKS, the simplex image, join type, and a
     fresh oracle run under a different seed.  In exhaustive
-    mode additionally enumerates every simplex projection of a and
-    verifies the minimality kernel chain and the lower-bound inequality
-    r' - c' <= delta.
+    mode additionally enumerates every simplex projection of a with
+    r' >= delta and verifies the minimality kernel chain and the
+    lower-bound inequality r' - c' <= delta; the projections with
+    r' < delta satisfy the inequality and cannot realize delta.
     """
     if cert.n != a.dim:
         raise CertificateMismatch(
@@ -341,8 +342,15 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         lower_ok = True
         chain_ok = True
         ker_pi = pi.kernel_lattice()
-        for st in enumerate_simplex_projections(a, limit):
+        # a structure with r' < delta can neither break r' - c' <= delta
+        # nor realize delta; one with r' = delta realizes it exactly when
+        # c' = 0, that is when K is zero, as a nonzero K element has a
+        # nonzero component
+        for st in enumerate_simplex_projections(a, limit,
+                                                r_min=max(cert.delta, 0)):
             ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials)
+            if st.r == cert.delta and ap.k_basis:
+                continue
             c2 = alpha_of(ap)
             if st.r - c2 > cert.delta:
                 lower_ok = False

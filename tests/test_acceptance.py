@@ -5,11 +5,13 @@ captured output); a failure raises with the criterion number in the
 test name.
 """
 
+import json
 import random
 import time
 
 from dualdefect.alpha import AlphaProblem, alpha
 from dualdefect.cayley import cayley_sum, enumerate_simplex_projections, is_join_type
+from dualdefect.cli import run
 from dualdefect.config import (
     GroupHom,
     PointConfig,
@@ -110,6 +112,19 @@ def test_criterion_3_nine_points_in_z6_with_exhaustive_check():
         report = verify_certificate(cfg, cert, exhaustive=True)
         assert report["condition4_chain"]
         assert report["all_passed"], report
+
+
+def test_criterion_3_exhaustive_verify_is_output_sensitive(tmp_path):
+    # segre_product(1, 8) has dim 9 and delta 7; visiting all Bell(10)
+    # labelings and decomposing every structure took about 34 s; the
+    # pruned search skips every prefix that fails a point or cannot
+    # reach r = 7
+    cfg = tmp_path / "segre_1_8.json"
+    cert = tmp_path / "cert.json"
+    cfg.write_text(json.dumps({"points": segre_product(1, 8).points}))
+    assert run(["analyze", str(cfg), "--out", str(cert)]) == 0
+    with Budget(3, 5.0):
+        assert run(["verify", str(cfg), str(cert), "--exhaustive"]) == 0
 
 
 def test_criterion_4_alpha_of_the_mixed_subspace_family():

@@ -1,11 +1,15 @@
 import collections
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from dualdefect import exact_linalg, structure, tangency
 from dualdefect.cli import generate_corpus, run
@@ -592,3 +596,142 @@ def test_matching_dim_field_accepted(tmp_path, capsys):
                     encoding="utf-8")
     code, out, _ = invoke(capsys, "analyze", str(path))
     assert code == 0 and json.loads(out)["delta"] == 0
+
+
+# --- fuzz of cli.run ---------------------------------------------------------
+
+FUZZ = settings(max_examples=60, deadline=timedelta(seconds=5),
+                derandomize=True, database=None)
+
+# integer fields whose +-1 edit makes the certificate false, so that
+# verify must not pass it; seed, bound and trials only fix the draws
+FALSIFYING_FIELDS = ("delta", "r", "c", "oracle_delta")
+
+# integers stay small: verify samples as many oracle points as a
+# certificate's trials asks for, without an upper limit
+_scalars = hst.one_of(
+    hst.none(), hst.booleans(), hst.integers(-3, 40),
+    hst.floats(allow_nan=False, allow_infinity=False, width=16),
+    hst.text(max_size=4), hst.sampled_from(["7", "-1", "1e3"]))
+_values = hst.recursive(
+    _scalars,
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=3), inner, max_size=2),
+    max_leaves=8)
+
+
+def _quiet_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([str(x) for x in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding the certificates of ex5_8 and p1xp2."""
+    d = tmp_path_factory.mktemp("fuzz")
+    for name in ("ex5_8", "p1xp2"):
+        code, _ = _quiet_run(["analyze", FIXTURES / f"{name}.json",
+                              "--out", d / f"{name}.cert.json"])
+        assert code == 0
+    return d
+
+
+def _verify_both_ways(cfg_path, cert_path):
+    """verify and verify --exhaustive: the exit codes, after checking
+    that neither ended in a traceback."""
+    codes = []
+    for flags in ([], ["--exhaustive"]):
+        code, err = _quiet_run(["verify", cfg_path, cert_path, *flags])
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err, err
+        codes.append(code)
+    return codes
+
+
+@hst.composite
+def certificate_edits(draw):
+    """A certificate field and an edit of it: dropped, replaced by any
+    JSON value, moved by +-1, or one entry of a matrix replaced."""
+    key = draw(hst.sampled_from(
+        ["n", "r", "c", "delta", "grouping", "pi1", "pi2", "p", "seed",
+         "bound", "trials", "oracle_delta", "checks"]))
+    kind = draw(hst.sampled_from(["drop", "replace", "step", "entry"]))
+    if kind == "step":
+        return key, kind, draw(hst.sampled_from([-1, 1]))
+    return key, kind, draw(_values)
+
+
+def _apply_edit(obj, key, kind, value):
+    """The edited certificate, and whether the edit is an integer +-1
+    step of a falsifying field."""
+    obj = json.loads(json.dumps(obj))
+    if kind == "drop":
+        del obj[key]
+    elif kind == "step" and type(obj[key]) is int:
+        obj[key] += value
+        return obj, key in FALSIFYING_FIELDS
+    elif kind == "entry" and obj[key] and isinstance(obj[key], list) \
+            and isinstance(obj[key][0], list) and obj[key][0]:
+        obj[key][0][-1] = value
+    else:
+        obj[key] = value
+    return obj, False
+
+
+@FUZZ
+@given(name=hst.sampled_from(["ex5_8", "p1xp2"]), edit=certificate_edits())
+def test_fuzz_verify_edited_certificates(fuzz_dir, name, edit):
+    obj = json.loads((fuzz_dir / f"{name}.cert.json").read_text())
+    edited, falsified = _apply_edit(obj, *edit)
+    cert_path = fuzz_dir / "edited.json"
+    cert_path.write_text(json.dumps(edited), encoding="utf-8")
+    codes = _verify_both_ways(FIXTURES / f"{name}.json", cert_path)
+    if falsified:
+        assert 0 not in codes, (edit, codes)
+
+
+def test_stepped_falsifying_fields_never_pass(fuzz_dir):
+    for name in ("ex5_8", "p1xp2"):
+        obj = json.loads((fuzz_dir / f"{name}.cert.json").read_text())
+        for key in FALSIFYING_FIELDS:
+            for step in (-1, 1):
+                edited, falsified = _apply_edit(obj, key, "step", step)
+                assert falsified
+                cert_path = fuzz_dir / "stepped.json"
+                cert_path.write_text(json.dumps(edited), encoding="utf-8")
+                codes = _verify_both_ways(FIXTURES / f"{name}.json",
+                                          cert_path)
+                assert 0 not in codes, (name, key, step, codes)
+
+
+_coords = hst.one_of(hst.integers(-2, 2), _scalars)
+_points = hst.lists(hst.lists(_coords, max_size=4), max_size=8)
+
+
+@hst.composite
+def malformed_configs(draw):
+    """Config text: a point list that may be ragged or hold non-integers,
+    an optional "dim", any JSON value, or whitespace-separated rows."""
+    form = draw(hst.sampled_from(["json", "value", "text"]))
+    if form == "json":
+        obj = {"points": draw(_points)}
+        if draw(hst.booleans()):
+            obj["dim"] = draw(_scalars)
+        return ".json", json.dumps(obj)
+    if form == "value":
+        return ".json", json.dumps(draw(_values))
+    rows = draw(hst.lists(hst.lists(hst.integers(-2, 2), max_size=4),
+                          max_size=8))
+    return ".txt", "\n".join(" ".join(map(str, row)) for row in rows)
+
+
+@pytest.mark.filterwarnings("ignore:configuration .*repeated points")
+@FUZZ
+@given(name=hst.sampled_from(["ex5_8", "p1xp2"]), config=malformed_configs())
+def test_fuzz_verify_malformed_configs(fuzz_dir, name, config):
+    suffix, text = config
+    cfg_path = fuzz_dir / f"config{suffix}"
+    cfg_path.write_text(text, encoding="utf-8")
+    _verify_both_ways(cfg_path, fuzz_dir / f"{name}.cert.json")

@@ -27,6 +27,7 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     kernel_basis_int,
     lattice_eq,
+    lattice_leq,
     mat_mul,
 )
 from dualdefect.structure import (
@@ -279,6 +280,92 @@ def test_verify_exhaustive_ex5_8(ex5_8):
     assert report["all_passed"]
 
 
+def exhaustive_reference(a, cert):
+    """Reference: the exhaustive checks over the full enumeration, with
+    alpha sampled on every structure, as (lower_bound_law,
+    condition4_chain)."""
+    fresh = defect_oracle(
+        TangencyProblem.make(a, cert.seed + 1, cert.bound, cert.trials))
+    if fresh.empty_dual:
+        return True, True
+    lower_ok = chain_ok = True
+    ker_pi1 = cert.pi1.kernel_lattice()
+    ker_pi = cert.pi.kernel_lattice()
+    for st in enumerate_simplex_projections(a):
+        ap = structure._alpha_problem(a, st, cert.seed, cert.bound,
+                                      cert.trials)
+        c2 = alpha(ap)
+        if st.r - c2 > cert.delta:
+            lower_ok = False
+        if st.r - c2 != cert.delta:
+            continue
+        quotient = structure._minimal_quotient(a, st, ap, c2)
+        if quotient is None:
+            continue
+        pi1b, _ = quotient
+        if st.r > 0 and not join_type_wrt(st, pi1b):
+            continue
+        ker_pi1b = pi1b.kernel_lattice()
+        ker_pib = st.pi.kernel_lattice()
+        if not (lattice_leq(ker_pi1, ker_pi1b)
+                and lattice_leq(ker_pi1b, ker_pib)
+                and lattice_leq(ker_pib, ker_pi)):
+            chain_ok = False
+    return lower_ok, chain_ok
+
+
+def placed_apart(factors):
+    """The factors embedded in complementary coordinates of one Z^m, so
+    that they sum directly."""
+    m = sum(f.dim for f in factors)
+    placed = []
+    off = 0
+    for f in factors:
+        placed.append(PointConfig.make(
+            [(0,) * off + p + (0,) * (m - off - f.dim)
+             for p in f.points], dim=m))
+        off += f.dim
+    return placed
+
+
+_JOIN_FACTORS = (
+    PointConfig.make([(0,), (1,), (2,)]),
+    PointConfig.make([(0,), (1,), (2,), (3,)]),
+    PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)]),
+    PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]),
+)
+
+
+def small_join_corpus():
+    """One join-type Cayley sum for each multiset of two or three
+    factors with at most 9 points in all."""
+    return [cayley_sum(placed_apart(facs))
+            for r in (1, 2)
+            for facs in itertools.combinations_with_replacement(
+                _JOIN_FACTORS, r + 1)
+            if sum(len(f) for f in facs) <= 9]
+
+
+def test_exhaustive_checks_match_the_full_loop():
+    # the pruned loop skips structures with r' < delta and does not
+    # sample alpha where r' = delta and K is nonzero; editing delta
+    # drives both checks both ways
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus()
+    outcomes = set()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        cert = structure_certificate(a)
+        for delta in sorted({cert.delta, cert.delta - 1, cert.delta + 1,
+                             0, -1}):
+            edited = dataclasses.replace(cert, delta=delta)
+            report = verify_certificate(a, edited, exhaustive=True)
+            got = (report["lower_bound_law"], report["condition4_chain"])
+            assert got == exhaustive_reference(a, edited), (a.points, delta)
+            outcomes.update(enumerate(got))
+    assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
+
+
 def test_join_defect_law_certificates():
     rng = random.Random(13)
     pool = [
@@ -288,15 +375,7 @@ def test_join_defect_law_certificates():
     ]
     for _ in range(10):
         r = rng.randint(1, 2)
-        facs = [rng.choice(pool) for _ in range(r + 1)]
-        m = sum(f.dim for f in facs)
-        placed = []
-        off = 0
-        for f in facs:
-            placed.append(PointConfig.make(
-                [(0,) * off + p + (0,) * (m - off - f.dim)
-                 for p in f.points], dim=m))
-            off += f.dim
+        placed = placed_apart([rng.choice(pool) for _ in range(r + 1)])
         assert is_join_type(placed)
         cert = structure_certificate(cayley_sum(placed))
         assert cert.delta == r
