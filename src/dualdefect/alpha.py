@@ -128,7 +128,7 @@ def alpha(p: AlphaProblem) -> int:
     """Generic dimension of the span of the components of a K element."""
     if not p.k_basis:
         return 0
-    return max(rank for _comps, rank in p.first_round)
+    return max(rank for _comps, rank in p.first_round())
 
 
 def check_star(p: AlphaProblem) -> bool:

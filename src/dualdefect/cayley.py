@@ -17,6 +17,7 @@ from .config import (
     require_normalized,
 )
 from .exact_linalg import (
+    DimensionError,
     IntMat,
     adjugate,
     det,
@@ -29,10 +30,6 @@ from .exact_linalg import (
     solve_int_many,
     transpose,
 )
-
-
-class DimensionError(ValueError):
-    """Fibers of a Cayley sum must share one ambient dimension."""
 
 
 class NotSimplexImage(ValueError):
@@ -64,8 +61,11 @@ class SimplexProjection:
     pi: GroupHom
 
     def __post_init__(self):
-        assert self.r + 1 == len(self.parts)
-        assert sorted(i for p in self.parts for i in p) == list(range(len(self.base)))
+        if self.r + 1 != len(self.parts):
+            raise ValueError(f"{len(self.parts)} parts for r = {self.r}")
+        if sorted(i for p in self.parts for i in p) != list(
+                range(len(self.base))):
+            raise ValueError("parts do not partition the point indices")
 
     def kernel_lattice(self) -> IntMat:
         return self.pi.kernel_lattice()
@@ -88,13 +88,16 @@ class CayleyStructure(SimplexProjection):
 
     def __post_init__(self):
         super().__post_init__()
-        assert len(self.fibers) == len(self.parts)
+        if len(self.fibers) != len(self.parts):
+            raise ValueError(f"{len(self.fibers)} fibers for "
+                             f"{len(self.parts)} parts")
 
 
 def cayley_sum(fibers) -> PointConfig:
     """(A_0 x {0}) u (A_1 x {e_1}) u ... u (A_r x {e_r})."""
     fibers = list(fibers)
-    assert fibers, "need at least one fiber"
+    if not fibers:
+        raise ValueError("a Cayley sum needs at least one fiber")
     m = fibers[0].dim
     if any(f.dim != m for f in fibers):
         raise DimensionError("fibers live in different ambient dimensions")
@@ -115,7 +118,8 @@ def is_join_type(fibers) -> bool:
     of the individual dimensions.
     """
     fibers = list(fibers)
-    assert fibers
+    if not fibers:
+        raise ValueError("join type needs at least one fiber")
     m = fibers[0].dim
     if any(f.dim != m for f in fibers):
         raise DimensionError("fibers live in different ambient dimensions")

@@ -29,7 +29,7 @@ from .structure import (
     CertificateMismatch,
     CertificationError,
     certificate_from_json,
-    certificate_to_json,
+    certificate_to_obj,
     structure_certificate,
     verify_certificate,
 )
@@ -169,7 +169,7 @@ def cmd_analyze(args) -> int:
     except TooLarge as exc:
         return _fail_input(str(exc))
     if args.format == "json":
-        payload = json.loads(certificate_to_json(cert))
+        payload = certificate_to_obj(cert)
         if report is not None:
             payload["exhaustive_checks"] = report
         _emit(json.dumps(payload, indent=2), args.out)
@@ -282,7 +282,9 @@ def generate_corpus(kind: str, count: int, n: int, points: int, seed: int):
                     [(0,) * off + p + (0,) * (m - off - f.dim)
                      for p in f.points], dim=m))
                 off += f.dim
-            assert is_join_type(placed)
+            if not is_join_type(placed):
+                raise ArithmeticError("factors on disjoint coordinates "
+                                      "do not sum directly")
             cs = cayley_sum(placed)
             cfg = PointConfig(cs.dim, cs.points, f"join_{idx:03d}")
             out.append((cfg, r))

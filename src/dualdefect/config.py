@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .exact_linalg import (
+    DimensionError,
     IntMat,
     hnf_basis,
     hnf_coords,
@@ -95,10 +96,14 @@ class GroupHom:
 
     def __post_init__(self):
         if self.domain_rank < 0:
-            assert self.matrix, "domain rank required for empty matrix"
+            if not self.matrix:
+                raise ValueError("domain rank required for empty matrix")
             object.__setattr__(self, "domain_rank", len(self.matrix[0]))
         if self.translation is not None:
-            assert len(self.translation) == self.codomain_rank
+            if len(self.translation) != self.codomain_rank:
+                raise DimensionError(
+                    f"translation of length {len(self.translation)} for "
+                    f"codomain rank {self.codomain_rank}")
 
     @classmethod
     def make(cls, matrix, translation=None, domain_rank: int | None = None) -> "GroupHom":
@@ -117,7 +122,9 @@ class GroupHom:
         return [list(r) for r in self.matrix]
 
     def apply(self, v) -> tuple[int, ...]:
-        assert len(v) == self.domain_rank
+        if len(v) != self.domain_rank:
+            raise DimensionError(f"vector of length {len(v)} for domain "
+                                 f"rank {self.domain_rank}")
         img = mat_vec(self.matrix, v)
         if self.translation is not None:
             img = [x + t for x, t in zip(img, self.translation)]
@@ -128,7 +135,10 @@ class GroupHom:
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
-        assert inner.codomain_rank == self.domain_rank
+        if inner.codomain_rank != self.domain_rank:
+            raise DimensionError(
+                f"cannot compose after a map onto rank "
+                f"{inner.codomain_rank}; domain rank is {self.domain_rank}")
         mat = mat_mul(self.matrix_rows, inner.matrix_rows)
         tr = [0] * self.codomain_rank
         if inner.translation is not None:
@@ -162,7 +172,9 @@ class GroupHom:
 def apply_affine(a: PointConfig, f: GroupHom, dedupe: bool = False) -> PointConfig:
     """Image configuration under f; collapsing maps raise CollapseError
     unless dedupe is set."""
-    assert f.domain_rank == a.dim
+    if f.domain_rank != a.dim:
+        raise DimensionError(f"map of domain rank {f.domain_rank} on a "
+                             f"configuration in Z^{a.dim}")
     images = [f.apply(p) for p in a.points]
     if len(set(images)) < len(images) and not dedupe:
         raise CollapseError("map identifies distinct points of the configuration")
@@ -171,7 +183,8 @@ def apply_affine(a: PointConfig, f: GroupHom, dedupe: bool = False) -> PointConf
 
 def difference_lattice(a: PointConfig) -> IntMat:
     """HNF basis of the subgroup of Z^dim generated by all differences."""
-    assert len(a) > 0
+    if not a.points:
+        raise ValueError("an empty configuration has no difference lattice")
     base = a.points[0]
     rows = [[x - y for x, y in zip(p, base)] for p in a.points[1:]]
     return hnf_basis(rows)
@@ -205,7 +218,6 @@ def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
     coordinates of b are taken in a basis of the lattice its
     differences generate, so b is normalized, and is marked so.
     """
-    assert len(a) > 0
     basis = difference_lattice(a)  # rows, HNF
     m = len(basis)
     if basis == identity(a.dim):

@@ -24,6 +24,10 @@ IntMat = list[list[int]]
 RatMat = list[list[Fraction]]
 
 
+class DimensionError(ValueError):
+    """Shapes of matrices, vectors, maps or fibers do not fit together."""
+
+
 def identity(n: int) -> IntMat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -34,7 +38,9 @@ def mat_mul(a, b):
         return []
     inner = len(b)
     cols = len(b[0]) if b else 0
-    assert not a or len(a[0]) == inner, "dimension mismatch"
+    if len(a[0]) != inner:
+        raise DimensionError(f"cannot multiply {len(a[0])} columns by "
+                             f"{inner} rows")
     return [
         [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for row in a

@@ -401,10 +401,11 @@ def _dec_int(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
-def certificate_to_json(cert: StructureCertificate) -> str:
+def certificate_to_obj(cert: StructureCertificate) -> dict:
+    """The JSON object of a certificate, before encoding."""
     oracle = ("empty_dual" if cert.oracle_delta.empty_dual
               else cert.oracle_delta.delta)
-    obj = {
+    return {
         "n": cert.n,
         "r": cert.r,
         "c": cert.c,
@@ -419,7 +420,10 @@ def certificate_to_json(cert: StructureCertificate) -> str:
         "oracle_delta": oracle,
         "checks": {k: v for k, v in cert.checks},
     }
-    return json.dumps(obj, indent=2)
+
+
+def certificate_to_json(cert: StructureCertificate) -> str:
+    return json.dumps(certificate_to_obj(cert), indent=2)
 
 
 def certificate_from_json(text: str) -> StructureCertificate:

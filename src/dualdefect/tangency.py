@@ -23,11 +23,14 @@ from dataclasses import dataclass
 from operator import mul
 
 from .config import PointConfig, require_normalized
-from .exact_linalg import IntMat, kernel_basis_ff
+from .exact_linalg import IntMat, det, kernel_basis_ff
 
 DEFAULT_SEED = 0xA11CE
 DEFAULT_BOUND = 1 << 20
 DEFAULT_TRIALS = 3
+# every round draws `trials` samples; a larger value is refused as an
+# input error rather than left to run for hours
+MAX_TRIALS = 1000
 ESCALATIONS = 2
 
 
@@ -43,8 +46,9 @@ def check_sampling(bound: int, trials: int) -> None:
     """Reject sampling parameters that draw nothing or never stop."""
     if bound < 1:
         raise ValueError(f"sampling bound must be at least 1, not {bound}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, not {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(
+            f"trials must be in 1..{MAX_TRIALS}, not {trials}")
 
 
 class SampledProblem:
@@ -52,8 +56,9 @@ class SampledProblem:
 
     A subclass names the basis it samples from (``sample_basis``) and
     what each sample becomes (``evaluate``).  The first round of
-    ``sample_rounds`` is drawn and evaluated once, in ``first_round``,
-    and every reader of the problem shares it; ``rounds`` serves it
+    ``sample_rounds`` is drawn and evaluated on demand, in draw order,
+    by ``first_round``; each of its samples is evaluated at most once
+    and shared by every reader of the problem.  ``rounds`` serves it
     again and draws the later rounds only on escalation.
     """
 
@@ -61,10 +66,21 @@ class SampledProblem:
         check_sampling(self.bound, self.trials)
 
     @functools.cached_property
-    def first_round(self) -> tuple:
+    def _first(self):
+        """The evaluated round-0 samples so far, and the rest to come."""
         rounds = sample_rounds(self.sample_basis, self.seed, self.bound,
                                self.trials)
-        return tuple(map(self.evaluate, next(rounds)))
+        return [], map(self.evaluate, next(rounds))
+
+    def first_round(self):
+        """Round 0, evaluated sample by sample as the reader asks."""
+        done, pending = self._first
+        for i in itertools.count():
+            if i == len(done):
+                done.extend(itertools.islice(pending, 1))
+                if i == len(done):
+                    return
+            yield done[i]
 
     def rounds(self):
         """``sample_rounds`` with every sample evaluated.
@@ -77,7 +93,7 @@ class SampledProblem:
 
         def first():
             nonlocal used
-            for item in self.first_round:
+            for item in self.first_round():
                 used += 1
                 yield item
 
@@ -93,7 +109,11 @@ class SampledProblem:
 @dataclass(frozen=True)
 class TangencyProblem(SampledProblem):
     """Tangency coefficients of a configuration; each sample is kept
-    with the kernel of its Hessian (``kernel_basis_ff``)."""
+    with the kernel of its Hessian (``kernel_basis_ff``).
+
+    A nonzero Bareiss ``det`` of the Hessian is the same as an empty
+    kernel, so elimination runs only on singular Hessians.
+    """
 
     config: PointConfig
     tangency_basis: tuple[tuple[int, ...], ...]
@@ -118,7 +138,8 @@ class TangencyProblem(SampledProblem):
         return self.tangency_basis
 
     def evaluate(self, coeffs):
-        return coeffs, kernel_basis_ff(hessian(self.config, coeffs))
+        h = hessian(self.config, coeffs)
+        return coeffs, [] if det(h) else kernel_basis_ff(h)
 
 
 @dataclass(frozen=True)
@@ -199,12 +220,19 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
     delta is the least Hessian corank over the first round of samples,
     and the witness the first sample that reaches it; lower
     semicontinuity of rank makes the minimum correct with overwhelming
-    probability.
+    probability.  Corank 0 is the least there is, so the round is read
+    only up to the first nonsingular Hessian; ``samples_used`` counts
+    the samples read.
     """
     if p.dim_l == 0:
         return DefectResult(None, None, 0)
-    witness, kernel = min(p.first_round, key=lambda s: len(s[1]))
-    return DefectResult(len(kernel), witness, p.trials)
+    best = None
+    for used, (coeffs, kernel) in enumerate(p.first_round(), 1):
+        if best is None or len(kernel) < len(best[1]):
+            best = coeffs, kernel
+        if not kernel:
+            break
+    return DefectResult(len(best[1]), best[0], used)
 
 
 def _grouping_from_kernel(a: PointConfig, kernel: IntMat):

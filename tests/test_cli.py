@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 
 import pytest
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as hst
 
 from dualdefect import exact_linalg, structure, tangency
 from dualdefect.cli import generate_corpus, run
-from dualdefect.tangency import GenericityFailure
+from dualdefect.config import load_config_file, normalize
+from dualdefect.structure import (
+    certificate_to_json,
+    structure_certificate,
+    verify_certificate,
+)
+from dualdefect.tangency import MAX_TRIALS, GenericityFailure
 
 from conftest import FIXTURES
 
@@ -35,10 +42,7 @@ def test_analyze_ex5_8(capsys):
     assert obj["delta"] == 1 and obj["r"] == 2 and obj["c"] == 1
 
 
-def test_analyze_draws_each_sample_once(capsys, monkeypatch):
-    # the oracle and the contact grouping share one round of three
-    # tangency samples and their Hessians; alpha, check_star and vprime
-    # share one round of three K samples
+def _count_draws_and_hessians(monkeypatch):
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -51,9 +55,31 @@ def test_analyze_draws_each_sample_once(capsys, monkeypatch):
                         counted("draws", tangency.sample_combination))
     monkeypatch.setattr(tangency, "hessian",
                         counted("hessians", tangency.hessian))
+    return counts
+
+
+def test_analyze_draws_each_sample_once(capsys, monkeypatch):
+    # the oracle and the contact grouping share one round of three
+    # tangency samples and their Hessians; alpha, check_star and vprime
+    # share one round of three K samples
+    counts = _count_draws_and_hessians(monkeypatch)
     code, _, _ = invoke(capsys, "analyze", str(FIXTURES / "ex5_8.json"))
     assert code == 0
     assert counts == {"draws": 6, "hessians": 3}
+
+
+def test_nondefective_analyze_and_verify_read_one_sample(
+        tmp_path, capsys, monkeypatch):
+    # the first sampled Hessian of segre is nonsingular, which decides
+    # delta = 0 for analyze and for verify's fresh-seed oracle
+    cfg = str(FIXTURES / "segre.json")
+    cert_path = str(tmp_path / "cert.json")
+    counts = _count_draws_and_hessians(monkeypatch)
+    assert invoke(capsys, "analyze", cfg, "--out", cert_path)[0] == 0
+    assert counts == {"draws": 1, "hessians": 1}
+    counts.clear()
+    assert invoke(capsys, "verify", cfg, cert_path)[0] == 0
+    assert counts == {"draws": 1, "hessians": 1}
 
 
 def test_bench_traced_names_resolve():
@@ -77,6 +103,7 @@ def test_oracle_segre(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["delta"] == 0 and obj["status"] == "computed"
+    assert obj["samples_used"] == 1
 
 
 def test_analyze_simplex_empty_dual(capsys):
@@ -266,6 +293,7 @@ def run_module(*args, timeout=120):
 
 @pytest.mark.parametrize("command", ["analyze", "oracle", "batch"])
 @pytest.mark.parametrize("flag,value", [("--trials", "0"),
+                                        ("--trials", str(MAX_TRIALS + 1)),
                                         ("--bound", "-5")])
 def test_bad_sampling_parameters_exit_2(capsys, command, flag, value):
     code, out, err = invoke(capsys, command, str(FIXTURES / "ex5_8.json"),
@@ -313,7 +341,8 @@ def test_removal_condition_failure_exits_1(capsys):
 
 
 @pytest.mark.parametrize("field,value", [("bound", 0), ("trials", 0),
-                                         ("trials", None)])
+                                         ("trials", None),
+                                         ("trials", MAX_TRIALS + 1)])
 def test_certificate_with_bad_sampling_parameters_exit_2(tmp_path, capsys,
                                                          field, value):
     cfg = str(FIXTURES / "ex5_8.json")
@@ -326,6 +355,53 @@ def test_certificate_with_bad_sampling_parameters_exit_2(tmp_path, capsys,
     code, out, err = invoke(capsys, "verify", cfg, str(cert_path))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read certificate: ")
+
+
+def test_most_trials_accepted(capsys):
+    # a nondefective oracle reads one sample however many a round holds
+    code, out, _ = invoke(capsys, "oracle", str(FIXTURES / "segre.json"),
+                          "--trials", str(MAX_TRIALS))
+    assert code == 0
+    assert json.loads(out)["samples_used"] == 1
+
+
+def test_huge_trials_certificate_exits_2_at_once(tmp_path, capsys):
+    # verify samples as many fresh-seed points as the certificate's
+    # trials; ten million of them used to run for hours
+    cfg = str(FIXTURES / "ex5_8.json")
+    code, out, _ = invoke(capsys, "analyze", cfg)
+    assert code == 0
+    cert = json.loads(out)
+    cert["trials"] = 10_000_000
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
+    proc = run_module("-m", "dualdefect", "verify", cfg, str(cert_path),
+                      timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: cannot read certificate")
+    start = time.perf_counter()
+    code, _, _ = invoke(capsys, "verify", cfg, str(cert_path))
+    assert code == 2
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_analyze_json_is_the_certificate_plus_checks(capsys, exhaustive):
+    # analyze encodes the certificate object once; the bytes are those
+    # of certificate_to_json, reparsed, with the exhaustive report added
+    flags = ["--exhaustive"] if exhaustive else []
+    for path in sorted(FIXTURES.iterdir()):
+        code, out, _ = invoke(capsys, "analyze", str(path), *flags)
+        a, _ = normalize(load_config_file(path))
+        cert = structure_certificate(a)
+        payload = json.loads(certificate_to_json(cert))
+        if exhaustive:
+            if code == 2:  # above the enumeration limit
+                continue
+            payload["exhaustive_checks"] = verify_certificate(
+                a, cert, exhaustive=True)
+        assert code == 0, path.name
+        assert out == json.dumps(payload, indent=2) + "\n", path.name
 
 
 @pytest.mark.parametrize("command", ["verify", "gen"])
@@ -433,7 +509,7 @@ def test_non_simplex_image_is_a_failed_check_optimized(tmp_path, capsys):
 
 
 _BROKEN_INVARIANTS = """
-from dualdefect import cayley, config, structure
+from dualdefect import cayley, cli, config, exact_linalg, structure
 from dualdefect.config import GroupHom, PointConfig
 
 square = PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -452,25 +528,37 @@ cases = [
     (structure, "hnf_coords", lambda b, v: None,
      lambda: structure._restrict_to_kernel(GroupHom.identity_map(2), pr2,
                                            pr2)),
+    (cli, "is_join_type", lambda fibers: False,
+     lambda: cli.generate_corpus("cayley_join_type", 1, 3, 7, 0)),
+    # shape checks on bad arguments, with nothing faked
+    (cayley, None, None,
+     lambda: cayley.SimplexProjection(square, 1, ((0, 1, 2, 3),), pr2)),
+    (config, None, None, lambda: pr2.apply((1, 2, 3))),
+    (exact_linalg, None, None,
+     lambda: exact_linalg.mat_mul([[1, 2]], [[1, 0]])),
 ]
 for module, name, fake, call in cases:
-    real = getattr(module, name)
-    setattr(module, name, fake)
+    if name is not None:
+        real = getattr(module, name)
+        setattr(module, name, fake)
     try:
         call()
         print("passed")
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(type(exc).__name__)
     finally:
-        setattr(module, name, real)
+        if name is not None:
+            setattr(module, name, real)
 """
 
 
 def test_solve_path_invariants_survive_optimized_interpreter():
-    # each case fakes the one impossible outcome its check guards against
+    # each faked case fakes the one impossible outcome its check guards
+    # against; the others pass arguments of the wrong shape
     proc = run_module("-O", "-c", _BROKEN_INVARIANTS)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["ArithmeticError"] * 5
+    assert proc.stdout.decode().split() == ["ArithmeticError"] * 6 + [
+        "ValueError", "DimensionError", "DimensionError"]
 
 
 _UNNORMALIZED_ENTRY_POINTS = """
@@ -607,10 +695,9 @@ FUZZ = settings(max_examples=60, deadline=timedelta(seconds=5),
 # verify must not pass it; seed, bound and trials only fix the draws
 FALSIFYING_FIELDS = ("delta", "r", "c", "oracle_delta")
 
-# integers stay small: verify samples as many oracle points as a
-# certificate's trials asks for, without an upper limit
 _scalars = hst.one_of(
     hst.none(), hst.booleans(), hst.integers(-3, 40),
+    hst.sampled_from([10**7, -10**7]),
     hst.floats(allow_nan=False, allow_infinity=False, width=16),
     hst.text(max_size=4), hst.sampled_from(["7", "-1", "1e3"]))
 _values = hst.recursive(

@@ -7,9 +7,19 @@ import pytest
 
 from dualdefect import tangency
 from dualdefect.cayley import cayley_sum
-from dualdefect.config import GroupHom, PointConfig, apply_affine, is_normalized
+from dualdefect.cli import generate_corpus
+from dualdefect.config import (
+    GroupHom,
+    PointConfig,
+    apply_affine,
+    is_normalized,
+    load_config_file,
+    normalize,
+)
+from dualdefect.exact_linalg import kernel_basis_ff
 from dualdefect.tangency import (
     ESCALATIONS,
+    MAX_TRIALS,
     ArityError,
     TangencyProblem,
     contact_grouping,
@@ -21,6 +31,7 @@ from dualdefect.tangency import (
 )
 
 from conftest import (
+    FIXTURES,
     common_multiple,
     escalation_loop,
     fraction_sample,
@@ -124,6 +135,62 @@ def test_oracle_monotone_in_trials(ex5_8):
         assert later <= earlier
 
 
+def full_round_oracle(tp):
+    """Reference: the least Hessian corank over the whole first round,
+    with the first sample that reaches it."""
+    rounds = sample_rounds(tp.tangency_basis, tp.seed, tp.bound, tp.trials)
+    coranks = [(len(kernel_basis_ff(hessian(tp.config, s))), s)
+               for s in next(rounds)]
+    corank = min(k for k, _ in coranks)
+    witness = next(s for k, s in coranks if k == corank)
+    return corank, witness, coranks.index((corank, witness))
+
+
+def test_oracle_matches_full_round_minimum():
+    configs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    for seed in (1, 2):
+        configs += [cfg for cfg, _ in generate_corpus("random", 6, 3, 7,
+                                                      seed)]
+        configs += [cfg for cfg, _ in generate_corpus("random", 4, 4, 9,
+                                                      seed)]
+    seen = set()
+    for cfg in configs:
+        a, _ = normalize(cfg)
+        # bound 1 makes singular samples of nondefective inputs common
+        for seed, bound, trials in itertools.product(
+                (7, 8), (1, 1 << 20), (1, 2, 3, 5)):
+            tp = TangencyProblem.make(a, seed, bound, trials)
+            res = defect_oracle(tp)
+            if tp.dim_l == 0:
+                assert (res.delta, res.rank_witness, res.samples_used) == (
+                    None, None, 0)
+                continue
+            delta, witness, index = full_round_oracle(tp)
+            assert (res.delta, res.rank_witness) == (delta, witness)
+            assert res.samples_used == (index + 1 if delta == 0
+                                        else trials)
+            seen.add((delta == 0, index))
+    # nondefective inputs decided by the first and by a later sample,
+    # and defective ones, all occur
+    assert {(True, 0), (False, 0)} <= seen
+    assert any(zero and index for zero, index in seen)
+
+
+def test_evaluate_kernel_is_the_eliminated_kernel(ex5_8, segre_square):
+    rng = random.Random(3)
+    singular = set()
+    for a in (ex5_8, segre_square, segre_product(2, 3)):
+        tp = TangencyProblem.make(a)
+        coeffs = [sample_combination(rng, tp.tangency_basis, 2)
+                  for _ in range(10)]
+        # zero coefficients give the zero Hessian
+        for c in coeffs + [(0,) * len(a)]:
+            want = kernel_basis_ff(hessian(a, c))
+            assert tp.evaluate(c) == (c, want)
+            singular.add(bool(want))
+    assert singular == {True, False}
+
+
 def test_contact_grouping_ex5_8(ex5_8):
     tp = TangencyProblem.make(ex5_8)
     parts = contact_grouping(tp)
@@ -184,13 +251,13 @@ def test_contact_grouping_escalation_draws_reference_samples(
     monkeypatch.setattr(tangency, "_grouping_from_kernel", grouping)
     monkeypatch.setattr(tangency, "hessian", hessian)
     assert len(contact_grouping(tp)) == 3
-    # the first round is evaluated whole, once, and read up to the
-    # disagreement; the second round is what the reference loop draws
-    # after leaving the first at the same sample
+    # the first round is evaluated once, up to the disagreement; the
+    # second round is what the reference loop draws after leaving the
+    # first at the same sample
     want = escalation_loop(tp.tangency_basis, tp.seed, tp.bound, tp.trials,
                            (left_at, tp.trials))
     assert evaluated[:left_at] == want[0]
-    assert evaluated[tp.trials:] == want[1]
+    assert evaluated[left_at:] == want[1]
     assert len(groupings) == left_at + tp.trials
 
 
@@ -236,7 +303,8 @@ def test_integer_sample_is_positive_multiple_of_fraction_sample(
 
 
 @pytest.mark.parametrize("field,value", [("bound", 0), ("bound", -5),
-                                         ("trials", 0)])
+                                         ("trials", 0),
+                                         ("trials", MAX_TRIALS + 1)])
 def test_problem_rejects_bad_sampling_parameters(segre_square, field, value):
     with pytest.raises(ValueError):
         TangencyProblem.make(segre_square, **{field: value})
