@@ -28,6 +28,7 @@ from .cayley import (
     enumerate_simplex_projections,
     is_join_type,
     join_type_wrt,
+    simplex_projection,
 )
 from .tangency import (
     DefectResult,
@@ -87,6 +88,7 @@ __all__ = [
     "k_space",
     "load_config_file",
     "normalize",
+    "simplex_projection",
     "structure_certificate",
     "tangency_space",
     "verify_certificate",

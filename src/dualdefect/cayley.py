@@ -50,7 +50,8 @@ class SimplexProjection:
     """A projection of a configuration onto the unit simplex.
 
     base is the ambient configuration, pi a surjection of its lattice
-    onto Z^r that carries base onto a translate of {0, e_1, ..., e_r},
+    onto Z^r that carries base onto the vertices of a unimodular simplex
+    (an affine automorphism of Z^r takes them to {0, e_1, ..., e_r}),
     and parts the partition of the point indices into the preimages of
     the vertices, ordered by least index.
     """
@@ -77,14 +78,12 @@ class CayleyStructure(SimplexProjection):
 
     Extends its simplex projection by the fibers, the translated
     preimages A_i, and section_frame, the isomorphism f of the ambient
-    lattice onto Z^{n-r} x Z^r carrying base onto cayley_sum(fibers).
-    g is the affine automorphism of the codomain with g(pi(part i)) =
-    vertex i, so pr2 composed with section_frame equals g composed with pi.
+    lattice onto Z^{n-r} x Z^r carrying base onto cayley_sum(fibers);
+    pr2 composed with section_frame sends part i to vertex i.
     """
 
     fibers: tuple[PointConfig, ...]
     section_frame: GroupHom
-    g: GroupHom
 
     def __post_init__(self):
         super().__post_init__()
@@ -144,23 +143,42 @@ def _group_by_image(a: PointConfig, pi: GroupHom):
     return [tuple(by_value[v]) for v in order], order
 
 
-def _simplex_chart(values, r: int) -> GroupHom:
-    """Affine iso of Z^r sending values[i] to vertex i, or NotSimplexImage.
+def _value_differences(values) -> IntMat:
+    """The r x r matrix whose columns are values[i] - values[0]."""
+    v0 = values[0]
+    return transpose([[x - y for x, y in zip(v, v0)] for v in values[1:]])
 
-    The values must be r+1 distinct points whose differences from
-    values[0] form a unimodular matrix; that is exactly equivalence with
-    the unit simplex.
+
+def simplex_projection(a: PointConfig, pi: GroupHom) -> SimplexProjection:
+    """The simplex projection of a along pi, or NotSimplexImage.
+
+    The image of a must be r + 1 distinct points, r the codomain rank
+    of pi, whose differences from the first form a unimodular matrix;
+    that is exactly equivalence with the unit simplex.  As the
+    differences of a normalized a generate Z^n, this also makes pi
+    surjective.
     """
+    if pi.domain_rank != a.dim:
+        raise ValueError(f"projection of Z^{pi.domain_rank} applied to a "
+                         f"configuration in Z^{a.dim}")
+    require_normalized(a, "simplex_projection")
+    r = pi.codomain_rank
+    parts, values = _group_by_image(a, pi)
     if len(values) != r + 1:
         raise NotSimplexImage(
             f"projection image has {len(values)} values, expected {r + 1}"
         )
-    v0 = values[0]
-    d = transpose([[x - y for x, y in zip(v, v0)] for v in values[1:]])
-    if r > 0 and abs(det(d)) != 1:
+    if r > 0 and abs(det(_value_differences(values))) != 1:
         raise NotSimplexImage("image differences do not form a lattice basis")
+    return SimplexProjection(a, r, tuple(parts), pi)
+
+
+def _simplex_chart(values, r: int) -> GroupHom:
+    """The affine iso of Z^r sending values[i] to vertex i, for the
+    r + 1 image values of a simplex projection."""
+    v0 = values[0]
     # invert the difference matrix; solve d * col = e_i over Z
-    cols = solve_int_many(d, identity(r))
+    cols = solve_int_many(_value_differences(values), identity(r))
     if any(col is None for col in cols):
         raise ArithmeticError("a unimodular matrix has an integral inverse")
     mat = transpose(cols) if r else []
@@ -175,24 +193,19 @@ def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
     vertex i) - s(vertex i) written in kernel coordinates, and the
     lattice isomorphism f with f(a) = cayley_sum(fibers).
     """
-    if pi.domain_rank != a.dim:
-        raise ValueError(f"projection of Z^{pi.domain_rank} applied to a "
-                         f"configuration in Z^{a.dim}")
-    require_normalized(a, "decompose_along")
-    n = a.dim
-    r = pi.codomain_rank
-    parts, values = _group_by_image(a, pi)
-    g = _simplex_chart(values, r)
-    chart = g.compose(pi)  # sends part i to vertex i
+    sp = simplex_projection(a, pi)
+    n, r, parts = a.dim, sp.r, sp.parts
     if r == 0:
-        f = GroupHom.identity_map(n)
-        return CayleyStructure(a, 0, tuple(parts), pi, (a,), f, g)
+        return CayleyStructure(a, 0, parts, pi, (a,),
+                               GroupHom.identity_map(n))
+    values = [pi.apply(a.points[part[0]]) for part in parts]
+    chart = _simplex_chart(values, r).compose(pi)  # part i to vertex i
     phi = chart.linear().matrix_rows
-    # section s of phi: integer right inverse, columnwise; it exists
-    # exactly when phi is surjective over Z
+    # section s of phi: integer right inverse, columnwise
     s_cols = solve_int_many(phi, identity(r))
     if any(col is None for col in s_cols):
-        raise NotSimplexImage("projection is not surjective over Z")
+        raise ArithmeticError("a simplex projection of a normalized "
+                              "configuration is surjective")
     s = transpose(s_cols)  # n x r
     # canonical (HNF) basis of the saturated kernel, so that coordinate
     # kernels get identity coordinates
@@ -221,7 +234,7 @@ def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
         raise ArithmeticError("the section frame does not carry the "
                               "configuration onto the Cayley sum of its "
                               "fibers")
-    return CayleyStructure(a, r, tuple(parts), pi, fibers, f, g)
+    return CayleyStructure(a, r, parts, pi, fibers, f)
 
 
 def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:
@@ -231,22 +244,13 @@ def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:
     Its parts have difference lattices M_i; the predicate holds when
     the images pi1(M_i) inside ker pi2 sum directly.
     """
-    a = struct.base
     lin = pi1.linear()
-    total = 0
-    stacked: IntMat = []
-    for part in struct.parts:
-        base_pt = lin.apply(a.points[part[0]])
-        rows = [
-            [x - y for x, y in zip(lin.apply(a.points[i]), base_pt)]
-            for i in part[1:]
-        ]
-        basis = hnf_basis(rows)
-        total += len(basis)
-        stacked.extend(basis)
-    if not stacked:
-        return True
-    return rank_int(stacked) == total
+    points = struct.base.points
+    return is_join_type(
+        PointConfig(lin.codomain_rank,
+                    tuple(lin.apply(points[i]) for i in part))
+        for part in struct.parts
+    )
 
 
 def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:

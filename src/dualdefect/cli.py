@@ -148,8 +148,8 @@ def _cert_text(name, cert, report) -> str:
         f"pi2: {[list(r) for r in cert.pi2.matrix]}",
         f"p: {[list(r) for r in cert.p.matrix]}",
         f"seed: {cert.seed}  bound: {cert.bound}  trials: {cert.trials}",
-        "oracle delta: " + ("empty dual" if cert.oracle_delta.empty_dual
-                            else str(cert.oracle_delta.delta)),
+        "oracle delta: " + ("empty dual" if cert.oracle_delta is None
+                            else str(cert.oracle_delta)),
         f"checks: {cert.checks_dict()}",
     ]
     if report is not None:

@@ -18,11 +18,11 @@ from .cayley import (
     NotSimplexImage,
     SimplexProjection,
     decompose_along,
-    cayley_sum,
     enumerate_simplex_projections,
     is_join_type,
     join_type_wrt,
     projection_for_partition,
+    simplex_projection,
 )
 from .config import (
     GroupHom,
@@ -47,7 +47,6 @@ from .tangency import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     ESCALATIONS,
-    DefectResult,
     TangencyProblem,
     check_sampling,
     contact_grouping,
@@ -71,6 +70,9 @@ RECORDED_CHECKS = ("oracle_agrees", "pi1_surjective", "pi_factors",
 
 @dataclass(frozen=True)
 class StructureCertificate:
+    """Exactly the fields of the certificate JSON; oracle_delta is None
+    for an empty dual.  ``join_factors`` derives the Cayley fibers."""
+
     n: int
     r: int
     c: int
@@ -79,11 +81,10 @@ class StructureCertificate:
     pi1: GroupHom
     pi2: GroupHom
     p: GroupHom
-    fibers: tuple[PointConfig, ...]
     seed: int
     bound: int
     trials: int
-    oracle_delta: DefectResult
+    oracle_delta: int | None
     checks: tuple[tuple[str, bool], ...]
 
     @property
@@ -106,14 +107,14 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
     return GroupHom.make(rows, None, n)
 
 
-def _contact_projection(tp: TangencyProblem):
-    """The minimal simplex projection pi, read off the contact grouping,
-    and the grouping."""
+def _contact_projection(tp: TangencyProblem) -> SimplexProjection:
+    """The minimal simplex projection, read off the contact grouping,
+    whose parts come by least index and go to vertex i in turn."""
     parts = contact_grouping(tp)
     pi = projection_for_partition(tp.config, parts)
     if pi is None:
         raise CertificationError("contact grouping is not realizable over Z")
-    return pi, parts
+    return SimplexProjection(tp.config, len(parts) - 1, parts, pi)
 
 
 def _part_difference_space(a: PointConfig, part) -> RationalSubspace:
@@ -180,22 +181,17 @@ def _minimal_quotient(a: PointConfig, struct: SimplexProjection,
 
 
 def _build_certificate(tp: TangencyProblem):
-    """One attempt at the full pipeline; returns the certificate pieces.
+    """One attempt at the full pipeline: (struct, c, (pi1, pi2)).
 
     Returns None when no minimal quotient is found on this attempt's
     sample, so the caller can retry with a larger bound.
     """
     a = tp.config
-    pi, parts = _contact_projection(tp)
-    struct = decompose_along(a, pi)
+    struct = _contact_projection(tp)
     ap = _alpha_problem(a, struct, tp.seed, tp.bound, tp.trials)
     c = alpha_of(ap)
     quotient = _minimal_quotient(a, struct, ap, c)
-    if quotient is None:
-        return None
-    pi1, pi2 = quotient
-    p = _restrict_to_kernel(pi1, pi, pi2)
-    return parts, struct, pi1, pi2, p, struct.r, c, struct.r - c
+    return None if quotient is None else (struct, c, quotient)
 
 
 def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
@@ -219,16 +215,18 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
         return StructureCertificate(
             n=n, r=0, c=0, delta=0, grouping=grouping,
             pi1=GroupHom.identity_map(n), pi2=GroupHom.zero_map(n),
-            p=GroupHom.identity_map(n), fibers=(a,),
+            p=GroupHom.identity_map(n),
             seed=seed, bound=bound, trials=trials,
-            oracle_delta=oracle, checks=checks,
+            oracle_delta=oracle.delta, checks=checks,
         )
     for k in range(ESCALATIONS + 1):
         # the first attempt reads the oracle's samples from tp itself
         last = _build_certificate(tp if k == 0 else
                                   replace(tp, bound=bound << k))
-        if last is not None and last[7] == oracle.delta:
-            break
+        if last is not None:
+            struct, c, (pi1, pi2) = last
+            if struct.r - c == oracle.delta:
+                break
     else:
         if last is None:
             raise CertificationError(
@@ -237,10 +235,10 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
                 f"no minimal quotient exists"
             )
         raise CertificationError(
-            f"structure delta {last[7]} disagrees with oracle "
+            f"structure delta {struct.r - c} disagrees with oracle "
             f"delta {oracle.delta} after escalation"
         )
-    parts, struct, pi1, pi2, p, r, c, delta = last
+    delta = struct.r - c
     checks = tuple(zip(RECORDED_CHECKS, (
         delta == oracle.delta,
         pi1.is_surjective(),
@@ -250,21 +248,23 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
     if not all(v for _, v in checks):
         raise CertificationError(f"certified invariant failed: {checks}")
     return StructureCertificate(
-        n=n, r=r, c=c, delta=delta, grouping=parts,
-        pi1=pi1, pi2=pi2, p=p, fibers=struct.fibers,
+        n=n, r=struct.r, c=c, delta=delta, grouping=struct.parts,
+        pi1=pi1, pi2=pi2, p=_restrict_to_kernel(pi1, struct.pi, pi2),
         seed=seed, bound=bound, trials=trials,
-        oracle_delta=oracle, checks=checks,
+        oracle_delta=oracle.delta, checks=checks,
     )
 
 
 def join_factors(cert: StructureCertificate, a: PointConfig):
     """The factors p(A_0), ..., p(A_r) of the join description.
 
-    Their Cayley sum must be of join type, and every factor, normalized,
-    must have oracle defect 0 (or degenerate to a point with empty dual).
+    The fibers A_i are those of a decomposed along cert.pi.  Their
+    Cayley sum must be of join type, and every factor, normalized, must
+    have oracle defect 0 (or degenerate to a point with empty dual).
     """
     factors = tuple(
-        apply_affine(f, cert.p, dedupe=True) for f in cert.fibers
+        apply_affine(f, cert.p, dedupe=True)
+        for f in decompose_along(a, cert.pi).fibers
     )
     if not is_join_type(factors):
         raise CertificationError("join factors do not sum directly")
@@ -301,10 +301,9 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         )
     checks: dict[str, bool] = {}
     checks["delta_consistent"] = cert.delta == cert.r - cert.c
-    recorded_oracle = cert.oracle_delta
     checks["oracle_recorded"] = (
-        (recorded_oracle.empty_dual and cert.delta == 0)
-        or recorded_oracle.delta == cert.delta
+        (cert.oracle_delta is None and cert.delta == 0)
+        or cert.oracle_delta == cert.delta
     )
     recorded = cert.checks_dict()
     checks["checks_recorded"] = (
@@ -318,7 +317,7 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     checks["p_matches"] = cert.p == _restrict_to_kernel(cert.pi1, pi,
                                                         cert.pi2)
     try:
-        struct = decompose_along(a, pi)
+        struct = simplex_projection(a, pi)
     except NotSimplexImage:
         struct = None
     checks["simplex_image"] = (struct is not None
@@ -403,8 +402,6 @@ def _dec_int(x) -> int:
 
 def certificate_to_obj(cert: StructureCertificate) -> dict:
     """The JSON object of a certificate, before encoding."""
-    oracle = ("empty_dual" if cert.oracle_delta.empty_dual
-              else cert.oracle_delta.delta)
     return {
         "n": cert.n,
         "r": cert.r,
@@ -417,7 +414,8 @@ def certificate_to_obj(cert: StructureCertificate) -> dict:
         "seed": _enc_int(cert.seed),
         "bound": _enc_int(cert.bound),
         "trials": cert.trials,
-        "oracle_delta": oracle,
+        "oracle_delta": ("empty_dual" if cert.oracle_delta is None
+                         else cert.oracle_delta),
         "checks": {k: v for k, v in cert.checks},
     }
 
@@ -441,10 +439,6 @@ def certificate_from_json(text: str) -> StructureCertificate:
         return GroupHom.make(m, None, cols)
 
     oracle = obj["oracle_delta"]
-    if oracle == "empty_dual":
-        od = DefectResult(None, None, 0)
-    else:
-        od = DefectResult(_dec_int(oracle), None, 0)
     bound = _dec_int(obj["bound"])
     trials = _dec_int(obj["trials"])
     check_sampling(bound, trials)
@@ -458,10 +452,9 @@ def certificate_from_json(text: str) -> StructureCertificate:
         pi1=mat("pi1", n - c, n),
         pi2=mat("pi2", r, n - c),
         p=mat("p", n - r - c, n - r),
-        fibers=(),
         seed=_dec_int(obj["seed"]),
         bound=bound,
         trials=trials,
-        oracle_delta=od,
+        oracle_delta=None if oracle == "empty_dual" else _dec_int(oracle),
         checks=tuple(checks.items()),
     )

@@ -13,6 +13,7 @@ from dualdefect.cayley import (
     is_join_type,
     join_type_wrt,
     projection_for_partition,
+    simplex_projection,
 )
 from dualdefect.config import (
     GroupHom,
@@ -296,6 +297,15 @@ def test_enumerate_ex5_7_fixture():
     assert len(structs) == 15
     for st in structs:
         assert decompose_along(a, st.pi).parts == st.parts
+
+
+def test_simplex_projection_matches_decompose_along_on_fixtures():
+    for path in sorted(FIXTURES.iterdir()):
+        a, _ = normalize(load_config_file(path))
+        for st in enumerate_simplex_projections(a):
+            assert simplex_projection(a, st.pi) == st, path.name
+            full = decompose_along(a, st.pi)
+            assert (full.r, full.parts, full.pi) == (st.r, st.parts, st.pi)
 
 
 def test_enumerate_structures_are_valid(segre_square):

@@ -569,6 +569,7 @@ doubled = PointConfig.make([(0, 0), (2, 0), (0, 2), (2, 2)])
 cases = [
     lambda: structure.structure_certificate(doubled),
     lambda: cayley.decompose_along(doubled, GroupHom.make([[0, 1]])),
+    lambda: cayley.simplex_projection(doubled, GroupHom.make([[0, 1]])),
     lambda: tangency.tangency_space(doubled),
 ]
 for call in cases:
@@ -584,7 +585,7 @@ def test_unnormalized_input_refused_optimized():
     # the precondition is an explicit check, so -O keeps it
     proc = run_module("-O", "-c", _UNNORMALIZED_ENTRY_POINTS)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["ValueError"] * 3
+    assert proc.stdout.decode().split() == ["ValueError"] * 4
 
 
 @pytest.mark.parametrize("edit,check", [

@@ -8,11 +8,13 @@ import pytest
 
 from dualdefect.alpha import alpha
 from dualdefect.cayley import (
+    NotSimplexImage,
     cayley_sum,
     decompose_along,
     enumerate_simplex_projections,
     is_join_type,
     join_type_wrt,
+    simplex_projection,
 )
 from dualdefect import structure
 from dualdefect.cli import generate_corpus
@@ -47,6 +49,7 @@ from conftest import (
     FIXTURES,
     join_type_wrt_recompute,
     random_unimodular,
+    segre_product,
     unit_vector,
 )
 
@@ -196,6 +199,29 @@ def test_join_factors_trivial_case(segre_square):
     assert len(factors) == 1 and factors[0].points == segre_square.points
 
 
+def roundtrip(cert):
+    return certificate_from_json(certificate_to_json(cert))
+
+
+def test_certificate_roundtrip_is_identity():
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += [segre_product(a, b) for a in (1, 2) for b in (3, 4)]
+    inputs += [cfg for cfg, _ in
+               generate_corpus("cayley_join_type", 4, 3, 7, 2)]
+    oracle_values = set()
+    for cfg in inputs:
+        cert = structure_certificate(normalize(cfg)[0])
+        assert roundtrip(cert) == cert, cfg
+        oracle_values.add(cert.oracle_delta)
+    assert None in oracle_values and len(oracle_values) > 2
+
+
+def test_join_factors_of_a_loaded_certificate(ex5_7, ex5_8):
+    for cfg in (ex5_7, ex5_8, segre_product(1, 3)):
+        cert = structure_certificate(cfg)
+        assert join_factors(roundtrip(cert), cfg) == join_factors(cert, cfg)
+
+
 def test_verify_passes_on_fresh_certificates(segre_square, ex5_7, ex5_8):
     for cfg in (segre_square, ex5_7, ex5_8):
         cert = structure_certificate(cfg)
@@ -244,10 +270,10 @@ def test_verify_does_not_hide_decomposition_bugs(ex5_8, monkeypatch):
     cert = structure_certificate(ex5_8)
 
     def broken(a, pi):
-        raise RuntimeError("bug in decompose_along")
+        raise RuntimeError("bug in simplex_projection")
 
-    monkeypatch.setattr(structure, "decompose_along", broken)
-    with pytest.raises(RuntimeError, match="bug in decompose_along"):
+    monkeypatch.setattr(structure, "simplex_projection", broken)
+    with pytest.raises(RuntimeError, match="bug in simplex_projection"):
         verify_certificate(ex5_8, cert)
 
 
@@ -416,7 +442,7 @@ def test_determinism_same_seed(ex5_8):
 def test_certification_error_message_path(ex5_8):
     # oracle result embedded in the certificate must match delta
     cert = structure_certificate(ex5_8)
-    assert cert.oracle_delta.delta == cert.delta
+    assert cert.oracle_delta == cert.delta
     assert dict(cert.checks)["oracle_agrees"]
 
 
@@ -473,10 +499,8 @@ def test_certificate_bytes_pinned():
     assert got == PINNED_CERTIFICATE_DIGESTS
 
 
-def test_pi1_tampering_fails_a_named_check(ex5_8):
-    # every single-entry (+1) and row-add edit of pi1 on ex5_8
-    obj = json.loads(certificate_to_json(structure_certificate(ex5_8)))
-    pi1 = obj["pi1"]
+def pi1_edits(pi1):
+    """Every single-entry (+1) and row-add edit of a pi1 matrix."""
     edits = []
     for i, row in enumerate(pi1):
         for j in range(len(row)):
@@ -487,12 +511,39 @@ def test_pi1_tampering_fails_a_named_check(ex5_8):
         edited = [list(r) for r in pi1]
         edited[i] = [x + y for x, y in zip(pi1[i], pi1[j])]
         edits.append(edited)
+    return edits
+
+
+def test_pi1_tampering_fails_a_named_check(ex5_8):
+    obj = json.loads(certificate_to_json(structure_certificate(ex5_8)))
+    edits = pi1_edits(obj["pi1"])
     assert len(edits) == 50
     for edited in edits:
         cert = certificate_from_json(json.dumps(dict(obj, pi1=edited)))
         report = verify_certificate(ex5_8, cert)
         failed = [name for name, ok in report.items() if not ok]
         assert "all_passed" in failed and len(failed) > 1, edited
+
+
+def test_simplex_projection_refuses_what_decompose_along_refuses(ex5_8):
+    obj = json.loads(certificate_to_json(structure_certificate(ex5_8)))
+    doubled = [list(r) for r in obj["pi2"]]
+    doubled[0] = [2 * x for x in doubled[0]]
+    edits = [dict(obj, pi1=e) for e in pi1_edits(obj["pi1"])]
+    edits.append(dict(obj, pi2=doubled))
+    refused = []
+    for edit in edits:
+        pi = certificate_from_json(json.dumps(edit)).pi
+        outcome = []
+        for split in (simplex_projection, decompose_along):
+            try:
+                split(ex5_8, pi)
+                outcome.append(False)
+            except NotSimplexImage:
+                outcome.append(True)
+        assert outcome[0] == outcome[1], edit
+        refused.append(outcome[0])
+    assert refused[-1] and not all(refused)
 
 
 def test_unrealizable_grouping_raises_certification_error(ex5_8,
