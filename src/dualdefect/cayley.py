@@ -9,6 +9,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .config import (
     GroupHom,
@@ -19,7 +20,6 @@ from .config import (
 from .exact_linalg import (
     DimensionError,
     IntMat,
-    adjugate,
     det,
     hnf_basis,
     hnf_coords,
@@ -27,6 +27,7 @@ from .exact_linalg import (
     kernel_basis_int,
     mat_vec,
     rank_int,
+    rref_ff,
     solve_int_many,
     transpose,
 )
@@ -253,46 +254,67 @@ def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:
     )
 
 
+def _affine_frame(a: PointConfig):
+    """The greedy affine basis of a normalized a, and every point of a in
+    its coordinates, from one fraction-free elimination.
+
+    With u_0 the first point, ``rref_ff`` of the n x (N - 1 + n) matrix
+    [u_1 - u_0, ..., u_{N-1} - u_0 | I_n] has its pivots in the
+    difference columns of the points that raise the rank, taken in
+    order: the basis u_b1, ..., u_bn, with u_b0 = u_0.  With D the
+    matrix of their differences, ``rref`` is D^-1 times the matrix, and
+    row i of ``rref_ff`` is row i of ``rref`` times its pivot; scaling
+    row i by L over its pivot, L > 0 the lcm of the pivots, gives
+    L * D^-1 times the matrix.  Returns the basis indices, L, the rows
+    of L * D^-1, and (j, W_j) for every point u_j outside the basis:
+    W_j = L * D^-1 (u_j - u_0) as its nonzero entries (k, x), keyed by
+    basis position k = 1..n; W_j != 0 as u_j != u_0.
+    """
+    u0 = a.points[0]
+    diffs = transpose([[x - y for x, y in zip(p, u0)]
+                       for p in a.points[1:]])
+    red, piv = rref_ff([row + unit
+                        for row, unit in zip(diffs, identity(a.dim))])
+    scale = lcm(*(row[c] for row, c in zip(red, piv)))
+    rows = [[x * (scale // row[c]) for x in row] for row, c in zip(red, piv)]
+    pivots = set(piv)
+    outside = [(c + 1, [(k + 1, row[c])
+                        for k, row in enumerate(rows) if row[c]])
+               for c in range(len(a) - 1) if c not in pivots]
+    inverse = [row[len(a) - 1:] for row in rows]
+    return [0] + [c + 1 for c in piv], scale, inverse, outside
+
+
 def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
     """The unique projection sending part i to vertex i, if one exists.
 
-    Solves P(u - u0) = vertex(part of u) over Z for the matrix P, with u0
-    the first point of part 0; returns None when the system has no
-    integer solution or P is not surjective.
+    parts must partition the point indices of the normalized a, ordered
+    by least index, so that u_0 lies in part 0; other parts raise
+    ValueError.  Labels each point of the affine basis of
+    ``_affine_frame`` by its part, and returns the labeled map of
+    ``enumerate_simplex_projections``, or None when a part holds no basis
+    point (its vertex is then outside the affine hull of the image) or a
+    point outside the basis misses the vertex of its part.
     """
-    r = len(parts) - 1
-    u0 = a.points[parts[0][0]]
-    d_rows = []
-    e_rows = []
+    require_normalized(a, "projection_for_partition")
+    firsts = [min(part) for part in parts if part]
+    if (sorted(j for part in parts for j in part) != list(range(len(a)))
+            or len(firsts) < len(parts) or firsts != sorted(firsts)):
+        raise ValueError(f"parts {parts} do not partition the point "
+                         "indices in order of least index")
+    part_of = [0] * len(a)
     for i, part in enumerate(parts):
-        v = list(_simplex_vertex(i, r))
         for j in part:
-            d_rows.append([x - y for x, y in zip(a.points[j], u0)])
-            e_rows.append(v)
-    if r == 0:
-        return GroupHom.zero_map(a.dim)
-    p_rows = solve_int_many(d_rows, transpose(e_rows))
-    if any(x is None for x in p_rows):
+            part_of[j] = i
+    basis, scale, inverse, outside = _affine_frame(a)
+    label = [part_of[b] for b in basis]
+    labels = len(parts)
+    if len(set(label)) < labels or any(
+            _vertex_of(w, label, labels, scale) != part_of[j]
+            for j, w in outside):
         return None
-    pi = GroupHom.make(p_rows, None, a.dim)
-    if not pi.is_surjective():
-        return None
-    return pi
-
-
-def _affine_basis(a: PointConfig) -> tuple[list[int], IntMat]:
-    """Greedy affine basis of a: point 0, then each point whose difference
-    from point 0 raises the rank.  Returns the indices and the differences."""
-    basis = [0]
-    rows: IntMat = []
-    for j in range(1, len(a)):
-        if len(rows) == a.dim:
-            break
-        diff = [x - y for x, y in zip(a.points[j], a.points[0])]
-        if rank_int(rows + [diff]) > len(rows):
-            rows.append(diff)
-            basis.append(j)
-    return basis, rows
+    return _labeled_projection(a, basis, label, part_of, labels, scale,
+                               inverse).pi
 
 
 def enumerate_simplex_projections(a: PointConfig, limit: int = 11,
@@ -303,15 +325,14 @@ def enumerate_simplex_projections(a: PointConfig, limit: int = 11,
     A projection onto the simplex is fixed by where it sends an affine
     basis u_b0, ..., u_bn of a, so it suffices to try every labeling of
     the basis points by vertices, in restricted-growth order: Bell(dim+1)
-    candidates at most.  With D the matrix of differences u_bk - u_b0
-    and d = det D, the labeled map sends u_j to (sum over each label of
-    the entries of W_j = adj(D)(u_j - u_b0)) / d; the labeling is kept
-    when every point lands on a vertex.  Since the differences of a
-    normalized a generate Z^n and every vertex is hit by a basis point,
-    such a map is integral and surjective, and every part contains a
-    basis point, so each partition is found exactly once.  Row l of its
-    matrix is the sum of the rows of adj(D) at the basis points labeled
-    l, divided by d.
+    candidates at most.  In the frame of ``_affine_frame``, the labeled
+    map sends u_j to (sum over each label of the entries of W_j) / L;
+    the labeling is kept when every point lands on a vertex.  Since the
+    differences of a normalized a generate Z^n and every vertex is hit
+    by a basis point, such a map is integral and surjective, and every
+    part contains a basis point, so each partition is found exactly
+    once.  Row l of its matrix is the sum of the rows of L * D^-1 at the
+    basis points labeled l, divided by L.
 
     The labeling is searched depth first, one basis position at a time.
     A point outside the basis is tested as soon as the last position in
@@ -325,30 +346,23 @@ def enumerate_simplex_projections(a: PointConfig, limit: int = 11,
     n = a.dim
     if r_min > n:
         return []
-    basis, diffs = _affine_basis(a)
-    u0 = a.points[0]
-    d, adj = adjugate(transpose(diffs))
-    offsets = [[x - y for x, y in zip(p, u0)] for p in a.points]
-    # the nonzero entries of W_j for the points outside the basis, keyed
-    # by basis position (position 0 is u_b0 itself and has no column),
-    # filed under the last position of their support; W_j != 0 as
-    # u_j != u_b0
+    basis, scale, inverse, outside = _affine_frame(a)
+    # the points outside the basis, filed under the last position of the
+    # support of their W_j
     tests: list[list] = [[] for _ in range(n + 1)]
-    in_basis = set(basis)
-    for j, off in enumerate(offsets):
-        if j not in in_basis:
-            w = [(k + 1, x) for k, x in enumerate(mat_vec(adj, off)) if x]
-            tests[w[-1][0]].append((j, w))
+    for j, w in outside:
+        tests[w[-1][0]].append((j, w))
     label = [0] * (n + 1)
     vertex = [0] * len(a)
-    out = [_labeled_projection(a, basis, label, vertex, labels, d, adj,
-                               offsets)
-           for labels in _kept_labelings(tests, d, r_min, label, vertex)]
+    out = [_labeled_projection(a, basis, label, vertex, labels, scale,
+                               inverse)
+           for labels in _kept_labelings(tests, scale, r_min, label,
+                                         vertex)]
     out.sort(key=lambda st: (st.r, st.parts))
     return out
 
 
-def _kept_labelings(tests, d, r_min, label, vertex, k=1, labels=1):
+def _kept_labelings(tests, scale, r_min, label, vertex, k=1, labels=1):
     """Depth-first search over the labelings of basis positions k..n.
 
     label[0..k-1] is a restricted-growth prefix using labels
@@ -367,16 +381,16 @@ def _kept_labelings(tests, d, r_min, label, vertex, k=1, labels=1):
             continue
         label[k] = lab
         for j, w in tests[k]:
-            v = _vertex_of(w, label, used, d)
+            v = _vertex_of(w, label, used, scale)
             if v is None:
                 break
             vertex[j] = v
         else:
-            yield from _kept_labelings(tests, d, r_min, label, vertex,
+            yield from _kept_labelings(tests, scale, r_min, label, vertex,
                                        k + 1, used)
 
 
-def _vertex_of(w, label, labels, d):
+def _vertex_of(w, label, labels, scale):
     """The vertex that a point with W entries w lands on under the
     labeling, or None when it lands on no vertex."""
     sums = [0] * labels
@@ -385,13 +399,13 @@ def _vertex_of(w, label, labels, d):
     hit = [lab for lab in range(1, labels) if sums[lab]]
     if not hit:
         return 0
-    if len(hit) > 1 or sums[hit[0]] != d:
+    if len(hit) > 1 or sums[hit[0]] != scale:
         return None
     return hit[0]
 
 
-def _labeled_projection(a, basis, label, vertex, labels, d, adj,
-                        offsets) -> SimplexProjection:
+def _labeled_projection(a, basis, label, vertex, labels, scale,
+                        inverse) -> SimplexProjection:
     """The simplex projection of a kept labeling of the affine basis.
 
     vertex holds the vertex of every point outside the basis; the
@@ -412,15 +426,17 @@ def _labeled_projection(a, basis, label, vertex, labels, d, adj,
     for k in range(1, n + 1):
         if label[k]:
             row = rows[label[k] - 1]
-            for i, x in enumerate(adj[k - 1]):
+            for i, x in enumerate(inverse[k - 1]):
                 row[i] += x
-    if any(x % d for row in rows for x in row):
+    if any(x % scale for row in rows for x in row):
         raise ArithmeticError(
             f"partition {parts} passed the vertex test but its "
             "projection is not integral")
-    mat = [[x // d for x in row] for row in rows]
+    mat = [[x // scale for x in row] for row in rows]
     r = labels - 1
-    for j, off in enumerate(offsets):
+    u0 = a.points[0]
+    for j, p in enumerate(a.points):
+        off = [x - y for x, y in zip(p, u0)]
         if tuple(mat_vec(mat, off)) != _simplex_vertex(vertex[j], r):
             raise ArithmeticError(
                 f"partition {parts} passed the vertex test but its "

@@ -20,6 +20,7 @@ from .exact_linalg import (
     hnf_coords,
     identity,
     is_surjective,
+    kernel_basis_int,
     mat_mul,
     mat_vec,
     transpose,
@@ -76,10 +77,6 @@ class PointConfig:
         if not self.dim:
             return True
         return difference_lattice(self) == identity(self.dim)
-
-    def translate(self, v) -> "PointConfig":
-        pts = [tuple(x + y for x, y in zip(p, v)) for p in self.points]
-        return PointConfig(self.dim, tuple(sorted(pts)), self.name)
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,6 @@ class GroupHom:
 
     def kernel_lattice(self) -> IntMat:
         """Saturated HNF basis of the kernel of the linear part."""
-        from .exact_linalg import kernel_basis_int
-
         mat = self.matrix_rows
         if not mat:
             return identity(self.domain_rank)

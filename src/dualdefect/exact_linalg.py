@@ -394,24 +394,6 @@ def solve_int(m: IntMat, b: list[int]) -> list[int] | None:
     return solve_int_many(m, [b])[0]
 
 
-def adjugate(m: IntMat) -> tuple[int, IntMat]:
-    """(det m, adj m) of a nonsingular square integer matrix.
-
-    adj m = det m * m^-1 is integral; its columns solve
-    m * x = det m * e_i against one Smith normal form.
-    """
-    n = len(m)
-    d = det(m)
-    if d == 0:
-        raise ValueError("adjugate of a singular matrix")
-    cols = solve_int_many(m, [[d if k == i else 0 for k in range(n)]
-                              for i in range(n)])
-    if any(col is None for col in cols):
-        raise ArithmeticError("det * inverse of an integer matrix "
-                              "must be integral")
-    return d, transpose(cols)
-
-
 def hnf_coords(basis: IntMat, v) -> list[int] | None:
     """The x with x * basis = v over the integers, or None.
 
@@ -441,14 +423,6 @@ def lattice_leq(a: IntMat, b: IntMat) -> bool:
     """Whether the row lattice of a is contained in that of b."""
     basis = hnf_basis(b)
     return all(hnf_coords(basis, row) is not None for row in a)
-
-
-def lattice_eq(a: IntMat, b: IntMat) -> bool:
-    return hnf_basis(a) == hnf_basis(b)
-
-
-def is_unimodular(m: IntMat) -> bool:
-    return len(m) == (len(m[0]) if m else 0) and abs(det(m)) == 1
 
 
 def is_surjective(m: IntMat) -> bool:

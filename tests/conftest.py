@@ -158,6 +158,11 @@ def join_type_wrt_recompute(a, pi1, pi2):
     return rank_int(stacked) == total
 
 
+def lattice_eq(a, b):
+    """Whether the row lattices of a and b are equal."""
+    return hnf_basis(a) == hnf_basis(b)
+
+
 def rank_rat(m):
     """Reference: rank over Q by ``rref``."""
     return len(rref(m)[0])

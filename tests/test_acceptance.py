@@ -35,7 +35,7 @@ from dualdefect.structure import (
 )
 from dualdefect.tangency import TangencyProblem, defect_oracle
 
-from conftest import FIXTURES, random_unimodular, segre_product
+from conftest import FIXTURES, lattice_eq, random_unimodular, segre_product
 
 
 class Budget:
@@ -89,7 +89,7 @@ def test_criterion_2_cayley_of_four_fibers():
 
 
 def test_criterion_3_nine_points_in_z6_with_exhaustive_check():
-    from dualdefect.exact_linalg import hnf_basis, lattice_eq
+    from dualdefect.exact_linalg import hnf_basis
 
     cfg, _ = normalize(load_config_file(FIXTURES / "ex5_8.json"))
     with Budget(3, 1.0):

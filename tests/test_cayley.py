@@ -23,6 +23,7 @@ from dualdefect.config import (
     load_config_file,
     normalize,
 )
+from dualdefect.exact_linalg import solve_int_many, transpose
 
 from conftest import (
     EX58_U,
@@ -191,14 +192,39 @@ def _set_partitions(n: int, max_parts: int):
     yield from rec(0, 0)
 
 
+def _projection_by_solve(a, parts):
+    """Reference: the projection sending part i to vertex i, if one
+    exists, by one Smith normal form solve of P(u - u0) = vertex(part of
+    u) over Z, u0 the first point of part 0; None when the system has no
+    integer solution or P is not surjective."""
+    r = len(parts) - 1
+    if r == 0:
+        return GroupHom.zero_map(a.dim)
+    u0 = a.points[parts[0][0]]
+    d_rows = []
+    e_rows = []
+    for i, part in enumerate(parts):
+        v = list(unit_vector(i, r))
+        for j in part:
+            d_rows.append([x - y for x, y in zip(a.points[j], u0)])
+            e_rows.append(v)
+    p_rows = solve_int_many(d_rows, transpose(e_rows))
+    if any(x is None for x in p_rows):
+        return None
+    pi = GroupHom.make(p_rows, None, a.dim)
+    return pi if pi.is_surjective() else None
+
+
 def _brute_force_projections(a):
     """Reference enumeration: every set partition of the points into at
     most dim+1 parts that extends to a simplex projection, deduplicated
-    by kernel.  Bell(#A) candidates, each solved over Z."""
+    by kernel.  Bell(#A) candidates, each solved over Z; the package's
+    projection_for_partition must give the same answer on every one."""
     out = []
     seen_kernels = set()
     for parts in _set_partitions(len(a), a.dim + 1):
-        pi = projection_for_partition(a, parts)
+        pi = _projection_by_solve(a, parts)
+        assert projection_for_partition(a, parts) == pi, (a.points, parts)
         if pi is None:
             continue
         struct = decompose_along(a, pi)
@@ -363,3 +389,17 @@ def test_projection_for_partition_rejects_bad_partition(segre_square):
     # constant on each part
     parts = ((0, 3), (1, 2))
     assert projection_for_partition(segre_square, parts) is None
+
+
+@pytest.mark.parametrize("parts", [
+    ((1, 2), (0, 3)),        # point 0 not in part 0
+    ((0, 2), (3,), (1,)),    # parts not ordered by least index
+    ((0, 1), (2,)),          # point 3 missing
+    ((0, 1), (1, 2, 3)),     # point 1 twice
+    ((0, 1, 2, 3), ()),      # an empty part
+    (),
+])
+def test_projection_for_partition_requires_parts_by_least_index(
+        segre_square, parts):
+    with pytest.raises(ValueError, match="least index"):
+        projection_for_partition(segre_square, parts)

@@ -82,6 +82,32 @@ def test_nondefective_analyze_and_verify_read_one_sample(
     assert counts == {"draws": 1, "hessians": 1}
 
 
+def _count_snf(monkeypatch):
+    counts = collections.Counter()
+    real = exact_linalg.snf
+
+    def counted(*args):
+        counts["snf"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(exact_linalg, "snf", counted)
+    return counts
+
+
+def test_ex5_8_projections_make_no_snf(tmp_path, capsys, monkeypatch):
+    # the contact projection and the enumeration label an affine basis
+    # read off one rref_ff; the Smith normal forms left are the lift of
+    # pi2 and the surjectivity of pi1, once each in analyze and verify
+    cfg = str(FIXTURES / "ex5_8.json")
+    cert_path = str(tmp_path / "cert.json")
+    counts = _count_snf(monkeypatch)
+    assert invoke(capsys, "analyze", cfg, "--out", cert_path)[0] == 0
+    assert counts == {"snf": 2}
+    counts.clear()
+    assert invoke(capsys, "verify", cfg, cert_path, "--exhaustive")[0] == 0
+    assert counts == {"snf": 2}
+
+
 def test_bench_traced_names_resolve():
     # `bench/run.py --trace 1` wraps each of these by name
     path = FIXTURES.parent / "bench" / "tracing.py"
@@ -570,6 +596,7 @@ cases = [
     lambda: structure.structure_certificate(doubled),
     lambda: cayley.decompose_along(doubled, GroupHom.make([[0, 1]])),
     lambda: cayley.simplex_projection(doubled, GroupHom.make([[0, 1]])),
+    lambda: cayley.projection_for_partition(doubled, ((0, 1), (2, 3))),
     lambda: tangency.tangency_space(doubled),
 ]
 for call in cases:
@@ -585,7 +612,7 @@ def test_unnormalized_input_refused_optimized():
     # the precondition is an explicit check, so -O keeps it
     proc = run_module("-O", "-c", _UNNORMALIZED_ENTRY_POINTS)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["ValueError"] * 4
+    assert proc.stdout.decode().split() == ["ValueError"] * 5
 
 
 @pytest.mark.parametrize("edit,check", [

@@ -7,16 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from dualdefect.exact_linalg import (
     RationalSubspace,
-    adjugate,
     det,
     hnf,
     hnf_basis,
     hnf_coords,
     identity,
-    is_unimodular,
     kernel_basis_ff,
     kernel_basis_int,
-    lattice_eq,
     lattice_leq,
     mat_mul,
     mat_vec,
@@ -30,7 +27,13 @@ from dualdefect.exact_linalg import (
     transpose,
 )
 
-from conftest import kernel_basis_rat, rank_rat, rational_basis, solve_int_left
+from conftest import (
+    kernel_basis_rat,
+    lattice_eq,
+    rank_rat,
+    rational_basis,
+    solve_int_left,
+)
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -257,33 +260,10 @@ def test_hnf_coords_rejects_non_echelon_basis():
     assert hnf_coords([], [0, 1]) is None
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda n: st.lists(vectors(n), min_size=n, max_size=n)
-).filter(lambda m: det(m) != 0))
-def test_adjugate(m):
-    d, adj = adjugate(m)
-    n = len(m)
-    assert d == det(m)
-    assert mat_mul(adj, m) == [[d if i == j else 0 for j in range(n)]
-                               for i in range(n)]
-
-
-def test_adjugate_rejects_singular():
-    with pytest.raises(ValueError):
-        adjugate([[1, 2], [2, 4]])
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(matrices, low_rank))
 def test_rational_rank_matches_integer_rank(m):
     assert rank_rat([[Fraction(x) for x in row] for row in m]) == rank_int(m)
-
-
-def test_is_unimodular():
-    assert is_unimodular(identity(3))
-    assert is_unimodular([[1, 5], [0, -1]])
-    assert not is_unimodular([[2, 0], [0, 1]])
 
 
 def test_rref_pivots_and_kernel_rat():

@@ -28,7 +28,6 @@ from dualdefect.config import (
 from dualdefect.exact_linalg import (
     hnf_basis,
     kernel_basis_int,
-    lattice_eq,
     lattice_leq,
     mat_mul,
 )
@@ -48,6 +47,7 @@ from conftest import (
     EX58_V,
     FIXTURES,
     join_type_wrt_recompute,
+    lattice_eq,
     random_unimodular,
     segre_product,
     unit_vector,
