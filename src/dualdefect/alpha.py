@@ -6,16 +6,26 @@ is the dimension of the span of the components (m_0, ..., m_r) of a
 generic element of K; the span itself is the minimal subspace whose
 quotient makes the V_i sum directly, provided the removal condition
 check_star holds.
+
+Each sampled K element is eliminated once: one kernel of the relations
+among its components gives their rank and the removal condition (see
+``_rank_and_removable``).  ``vprime`` eliminates a candidate span once
+more, as a ``RationalSubspace``, and checks it by reducing against it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .exact_linalg import IntMat, RationalSubspace, kernel_basis_ff, rank_int
+from .exact_linalg import (
+    IntMat,
+    RationalSubspace,
+    identity,
+    kernel_basis_ff,
+    rank_int,
+)
 from .tangency import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
@@ -34,7 +44,9 @@ class AlphaProblem(SampledProblem):
     coordinates.  Every sampled K element, and so every set of
     components, is the rational one times a single positive integer,
     which leaves all ranks and spans unchanged.  Each sample is kept
-    as its components and their rank.
+    as its components, their rank and whether any two of them can be
+    removed without shrinking their span, both read off one dependency
+    kernel (``_rank_and_removable``).
     """
 
     ambient: RationalSubspace
@@ -77,7 +89,7 @@ class AlphaProblem(SampledProblem):
 
     def evaluate(self, element):
         comps = self.components(element)
-        return comps, rank_int(comps)
+        return (comps, *_rank_and_removable(comps))
 
     def components(self, element) -> IntMat:
         """Split a K element (in summand coordinates) into ambient vectors."""
@@ -107,6 +119,39 @@ def _integer_bases(summands) -> list[IntMat]:
              for row, c in zip(s.basis, s.pivots)] for s in summands]
 
 
+def _rank_and_removable(comps: IntMat) -> tuple[int, bool]:
+    """The rank of the components, and whether any two of them can be
+    removed without shrinking their span.
+
+    Both come from one basis N of the linear relations among the
+    components: ``kernel_basis_ff`` of the matrix whose columns they
+    are, or the identity in ambient dimension 0, where that matrix has
+    no rows.  The rank is their count less rows(N).  The columns of N
+    represent the dual of the matroid of the components (Oxley, Matroid
+    Theory, 2nd ed., section 2.2), so removing components i and j keeps
+    the span exactly when columns i and j of N are independent: neither
+    is zero and they are not parallel.  Each column is compared as a
+    primitive vector with a positive first nonzero entry.
+    """
+    count = len(comps)
+    if comps[0]:
+        deps = kernel_basis_ff([list(row) for row in zip(*comps)])
+    else:
+        deps = identity(count)
+    rank = count - len(deps)
+    if count < 2:
+        return rank, True
+    keys = set()
+    for col in zip(*deps):
+        g = gcd(*col)
+        if g == 0:
+            return rank, False
+        if next(x for x in col if x) < 0:
+            g = -g
+        keys.add(tuple(x // g for x in col))
+    return rank, len(keys) == count
+
+
 def k_space(summands, bases=None) -> IntMat:
     """Integer basis of the kernel of (m_0,...,m_r) -> m_0 + ... + m_r.
 
@@ -128,30 +173,24 @@ def alpha(p: AlphaProblem) -> int:
     """Generic dimension of the span of the components of a K element."""
     if not p.k_basis:
         return 0
-    return max(rank for _comps, rank in p.first_round())
+    return max(rank for _comps, rank, _removable in p.first_round())
 
 
 def check_star(p: AlphaProblem) -> bool:
     """Whether any two components can be removed without shrinking the span.
 
-    Decided on a generic sample; all trials must agree.
+    Decided on a generic sample; all trials must agree.  Each sample's
+    verdict is read off its dependency kernel (see
+    ``_rank_and_removable``) without another elimination.
     """
     if not p.k_basis:
         return True
     if p.r < 1:
         return True
     for samples in p.rounds():
-        verdicts = []
-        for comps, full in samples:
-            ok = True
-            for i, j in itertools.combinations(range(p.r + 1), 2):
-                rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-                if rank_int(rest) != full:
-                    ok = False
-                    break
-            verdicts.append(ok)
-        if len(set(verdicts)) == 1:
-            return verdicts[0]
+        verdicts = {removable for _comps, _rank, removable in samples}
+        if len(verdicts) == 1:
+            return verdicts.pop()
     raise GenericityFailure("removal condition unstable across samples")
 
 
@@ -160,38 +199,46 @@ def vprime(p: AlphaProblem, target: int) -> RationalSubspace:
 
     ``target`` is alpha(p), and the removal condition check_star(p) must
     hold; the caller computes both.  The result is target-dimensional
-    and verified to make the summand images in the quotient sum
-    directly before it is returned.
+    and verified to contain the components of every K basis element and
+    to make the summand images in the quotient sum directly before it
+    is returned.  Each candidate span is eliminated once, and both
+    checks reduce against its rows.
     """
     m = p.ambient.ambient_dim
     if not p.k_basis:
-        if not _quotient_is_direct(p, [], 0):
+        span = RationalSubspace.from_rows(m, [])
+        if not _quotient_is_direct(p, span):
             raise RuntimeError("K is zero but the summands do not sum "
                                "directly")
-        return RationalSubspace.from_rows(m, [])
+        return span
     for samples in p.rounds():
-        for comps, rank in samples:
+        for comps, rank, _removable in samples:
             if rank != target:
                 continue
-            if (_components_contained(p, comps, target)
-                    and _quotient_is_direct(p, comps, target)):
-                return RationalSubspace.from_rows(m, comps)
+            span = RationalSubspace.from_rows(m, comps)
+            if (_components_contained(p, span)
+                    and _quotient_is_direct(p, span)):
+                return span
     raise GenericityFailure("no sampled component span passed verification")
 
 
-def _components_contained(p: AlphaProblem, span: IntMat, dim: int) -> bool:
+def _components_contained(p: AlphaProblem, span: RationalSubspace) -> bool:
     """Components of every K basis element must lie in the span."""
-    rows = list(span)
-    for k_row in p.k_basis:
-        rows.extend(p.components(k_row))
-    return rank_int(rows) == dim
+    return all(span.contains(c)
+               for k_row in p.k_basis for c in p.components(k_row))
 
 
-def _quotient_is_direct(p: AlphaProblem, span: IntMat, dim: int) -> bool:
-    """dim(sum V_i + V')/V' == sum of dim(V_i + V')/V' for V' = span."""
-    joined = list(span)
+def _quotient_is_direct(p: AlphaProblem, span: RationalSubspace) -> bool:
+    """dim(sum V_i + V')/V' == sum of dim(V_i + V')/V' for V' = span.
+
+    Reducing a vector modulo V' is a linear map onto a complement of V'
+    (up to one nonzero factor per vector), so the rank of the remainders
+    of a family is the dimension its span adds to V'.
+    """
+    joined = []
     per_summand = 0
     for basis in p.bases:
-        per_summand += rank_int(list(span) + list(basis)) - dim
-        joined.extend(basis)
-    return rank_int(joined) - dim == per_summand
+        rest = [span.reduce(row) for row in basis]
+        per_summand += rank_int(rest)
+        joined.extend(rest)
+    return rank_int(joined) == per_summand

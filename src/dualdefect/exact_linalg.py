@@ -5,10 +5,13 @@ deliberately no floating-point path.  Ranks, kernels and reduced
 row-echelon bases over Q come from fraction-free elimination
 (``rref_ff``), whose rows are the rational ones times one positive
 integer each, and subspaces of Q^n (``RationalSubspace``) are held as
-those integer rows.  Lattices are handled by Hermite and Smith normal
-forms.  The one rational routine, ``rref`` over ``fractions.Fraction``,
-is the definition the integer rows are checked against; nothing in the
-pipeline calls it.  Matrices are plain lists of lists in row-major
+those integer rows.  Determinants and the Hessian kernels come from
+one forward Bareiss pass (``_bareiss``), shared by ``det`` and
+``kernel_basis_bareiss``; the kernel back-substituted from it has the
+rows of ``kernel_basis_ff``.  Lattices are handled by Hermite and Smith
+normal forms.  The one rational routine, ``rref`` over
+``fractions.Fraction``, is the definition the integer rows are checked
+against; nothing in the pipeline calls it.  Matrices are plain lists of lists in row-major
 order, and all lattice maps act on row vectors (u * m = h convention
 for normal forms).
 """
@@ -62,29 +65,93 @@ def copy_mat(m):
     return [list(row) for row in m]
 
 
+def _bareiss(m: IntMat) -> tuple[IntMat, list[int], int]:
+    """Forward fraction-free (Bareiss) elimination to row echelon form.
+
+    Returns (rows, pivot columns, sign): row i of the copy has its
+    first nonzero entry in pivot column i, the rows past the rank are
+    zero, and sign is the parity of the row swaps.  Every entry is a
+    minor of the row-swapped m, so each division is exact; the last
+    pivot is the minor on the pivot rows and columns, and for a
+    nonsingular square m it is sign * det m.  A column without a pivot
+    is skipped, so the pivot columns are those of ``rref_ff``.
+    """
+    a = copy_mat(m)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    piv_cols = []
+    sign = 1
+    prev = 1
+    k = 0
+    for c in range(cols):
+        if k == rows:
+            break
+        if a[k][c] == 0:
+            for i in range(k + 1, rows):
+                if a[i][c] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                continue
+        prow = a[k]
+        p = prow[c]
+        for i in range(k + 1, rows):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+            row[c] = 0
+        prev = p
+        piv_cols.append(c)
+        k += 1
+    return a, piv_cols, sign
+
+
 def det(m: IntMat) -> int:
     """Exact determinant via fraction-free Bareiss elimination."""
     n = len(m)
     if n == 0:
         return 1
-    a = copy_mat(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    a, piv, sign = _bareiss(m)
+    return sign * a[n - 1][n - 1] if len(piv) == n else 0
+
+
+def kernel_basis_bareiss(m: IntMat) -> IntMat:
+    """The rows of ``kernel_basis_ff(m)``, from one Bareiss pass.
+
+    The forward pass (``_bareiss``) alone decides full column rank,
+    with an empty kernel, at the cost of ``det``.  Otherwise each free
+    column f gets the last pivot d and the pivot coordinates are
+    back-substituted from the same echelon rows; by Cramer's rule they
+    are integers, so every division is exact.  The rows are then d times the rational kernel basis, and
+    dividing them by the gcd of d and all their entries, with the sign
+    of d, leaves the least positive multiple that is integral, which is
+    the one ``kernel_basis_ff`` returns.
+    """
+    n = len(m[0]) if m else 0
+    a, piv, _ = _bareiss(m)
+    rank = len(piv)
+    if rank == n:
+        return []
+    d = a[rank - 1][piv[-1]] if rank else 1
+    pivots = set(piv)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [0] * n
+        vec[f] = d
+        for i in range(rank - 1, -1, -1):
+            c = piv[i]
+            row = a[i]
+            s = sum(row[j] * vec[j] for j in range(c + 1, n) if vec[j])
+            vec[c] = -s // row[c]
+        basis.append(vec)
+    g = gcd(*(x for vec in basis for x in vec))
+    if d < 0:
+        g = -g
+    return [[x // g for x in vec] for vec in basis]
 
 
 def rref_ff(m: IntMat) -> tuple[IntMat, list[int]]:
@@ -492,13 +559,14 @@ class RationalSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
-        """Whether the integer vector v lies in the subspace.
+    def reduce(self, v) -> list[int]:
+        """A nonzero multiple of the integer vector v modulo the subspace.
 
         Clears v at each pivot column by cross-multiplication with the
         row of that pivot, which leaves the other pivot columns of v
-        scaled but otherwise unchanged; v is in the span exactly when
-        nothing is left.
+        scaled but otherwise unchanged.  The remainder is zero at every
+        pivot column, and v lies in the subspace exactly when it is
+        zero.
         """
         v = list(v)
         for row, c in zip(self.basis, self.pivots):
@@ -506,7 +574,11 @@ class RationalSubspace:
             if f:
                 p = row[c]
                 v = [p * x - f * y for x, y in zip(v, row)]
-        return not any(v)
+        return v
+
+    def contains(self, v) -> bool:
+        """Whether the integer vector v lies in the subspace."""
+        return not any(self.reduce(v))
 
     def integer_lattice(self) -> IntMat:
         """HNF basis of (this subspace) intersected with Z^n."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .config import PointConfig, require_normalized
-from .exact_linalg import IntMat, det, kernel_basis_ff
+from .exact_linalg import IntMat, kernel_basis_bareiss, kernel_basis_ff
 
 DEFAULT_SEED = 0xA11CE
 DEFAULT_BOUND = 1 << 20
@@ -111,8 +111,10 @@ class TangencyProblem(SampledProblem):
     """Tangency coefficients of a configuration; each sample is kept
     with the kernel of its Hessian (``kernel_basis_ff``).
 
-    A nonzero Bareiss ``det`` of the Hessian is the same as an empty
-    kernel, so elimination runs only on singular Hessians.
+    Each Hessian is eliminated once, by ``kernel_basis_bareiss``: its
+    forward Bareiss pass decides a nonsingular Hessian, with an empty
+    kernel, at the cost of ``det``, and a singular one gets its kernel
+    back-substituted from the same rows.
     """
 
     config: PointConfig
@@ -138,8 +140,7 @@ class TangencyProblem(SampledProblem):
         return self.tangency_basis
 
     def evaluate(self, coeffs):
-        h = hessian(self.config, coeffs)
-        return coeffs, [] if det(h) else kernel_basis_ff(h)
+        return coeffs, kernel_basis_bareiss(hessian(self.config, coeffs))
 
 
 @dataclass(frozen=True)

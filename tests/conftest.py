@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -156,6 +157,18 @@ def join_type_wrt_recompute(a, pi1, pi2):
     if not stacked:
         return True
     return rank_int(stacked) == total
+
+
+def removal_condition_pairwise(comps):
+    """Reference: the rank of the components and the removal condition
+    as ``check_star`` decided it per sample before the dependency kernel,
+    with one ``rank_int`` for each pair of components left out."""
+    full = rank_int(comps)
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        rest = [c for k, c in enumerate(comps) if k not in (i, j)]
+        if rank_int(rest) != full:
+            return full, False
+    return full, True
 
 
 def lattice_eq(a, b):

@@ -2,8 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dualdefect.alpha import AlphaProblem, alpha, check_star, k_space, vprime
+from dualdefect.alpha import (
+    AlphaProblem,
+    _rank_and_removable,
+    alpha,
+    check_star,
+    k_space,
+    vprime,
+)
 from dualdefect.exact_linalg import RationalSubspace
 from dualdefect.tangency import sample_combination
 
@@ -14,6 +22,7 @@ from conftest import (
     fraction_sample,
     kernel_basis_rat,
     rational_basis,
+    removal_condition_pairwise,
 )
 
 
@@ -114,9 +123,10 @@ def test_check_star_escalation_draws_reference_samples(monkeypatch):
 
     def evaluate(self, element):
         elements.append(element)
-        comps, rank = real(self, element)
-        # a wrong rank flips the verdict of the first sample alone
-        return comps, rank + (len(elements) == 1)
+        comps, rank, removable = real(self, element)
+        # flipping the removal verdict of the first sample alone makes
+        # the first round disagree
+        return comps, rank, removable != (len(elements) == 1)
 
     monkeypatch.setattr(AlphaProblem, "evaluate", evaluate)
     assert check_star(p) is True
@@ -124,6 +134,67 @@ def test_check_star_escalation_draws_reference_samples(monkeypatch):
     want = escalation_loop(p.k_basis, p.seed, p.bound, p.trials,
                            (p.trials, p.trials))
     assert elements == want[0] + want[1]
+
+
+@st.composite
+def component_families(draw):
+    """1 to 6 components in dimension 0 to 4: fresh, zero, a multiple of
+    an earlier one (repeated or parallel) or the sum of two earlier."""
+    m = draw(st.integers(0, 4))
+    comps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "zero", "multiple", "sum"]))
+        if kind == "zero":
+            comps.append([0] * m)
+        elif kind == "multiple" and comps:
+            c = draw(st.sampled_from(comps))
+            f = draw(st.sampled_from([1, 1, -1, 2, -3]))
+            comps.append([f * x for x in c])
+        elif kind == "sum" and comps:
+            a, b = draw(st.sampled_from(comps)), draw(st.sampled_from(comps))
+            comps.append([x + y for x, y in zip(a, b)])
+        else:
+            comps.append(draw(st.lists(st.integers(-4, 4), min_size=m,
+                                       max_size=m)))
+    return comps
+
+
+@settings(max_examples=400, deadline=None)
+@given(component_families())
+def test_removal_condition_matches_pairwise_ranks(comps):
+    assert _rank_and_removable(comps) == removal_condition_pairwise(comps)
+
+
+@pytest.mark.parametrize("comps,want", [
+    # ambient dimension 0: every component is zero
+    ([[]], (0, True)),
+    ([[], []], (0, True)),
+    ([[], [], [], []], (0, True)),
+    # ambient dimension 1
+    ([[3]], (1, True)),
+    ([[1], [-2]], (1, False)),
+    ([[1], [-2], [5]], (1, True)),
+    ([[0], [0], [7]], (1, False)),
+    # zero components
+    ([[0, 0], [0, 0], [0, 0]], (0, True)),
+    ([[0, 0], [1, 2], [1, 2], [1, 2]], (1, True)),
+    ([[0, 0], [1, 2], [0, 0]], (1, False)),
+    # repeated and parallel components
+    ([[1, 2], [1, 2], [1, 2]], (1, True)),
+    ([[1, 0], [-2, 0], [0, 1], [0, 3]], (2, False)),
+    ([[1, 0], [-2, 0], [3, 0], [0, 1], [0, 3], [0, -1]], (2, True)),
+    # fully independent families
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (3, False)),
+    ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+      [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+     (6, False)),
+    # a circuit of six: every pair removed drops the rank
+    ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+      [0, 0, 0, 0, 1], [1, 1, 1, 1, 1]], (5, False)),
+])
+def test_removal_condition_edge_families(comps, want):
+    assert removal_condition_pairwise(comps) == want
+    assert _rank_and_removable(comps) == want
 
 
 def test_vprime_ex5_7_full_plane():

@@ -108,6 +108,66 @@ def test_ex5_8_projections_make_no_snf(tmp_path, capsys, monkeypatch):
     assert counts == {"snf": 2}
 
 
+def test_ex5_8_eliminates_each_sampled_matrix_once(capsys, monkeypatch):
+    # each of the three Hessians gets one forward Bareiss pass and no
+    # rref_ff; check_star reads the removal condition off the dependency
+    # kernels without rank_int, and vprime eliminates its one candidate
+    # span once
+    alpha_module = importlib.import_module("dualdefect.alpha")
+    args = collections.defaultdict(list)  # last argument of each call
+    active = set()  # the pipeline stages running now
+
+    def spy(owner, name, scope=None):
+        fn = getattr(owner, name)
+
+        def wrapper(*a):
+            if scope is None or scope in active:
+                args[name].append(a[-1])
+            return fn(*a)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def scoped(name):
+        fn = getattr(structure, name)
+
+        def wrapper(*a):
+            active.add(name)
+            try:
+                return fn(*a)
+            finally:
+                active.discard(name)
+        monkeypatch.setattr(structure, name, wrapper)
+
+    hessians = []
+    real_hessian = tangency.hessian
+
+    def hessian(*a):
+        hessians.append(real_hessian(*a))
+        return hessians[-1]
+
+    monkeypatch.setattr(tangency, "hessian", hessian)
+    spy(exact_linalg, "_bareiss")
+    spy(exact_linalg, "rref_ff")
+    spy(alpha_module, "rank_int", "check_star")
+    scoped("check_star")
+    scoped("vprime")
+    real_from_rows = exact_linalg.RationalSubspace.from_rows.__func__
+
+    def from_rows(cls, *a):
+        if "vprime" in active:
+            args["from_rows"].append(a[-1])
+        return real_from_rows(cls, *a)
+
+    monkeypatch.setattr(exact_linalg.RationalSubspace, "from_rows",
+                        classmethod(from_rows))
+    assert invoke(capsys, "analyze", str(FIXTURES / "ex5_8.json"))[0] == 0
+    assert len(hessians) == 3
+    for h in hessians:
+        assert sum(m is h for m in args["_bareiss"]) == 1
+        assert not any(m is h for m in args["rref_ff"])
+    assert args["rank_int"] == []
+    assert len(args["from_rows"]) == 1
+
+
 def test_bench_traced_names_resolve():
     # `bench/run.py --trace 1` wraps each of these by name
     path = FIXTURES.parent / "bench" / "tracing.py"

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     hnf_coords,
     identity,
+    kernel_basis_bareiss,
     kernel_basis_ff,
     kernel_basis_int,
     lattice_leq,
@@ -314,6 +316,62 @@ def test_fraction_free_edge_shapes():
     assert rref_ff([[-2, -4], [3, 6]]) == ([[1, 2]], [0])
 
 
+@st.composite
+def square_matrices(draw):
+    """n x n products of an n x k and a k x n matrix, k <= n <= 6 (so
+    every rank occurs), with some rows zeroed and some negated, so that
+    pivots are missing, zero or negative at any step."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, n))
+    entries = st.integers(-9, 9)
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    m = mat_mul(a, b) if k else [[0] * n for _ in range(n)]
+    signs = draw(st.lists(st.sampled_from([1, -1, 0]), min_size=n,
+                          max_size=n))
+    return [[s * x for x in row] for s, row in zip(signs, m)]
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square_matrices(),
+                 st.integers(1, 4).flatmap(lambda n: st.lists(
+                     st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                     min_size=n, max_size=n))))
+def test_bareiss_kernel_is_the_fraction_free_kernel(m):
+    kernel = kernel_basis_bareiss(m)
+    assert kernel == kernel_basis_ff(m)
+    assert det(m) == leibniz_det(m)
+    assert (kernel == []) == (det(m) != 0)
+
+
+@pytest.mark.parametrize("m,want", [
+    ([], []),
+    ([[0]], [[1]]),
+    ([[-3]], []),
+    ([[0, 0], [0, 0]], [[1, 0], [0, 1]]),
+    # a zero first column, then a negative pivot
+    ([[0, -2], [0, 4]], [[1, 0]]),
+    ([[-2, 1], [4, -2]], [[1, 2]]),
+    # the first pivot position is zero, the swap brings up a negative one
+    ([[0, 1, 1], [-2, 0, 3], [-4, 1, 7]], [[3, -2, 2]]),
+    ([[0, 0, 0], [0, 0, 0], [1, 2, 3]], [[-2, 1, 0], [-3, 0, 1]]),
+])
+def test_bareiss_kernel_edge_cases(m, want):
+    assert kernel_basis_bareiss(m) == want == kernel_basis_ff(m)
+
+
 def test_subspace_contains_over_cleared_denominators():
     # the line through (1/2, 0, 1/3), given by its cleared row (3, 0, 2)
     s = RationalSubspace.from_rows(3, [[3, 0, 2]])
@@ -346,6 +404,12 @@ def test_subspace_contains_matches_rank(m, data):
               for j in range(len(m[0]))]
     assert sub.contains(member)
     assert sub.contains(v) == (rank_int(m + [v]) == rank_int(m))
+    # the remainders of a family add to the subspace exactly the
+    # dimension that the family adds
+    family = [v, member, [a + b for a, b in zip(v, member)]]
+    rest = [sub.reduce(w) for w in family]
+    assert all(w[c] == 0 for w in rest for c in sub.pivots)
+    assert rank_int(rest) == rank_int(m + family) - sub.dim
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from dualdefect import tangency
 from dualdefect.cayley import cayley_sum
-from dualdefect.cli import generate_corpus
+from dualdefect.cli import generate_corpus, run
 from dualdefect.config import (
     GroupHom,
     PointConfig,
@@ -16,7 +16,7 @@ from dualdefect.config import (
     load_config_file,
     normalize,
 )
-from dualdefect.exact_linalg import kernel_basis_ff
+from dualdefect.exact_linalg import det, kernel_basis_ff
 from dualdefect.tangency import (
     ESCALATIONS,
     MAX_TRIALS,
@@ -189,6 +189,28 @@ def test_evaluate_kernel_is_the_eliminated_kernel(ex5_8, segre_square):
             assert tp.evaluate(c) == (c, want)
             singular.add(bool(want))
     assert singular == {True, False}
+
+
+@pytest.mark.parametrize("name", ["ex5_7", "ex5_8", "p1xp2", "segre"])
+def test_every_analyze_hessian_kernel_is_the_eliminated_kernel(
+        name, capsys, monkeypatch):
+    seen = []
+    real = tangency.hessian
+
+    def recorded(a, coeffs):
+        h = real(a, coeffs)
+        seen.append((a, coeffs, h))
+        return h
+
+    monkeypatch.setattr(tangency, "hessian", recorded)
+    assert run(["analyze", str(FIXTURES / f"{name}.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert seen
+    for a, coeffs, h in seen:
+        want = kernel_basis_ff(h)
+        assert TangencyProblem.make(a).evaluate(coeffs) == (coeffs, want)
+        assert (want == []) == (det(h) != 0)
 
 
 def test_contact_grouping_ex5_8(ex5_8):
