@@ -1,7 +1,8 @@
 """Cayley sums and their combinatorics.
 
-Construction of Cayley sums, decomposition of a configuration along a
-projection whose image is a unimodular simplex, join-type predicates, and
+Construction of Cayley sums, the simplex-image check of a projection
+and the Cayley fibers it cuts a configuration into (read off kernel
+coordinates, each up to translation), join-type predicates, and
 exhaustive enumeration of all simplex-image projections of a small
 configuration.
 """
@@ -21,14 +22,11 @@ from .exact_linalg import (
     DimensionError,
     IntMat,
     det,
-    hnf_basis,
     hnf_coords,
     identity,
-    kernel_basis_int,
     mat_vec,
     rank_int,
     rref_ff,
-    solve_int_many,
     transpose,
 )
 
@@ -75,16 +73,14 @@ class SimplexProjection:
 
 @dataclass(frozen=True)
 class CayleyStructure(SimplexProjection):
-    """A realization of a configuration as a Cayley sum.
+    """A realization of a configuration as a Cayley sum A_0 * ... * A_r.
 
-    Extends its simplex projection by the fibers, the translated
-    preimages A_i, and section_frame, the isomorphism f of the ambient
-    lattice onto Z^{n-r} x Z^r carrying base onto cayley_sum(fibers);
-    pr2 composed with section_frame sends part i to vertex i.
+    Extends its simplex projection by the fibers A_i, the preimages of
+    the vertices, each defined up to translation: ``decompose_along``
+    writes A_i in coordinates of ker pi.
     """
 
     fibers: tuple[PointConfig, ...]
-    section_frame: GroupHom
 
     def __post_init__(self):
         super().__post_init__()
@@ -144,12 +140,6 @@ def _group_by_image(a: PointConfig, pi: GroupHom):
     return [tuple(by_value[v]) for v in order], order
 
 
-def _value_differences(values) -> IntMat:
-    """The r x r matrix whose columns are values[i] - values[0]."""
-    v0 = values[0]
-    return transpose([[x - y for x, y in zip(v, v0)] for v in values[1:]])
-
-
 def simplex_projection(a: PointConfig, pi: GroupHom) -> SimplexProjection:
     """The simplex projection of a along pi, or NotSimplexImage.
 
@@ -169,73 +159,33 @@ def simplex_projection(a: PointConfig, pi: GroupHom) -> SimplexProjection:
         raise NotSimplexImage(
             f"projection image has {len(values)} values, expected {r + 1}"
         )
-    if r > 0 and abs(det(_value_differences(values))) != 1:
+    diffs = [[x - y for x, y in zip(v, values[0])] for v in values[1:]]
+    if r > 0 and abs(det(diffs)) != 1:
         raise NotSimplexImage("image differences do not form a lattice basis")
     return SimplexProjection(a, r, tuple(parts), pi)
-
-
-def _simplex_chart(values, r: int) -> GroupHom:
-    """The affine iso of Z^r sending values[i] to vertex i, for the
-    r + 1 image values of a simplex projection."""
-    v0 = values[0]
-    # invert the difference matrix; solve d * col = e_i over Z
-    cols = solve_int_many(_value_differences(values), identity(r))
-    if any(col is None for col in cols):
-        raise ArithmeticError("a unimodular matrix has an integral inverse")
-    mat = transpose(cols) if r else []
-    shift = [-x for x in mat_vec(mat, list(v0))]
-    return GroupHom.make(mat, shift, r)
 
 
 def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
     """Split a into Cayley fibers along a projection with simplex image.
 
-    Returns the partition into parts, the fibers A_i = (preimage of
-    vertex i) - s(vertex i) written in kernel coordinates, and the
-    lattice isomorphism f with f(a) = cayley_sum(fibers).
+    Fiber i is part i, the preimage of vertex i, translated by its first
+    point u_first into ker pi and written in the HNF basis of ker pi:
+    the coordinates of u - u_first for every u in the part.
     """
     sp = simplex_projection(a, pi)
-    n, r, parts = a.dim, sp.r, sp.parts
-    if r == 0:
-        return CayleyStructure(a, 0, parts, pi, (a,),
-                               GroupHom.identity_map(n))
-    values = [pi.apply(a.points[part[0]]) for part in parts]
-    chart = _simplex_chart(values, r).compose(pi)  # part i to vertex i
-    phi = chart.linear().matrix_rows
-    # section s of phi: integer right inverse, columnwise
-    s_cols = solve_int_many(phi, identity(r))
-    if any(col is None for col in s_cols):
-        raise ArithmeticError("a simplex projection of a normalized "
-                              "configuration is surjective")
-    s = transpose(s_cols)  # n x r
-    # canonical (HNF) basis of the saturated kernel, so that coordinate
-    # kernels get identity coordinates
-    kernel = hnf_basis(kernel_basis_int(phi))
-    f_rows: IntMat = []
-    for x_row in identity(n):
-        # x - s(phi(x)) lies in ker phi; take its kernel coordinates
-        img = mat_vec(phi, x_row)
-        red = [xv - sv for xv, sv in zip(x_row, mat_vec(s, img))]
-        coords = hnf_coords(kernel, red)
-        if coords is None:
-            raise ArithmeticError("x - s(phi(x)) lies outside the "
-                                  "saturated kernel of phi")
-        f_rows.append(coords)
-    # f(x) = (kernel coords of x - s(phi x), chart(x))
-    top = transpose(f_rows)  # (n-r) x n acting on columns
-    f_mat = top + chart.linear().matrix_rows
-    tr = [0] * (n - r) + list(chart.translation or [0] * r)
-    f = GroupHom.make(f_mat, tr if any(tr) else None, n)
-    images = [f.apply(p) for p in a.points]
-    fibers = tuple(
-        PointConfig(n - r, tuple(sorted(images[i][: n - r] for i in part)))
-        for part in parts
-    )
-    if set(images) != set(cayley_sum(fibers).points):
-        raise ArithmeticError("the section frame does not carry the "
-                              "configuration onto the Cayley sum of its "
-                              "fibers")
-    return CayleyStructure(a, r, parts, pi, fibers, f)
+    kernel = sp.kernel_lattice()
+    fibers = []
+    for part in sp.parts:
+        first = a.points[part[0]]
+        coords = [hnf_coords(kernel, [x - y for x, y in zip(a.points[i],
+                                                             first)])
+                  for i in part]
+        if None in coords:
+            raise ArithmeticError("two points of one part of a simplex "
+                                  "projection differ outside ker pi")
+        fibers.append(PointConfig(len(kernel),
+                                  tuple(sorted(map(tuple, coords)))))
+    return CayleyStructure(a, sp.r, sp.parts, pi, tuple(fibers))
 
 
 def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:

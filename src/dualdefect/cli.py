@@ -45,16 +45,19 @@ from .tangency import (
 
 MAX_GEN_DIM = 8
 MAX_GEN_POINTS = 14
-# verify samples with the certificate's parameters and gen never samples,
-# so only these commands read --bound and --trials
-_SAMPLING_COMMANDS = ("analyze", "oracle", "batch")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_sampling(p: argparse.ArgumentParser, seed_only: bool = False):
+    """The sampling flags.  gen only seeds its generator, and verify,
+    which samples with the certificate's own parameters, takes none."""
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"sampling seed (default {hex(DEFAULT_SEED)})")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+                   help=f"random seed (default {hex(DEFAULT_SEED)})")
+    if not seed_only:
+        p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+
+
+def _add_output(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out", type=Path, default=None,
                    help="write the report here instead of stdout")
@@ -76,11 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--exhaustive-limit", type=int, default=11,
                     help="largest dim the enumeration accepts; the cost "
                          "is Bell(dim+1) integer checks (default 11)")
-    _add_common(pa)
+    _add_sampling(pa)
+    _add_output(pa)
 
     po = sub.add_parser("oracle", help="run only the corank oracle")
     po.add_argument("config", type=Path)
-    _add_common(po)
+    _add_sampling(po)
+    _add_output(po)
 
     pv = sub.add_parser("verify", help="re-check a certificate")
     pv.add_argument("config", type=Path)
@@ -88,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--exhaustive", action="store_true")
     pv.add_argument("--exhaustive-limit", type=int, default=11,
                     help="largest dim the enumeration accepts (default 11)")
-    _add_common(pv)
+    _add_output(pv)
 
     pg = sub.add_parser("gen", help="generate a test corpus")
     pg.add_argument("--kind", required=True,
@@ -99,11 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ambient dimension (random kind)")
     pg.add_argument("--points", type=int, default=7,
                     help="points per configuration (random kind)")
-    _add_common(pg)
+    _add_sampling(pg, seed_only=True)
+    _add_output(pg)
 
     pb = sub.add_parser("batch", help="analyze every config in a directory")
     pb.add_argument("inputs", type=Path, nargs="+")
-    _add_common(pb)
+    _add_sampling(pb)
+    _add_output(pb)
     return ap
 
 
@@ -366,7 +373,7 @@ def cmd_batch(args) -> int:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in _SAMPLING_COMMANDS:
+    if "trials" in vars(args):
         try:
             check_sampling(args.bound, args.trials)
         except ValueError as exc:

@@ -104,8 +104,25 @@ def test_decompose_ex5_8(ex5_8):
         frozenset([e(1), e(2), EX58_U]),
         frozenset([e(3), e(4), EX58_V]),
     }
-    frame_image = {st.section_frame.apply(p) for p in st.base.points}
-    assert frame_image == set(cayley_sum(st.fibers).points)
+    assert _lifted_fibers(st) == _part_points(st)
+
+
+def _part_points(st):
+    return [sorted(st.base.points[i] for i in part) for part in st.parts]
+
+
+def _lifted_fibers(st):
+    """Each fiber lifted back into the ambient lattice: the first point of
+    its part plus its coordinates times the HNF basis of ker pi."""
+    kernel = st.kernel_lattice()
+    lifted = []
+    for part, fiber in zip(st.parts, st.fibers):
+        first = st.base.points[part[0]]
+        lifted.append(sorted(
+            tuple(x + sum(k * row[j] for k, row in zip(coords, kernel))
+                  for j, x in enumerate(first))
+            for coords in fiber.points))
+    return lifted
 
 
 def test_decompose_rejects_non_simplex_image(segre_square):
@@ -332,6 +349,7 @@ def test_simplex_projection_matches_decompose_along_on_fixtures():
             assert simplex_projection(a, st.pi) == st, path.name
             full = decompose_along(a, st.pi)
             assert (full.r, full.parts, full.pi) == (st.r, st.parts, st.pi)
+            assert _lifted_fibers(full) == _part_points(full), path.name
 
 
 def test_enumerate_structures_are_valid(segre_square):

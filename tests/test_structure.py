@@ -222,6 +222,81 @@ def test_join_factors_of_a_loaded_certificate(ex5_7, ex5_8):
         assert join_factors(roundtrip(cert), cfg) == join_factors(cert, cfg)
 
 
+def _up_to_translation(f):
+    base = min(f.points)
+    return sorted(tuple(x - y for x, y in zip(q, base)) for q in f.points)
+
+
+def test_p_reads_off_the_fibers_of_the_pi1_image():
+    # factor i is p applied to fiber i of a along pi; it must be, up to
+    # translation, the fiber over the same vertex of pi1(a) along pi2
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += [segre_product(a, b) for a in (1, 2) for b in (3, 4)]
+    inputs += [cfg for cfg, _ in
+               generate_corpus("cayley_join_type", 10, 3, 7, 1)]
+    for cfg in inputs:
+        a = normalize(cfg)[0]
+        cert = structure_certificate(a)
+        via_p = {
+            cert.pi.apply(a.points[part[0]]): _up_to_translation(f)
+            for part, f in zip(cert.grouping, join_factors(cert, a))
+        }
+        image = decompose_along(apply_affine(a, cert.pi1, dedupe=True),
+                                cert.pi2)
+        via_pi1 = {
+            cert.pi2.apply(image.base.points[part[0]]): _up_to_translation(f)
+            for part, f in zip(image.parts, image.fibers)
+        }
+        assert via_p == via_pi1, cfg.name
+
+
+def _forged_certificates(a):
+    """A well-formed certificate for every simplex projection of a and
+    every saturated sublattice of its ker pi spanned by a subset of the
+    HNF basis or by one sum of two basis rows: pi1 the quotient by that
+    sublattice, delta = r - c, and every recorded check true."""
+    for st in enumerate_simplex_projections(a):
+        basis = st.kernel_lattice()
+        spans = [[basis[i] for i in subset]
+                 for k in range(len(basis) + 1)
+                 for subset in itertools.combinations(range(len(basis)), k)]
+        spans += [[[x + y for x, y in zip(u, v)]]
+                  for u, v in itertools.combinations(basis, 2)]
+        for span in spans:
+            pi1 = structure._quotient_map(span, a.dim)
+            pi2 = structure._factor_through(st.pi.matrix_rows, pi1)
+            delta = st.r - len(span)
+            yield structure.StructureCertificate(
+                n=a.dim, r=st.r, c=len(span), delta=delta,
+                grouping=st.parts, pi1=pi1, pi2=pi2,
+                p=structure._restrict_to_kernel(pi1, st.pi, pi2),
+                seed=structure.DEFAULT_SEED, bound=structure.DEFAULT_BOUND,
+                trials=structure.DEFAULT_TRIALS, oracle_delta=delta,
+                checks=tuple((name, True)
+                             for name in structure.RECORDED_CHECKS))
+
+
+def test_forged_certificates_pass_only_with_the_true_delta():
+    # verify bounds delta from above by oracle_fresh_seed and from below
+    # by join_type_wrt_pi2, so a forged certificate whose recorded
+    # fields are all consistent passes only when it claims the defect
+    accepted = []
+    for cfg, known in ((load_config_file(FIXTURES / "ex5_8.json"), 1),
+                       (load_config_file(FIXTURES / "p1xp2.json"), 1),
+                       (segre_product(1, 3), 2)):
+        a = normalize(cfg)[0]
+        for cert in _forged_certificates(a):
+            assert roundtrip(cert) == cert
+            report = verify_certificate(a, cert)
+            if report["all_passed"]:
+                accepted.append((cert.delta, known))
+            if cert.delta > known:
+                assert not report["join_type_wrt_pi2"], cert
+            elif cert.delta < known:
+                assert not report["oracle_fresh_seed"], cert
+    assert accepted and all(d == known for d, known in accepted)
+
+
 def test_verify_passes_on_fresh_certificates(segre_square, ex5_7, ex5_8):
     for cfg in (segre_square, ex5_7, ex5_8):
         cert = structure_certificate(cfg)
