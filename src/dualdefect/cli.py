@@ -45,6 +45,7 @@ from .tangency import (
 
 MAX_GEN_DIM = 8
 MAX_GEN_POINTS = 14
+EXHAUSTIVE_LIMIT = 11
 
 
 def _add_sampling(p: argparse.ArgumentParser, seed_only: bool = False):
@@ -76,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("config", type=Path)
     pa.add_argument("--exhaustive", action="store_true",
                     help="also run exhaustive enumeration checks")
-    pa.add_argument("--exhaustive-limit", type=int, default=11,
+    pa.add_argument("--exhaustive-limit", type=int,
                     help="largest dim the enumeration accepts; the cost "
-                         "is Bell(dim+1) integer checks (default 11)")
+                         f"is Bell(dim+1) checks (default {EXHAUSTIVE_LIMIT})")
     _add_sampling(pa)
     _add_output(pa)
 
@@ -91,8 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("config", type=Path)
     pv.add_argument("certificate", type=Path)
     pv.add_argument("--exhaustive", action="store_true")
-    pv.add_argument("--exhaustive-limit", type=int, default=11,
-                    help="largest dim the enumeration accepts (default 11)")
+    pv.add_argument("--exhaustive-limit", type=int,
+                    help="largest dim the enumeration accepts (default "
+                         f"{EXHAUSTIVE_LIMIT})")
     _add_output(pv)
 
     pg = sub.add_parser("gen", help="generate a test corpus")
@@ -373,6 +375,11 @@ def cmd_batch(args) -> int:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "exhaustive_limit" in vars(args):
+        if args.exhaustive_limit is None:
+            args.exhaustive_limit = EXHAUSTIVE_LIMIT
+        elif not args.exhaustive:
+            return _fail_input("--exhaustive-limit needs --exhaustive")
     if "trials" in vars(args):
         try:
             check_sampling(args.bound, args.trials)

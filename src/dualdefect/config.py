@@ -153,7 +153,7 @@ class GroupHom:
         mat = self.matrix_rows
         if not mat:
             return identity(self.domain_rank)
-        return hnf_basis(kernel_basis_int(mat)) if self.domain_rank else []
+        return hnf_basis(kernel_basis_int(mat))
 
     @classmethod
     def identity_map(cls, n: int) -> "GroupHom":

@@ -8,12 +8,14 @@ integer each, and subspaces of Q^n (``RationalSubspace``) are held as
 those integer rows.  Determinants and the Hessian kernels come from
 one forward Bareiss pass (``_bareiss``), shared by ``det`` and
 ``kernel_basis_bareiss``; the kernel back-substituted from it has the
-rows of ``kernel_basis_ff``.  Lattices are handled by Hermite and Smith
-normal forms.  The one rational routine, ``rref`` over
-``fractions.Fraction``, is the definition the integer rows are checked
-against; nothing in the pipeline calls it.  Matrices are plain lists of lists in row-major
-order, and all lattice maps act on row vectors (u * m = h convention
-for normal forms).
+rows of ``kernel_basis_ff``.  Lattices are handled by the Hermite
+normal form alone: kernels, saturation, coordinates (``hnf_coords``)
+and surjectivity.  The Smith normal form (``snf``) and its solver
+``solve_int``, like the one rational routine, ``rref`` over
+``fractions.Fraction``, are the definitions the pipeline is checked
+against; nothing in the pipeline calls them.  Matrices are plain lists
+of lists in row-major order, and all lattice maps act on row vectors
+(u * m = h convention for normal forms).
 """
 
 from __future__ import annotations
@@ -403,9 +405,6 @@ def kernel_basis_int(m: IntMat) -> IntMat:
     basis of a saturated sublattice of Z^cols and extend to a basis of
     the full lattice.
     """
-    cols = len(m[0]) if m else 0
-    if not m:
-        return identity(cols)
     # x * m^T = 0  <=>  rows of u mapping m^T to zero rows of its HNF
     h, u = hnf(transpose(m))
     return [u[i] for i in range(len(h)) if not any(h[i])]
@@ -418,47 +417,30 @@ def saturate(gens: IntMat) -> IntMat:
     saturation of the row lattice.
     """
     cols = len(gens[0]) if gens else 0
-    if not gens or all(not any(row) for row in gens):
-        return []
     ann = kernel_basis_int(gens)
     if not ann:
         return identity(cols)
     return hnf_basis(kernel_basis_int(ann))
 
 
-def solve_int_many(m: IntMat, rhs) -> list[list[int] | None]:
-    """Solve m * x = b over the integers for every b in rhs.
-
-    One Smith normal form of m serves all right-hand sides; each entry
-    of the result is the solution for its b, or None if there is none.
-    """
+def solve_int(m: IntMat, b: list[int]) -> list[int] | None:
+    """Solve m * x = b over the integers by one Smith normal form; None
+    if there is no solution."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    rhs = list(rhs)
-    if any(len(b) != rows for b in rhs):
+    if len(b) != rows:
         raise ValueError(f"right-hand side length differs from {rows} rows")
-    if cols == 0:
-        return [None if any(b) else [] for b in rhs]
     s, u, v = snf(m)
-    diag = [s[i][i] if i < cols else 0 for i in range(rows)]
-
-    def solve(b):
-        y = [0] * cols
-        for i, (c, d) in enumerate(zip(mat_vec(u, b), diag)):
-            if d:
-                y[i], rem = divmod(c, d)
-                if rem:
-                    return None
-            elif c:
+    y = [0] * cols
+    for i, c in enumerate(mat_vec(u, b)):
+        d = s[i][i] if i < cols else 0
+        if d:
+            y[i], rem = divmod(c, d)
+            if rem:
                 return None
-        return mat_vec(v, y)
-
-    return [solve(b) for b in rhs]
-
-
-def solve_int(m: IntMat, b: list[int]) -> list[int] | None:
-    """Solve m * x = b over the integers; None if no solution."""
-    return solve_int_many(m, [b])[0]
+        elif c:
+            return None
+    return mat_vec(v, y)
 
 
 def hnf_coords(basis: IntMat, v) -> list[int] | None:
@@ -493,12 +475,9 @@ def lattice_leq(a: IntMat, b: IntMat) -> bool:
 
 
 def is_surjective(m: IntMat) -> bool:
-    """Whether v -> m * v maps Z^cols onto Z^rows (all SNF factors 1)."""
-    rows = len(m)
-    if rows == 0:
-        return True
-    s, _, _ = snf(m)
-    return all(i < (len(m[0]) if m else 0) and s[i][i] == 1 for i in range(rows))
+    """Whether v -> m * v maps Z^cols onto Z^rows: the columns generate
+    Z^rows exactly when their HNF basis is the identity."""
+    return hnf_basis(transpose(m)) == identity(len(m))
 
 
 # --- rational row reduction ------------------------------------------------
@@ -582,6 +561,4 @@ class RationalSubspace:
 
     def integer_lattice(self) -> IntMat:
         """HNF basis of (this subspace) intersected with Z^n."""
-        if not self.basis:
-            return []
         return saturate([list(r) for r in self.basis])

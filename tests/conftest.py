@@ -12,8 +12,10 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     hnf_coords,
     identity,
+    mat_mul,
     rank_int,
     rref,
+    snf,
     solve_int,
     transpose,
 )
@@ -134,6 +136,35 @@ def solve_int_left(m, b):
     if not m:
         return None if any(b) else []
     return solve_int(transpose(m), b)
+
+
+def is_surjective_snf(m):
+    """Reference: whether v -> m * v maps Z^cols onto Z^rows, read off
+    the Smith normal form (every diagonal factor 1), as decided before
+    the HNF test of the columns replaced it."""
+    rows = len(m)
+    if rows == 0:
+        return True
+    s, _, _ = snf(m)
+    cols = len(m[0])
+    return all(i < cols and s[i][i] == 1 for i in range(rows))
+
+
+def factor_through_snf(pi_mat, pi1):
+    """Reference: the map pi2 with pi2 * pi1 = pi, or None, by lifting
+    the standard basis of the codomain of pi1 through pi1 with one SNF
+    solve each, as ``structure._factor_through`` did before it read the
+    coordinates in the HNF of pi1."""
+    m1 = pi1.matrix_rows
+    k = pi1.codomain_rank
+    lifts = [solve_int(m1, e) for e in identity(k)]
+    if any(lift is None for lift in lifts):
+        return None
+    pi2 = GroupHom.make(mat_mul(pi_mat, transpose(lifts)) if k else [],
+                        None, k)
+    if mat_mul(pi2.matrix_rows, m1) != pi_mat:
+        return None
+    return pi2
 
 
 def join_type_wrt_recompute(a, pi1, pi2):

@@ -23,7 +23,7 @@ from dualdefect.config import (
     load_config_file,
     normalize,
 )
-from dualdefect.exact_linalg import solve_int_many, transpose
+from dualdefect.exact_linalg import solve_int, transpose
 
 from conftest import (
     EX58_U,
@@ -211,9 +211,9 @@ def _set_partitions(n: int, max_parts: int):
 
 def _projection_by_solve(a, parts):
     """Reference: the projection sending part i to vertex i, if one
-    exists, by one Smith normal form solve of P(u - u0) = vertex(part of
-    u) over Z, u0 the first point of part 0; None when the system has no
-    integer solution or P is not surjective."""
+    exists, by Smith normal form solves of P(u - u0) = vertex(part of u)
+    over Z, one for each row of P, u0 the first point of part 0; None
+    when the system has no integer solution or P is not surjective."""
     r = len(parts) - 1
     if r == 0:
         return GroupHom.zero_map(a.dim)
@@ -225,9 +225,12 @@ def _projection_by_solve(a, parts):
         for j in part:
             d_rows.append([x - y for x, y in zip(a.points[j], u0)])
             e_rows.append(v)
-    p_rows = solve_int_many(d_rows, transpose(e_rows))
-    if any(x is None for x in p_rows):
-        return None
+    p_rows = []
+    for col in transpose(e_rows):
+        row = solve_int(d_rows, col)
+        if row is None:
+            return None
+        p_rows.append(row)
     pi = GroupHom.make(p_rows, None, a.dim)
     return pi if pi.is_surjective() else None
 

@@ -72,7 +72,7 @@ def test_analyze_draws_each_sample_once(capsys, monkeypatch):
 def test_nondefective_analyze_and_verify_read_one_sample(
         tmp_path, capsys, monkeypatch):
     # the first sampled Hessian of segre is nonsingular, which decides
-    # delta = 0 for analyze and for verify's fresh-seed oracle
+    # delta = 0 for analyze and for the oracle verify replays
     cfg = str(FIXTURES / "segre.json")
     cert_path = str(tmp_path / "cert.json")
     counts = _count_draws_and_hessians(monkeypatch)
@@ -83,30 +83,24 @@ def test_nondefective_analyze_and_verify_read_one_sample(
     assert counts == {"draws": 1, "hessians": 1}
 
 
-def _count_snf(monkeypatch):
-    counts = collections.Counter()
-    real = exact_linalg.snf
+def test_pipeline_makes_no_snf(tmp_path, capsys, monkeypatch):
+    # the pipeline reads kernels, coordinates, surjectivity and the lift
+    # of pi2 off Hermite normal forms; the Smith normal form is only the
+    # reference the tests check them against
+    def snf(*args):
+        raise AssertionError("the pipeline called exact_linalg.snf")
 
-    def counted(*args):
-        counts["snf"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(exact_linalg, "snf", counted)
-    return counts
-
-
-def test_ex5_8_projections_make_no_snf(tmp_path, capsys, monkeypatch):
-    # the contact projection and the enumeration label an affine basis
-    # read off one rref_ff; the Smith normal forms left are the lift of
-    # pi2 and the surjectivity of pi1, once each in analyze and verify
-    cfg = str(FIXTURES / "ex5_8.json")
-    cert_path = str(tmp_path / "cert.json")
-    counts = _count_snf(monkeypatch)
-    assert invoke(capsys, "analyze", cfg, "--out", cert_path)[0] == 0
-    assert counts == {"snf": 2}
-    counts.clear()
-    assert invoke(capsys, "verify", cfg, cert_path, "--exhaustive")[0] == 0
-    assert counts == {"snf": 2}
+    monkeypatch.setattr(exact_linalg, "snf", snf)
+    for fx in sorted(FIXTURES.iterdir()):
+        cfg = str(fx)
+        cert_path = str(tmp_path / (fx.stem + ".cert.json"))
+        assert invoke(capsys, "analyze", cfg, "--out", cert_path)[0] == 0
+        assert invoke(capsys, "verify", cfg, cert_path)[0] == 0
+        assert invoke(capsys, "verify", cfg, cert_path,
+                      "--exhaustive")[0] == 0
+        assert invoke(capsys, "oracle", cfg)[0] == 0
+    code, out, _ = invoke(capsys, "batch", str(FIXTURES))
+    assert code == 0 and all(rec["ok"] for rec in json.loads(out))
 
 
 def test_ex5_8_eliminates_each_sampled_matrix_once(capsys, monkeypatch):
@@ -279,6 +273,22 @@ def test_exhaustive_limit_exit_2(tmp_path, capsys):
                             "--exhaustive", "--exhaustive-limit", "2")
     assert code == 2 and out == ""
     assert "error:" in err and "limit 2" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_exhaustive_limit_needs_exhaustive(tmp_path, capsys, command):
+    # the limit bounds only the enumeration, so without --exhaustive it
+    # is a usage error, not silently ignored
+    cfg = str(FIXTURES / "ex5_8.json")
+    args = [command, cfg]
+    if command == "verify":
+        cert_path = tmp_path / "cert.json"
+        assert invoke(capsys, "analyze", cfg, "--out", str(cert_path))[0] == 0
+        args.append(str(cert_path))
+    for limit in ("-3", "11"):
+        code, out, err = invoke(capsys, *args, "--exhaustive-limit", limit)
+        assert code == 2 and out == ""
+        assert err == "error: --exhaustive-limit needs --exhaustive\n"
 
 
 def test_verify_exhaustive_ex5_7(tmp_path, capsys):
@@ -467,7 +477,7 @@ def test_most_trials_accepted(capsys):
 
 
 def test_huge_trials_certificate_exits_2_at_once(tmp_path, capsys):
-    # verify samples as many fresh-seed points as the certificate's
+    # verify's oracle samples as many points as the certificate's
     # trials; ten million of them used to run for hours
     cfg = str(FIXTURES / "ex5_8.json")
     code, out, _ = invoke(capsys, "analyze", cfg)

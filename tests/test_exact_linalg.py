@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualdefect.exact_linalg import (
     RationalSubspace,
@@ -13,25 +13,26 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     hnf_coords,
     identity,
+    is_surjective,
     kernel_basis_bareiss,
     kernel_basis_ff,
     kernel_basis_int,
     lattice_leq,
     mat_mul,
-    mat_vec,
     rank_int,
     rref,
     rref_ff,
     saturate,
     snf,
     solve_int,
-    solve_int_many,
     transpose,
 )
 
 from conftest import (
+    is_surjective_snf,
     kernel_basis_rat,
     lattice_eq,
+    random_unimodular,
     rank_rat,
     rational_basis,
     solve_int_left,
@@ -215,26 +216,48 @@ def vectors(n):
     return st.lists(st.integers(-12, 12), min_size=n, max_size=n)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(matrices, low_rank), st.data())
-def test_solve_int_many_matches_single_solves(m, data):
-    # images of integer vectors are solvable; free vectors often are not
-    images = [mat_vec(m, x) for x in data.draw(
-        st.lists(vectors(len(m[0])), max_size=3))]
-    free = data.draw(st.lists(vectors(len(m)), max_size=3))
-    rhs = data.draw(st.permutations(images + free))
-    got = solve_int_many(m, rhs)
-    assert got == [solve_int(m, b) for b in rhs]
-    for b, x in zip(rhs, got):
-        assert x is None or mat_vec(m, x) == b
-        assert x is not None or b not in images
+def test_solve_int_edge_shapes():
+    assert solve_int([[2, 0]], [4]) == [2, 0]
+    assert solve_int([[2, 0]], [3]) is None
+    assert solve_int([[2, 0]], [0]) == [0, 0]
+    assert solve_int([[], []], [0, 0]) == []
+    assert solve_int([[], []], [0, 1]) is None
+    with pytest.raises(ValueError):
+        solve_int([[2]], [1, 1])
 
 
-def test_solve_int_many_edge_shapes():
-    assert solve_int_many([[2]], []) == []
-    assert solve_int_many([[2, 0]], [[4], [3], [0]]) == [[2, 0], None,
-                                                         [0, 0]]
-    assert solve_int_many([[], []], [[0, 0], [0, 1]]) == [[], None]
+@st.composite
+def small_maps(draw):
+    """Integer matrices up to 5 x 6, with the 0 x 0 and rows x 0 shapes.
+    Some have zero rows or columns; others are onto by construction, a
+    unimodular matrix times [I | X] with its columns shuffled."""
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 6))
+    entries = st.integers(-3, 3)
+    if 0 < rows <= cols and draw(st.booleans()):
+        u = random_unimodular(draw(st.randoms(use_true_random=False)), rows)
+        m = mat_mul(u, [[int(i == j) for j in range(rows)]
+                         + draw(st.lists(entries, min_size=cols - rows,
+                                         max_size=cols - rows))
+                         for i in range(rows)])
+        order = draw(st.permutations(range(cols)))
+        return [[row[j] for j in order] for row in m]
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+    zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    return [[0 if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_maps())
+@example([])
+@example([[]])
+@example([[2, 3]])
+@example([[2, 4]])
+def test_is_surjective_matches_snf_reference(m):
+    assert is_surjective(m) == is_surjective_snf(m)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from dualdefect.alpha import alpha
 from dualdefect.cayley import (
@@ -16,7 +17,7 @@ from dualdefect.cayley import (
     join_type_wrt,
     simplex_projection,
 )
-from dualdefect import structure
+from dualdefect import structure, tangency
 from dualdefect.cli import generate_corpus
 from dualdefect.config import (
     GroupHom,
@@ -30,6 +31,7 @@ from dualdefect.exact_linalg import (
     kernel_basis_int,
     lattice_leq,
     mat_mul,
+    saturate,
 )
 from dualdefect.structure import (
     CertificateMismatch,
@@ -46,6 +48,7 @@ from conftest import (
     EX58_U,
     EX58_V,
     FIXTURES,
+    factor_through_snf,
     join_type_wrt_recompute,
     lattice_eq,
     random_unimodular,
@@ -250,6 +253,39 @@ def test_p_reads_off_the_fibers_of_the_pi1_image():
         assert via_p == via_pi1, cfg.name
 
 
+@hst.composite
+def quotients_and_maps(draw):
+    """(pi1, pi, M): pi1 the quotient of Z^n by a random saturated
+    sublattice and pi = M * pi1, which factors through it; or, with M
+    None, that pi with a small vector added to one row, which factors
+    only when the vector vanishes on the sublattice."""
+    n = draw(hst.integers(1, 5))
+    row = hst.lists(hst.integers(-4, 4), min_size=n,
+                    max_size=n).filter(any)
+    pi1 = structure._quotient_map(
+        saturate(draw(hst.lists(row, min_size=1, max_size=n))), n)
+    k = pi1.codomain_rank
+    r = draw(hst.integers(0, 3)) if k else 0
+    m = draw(hst.lists(hst.lists(hst.integers(-3, 3), min_size=k,
+                                 max_size=k), min_size=r, max_size=r))
+    pi = mat_mul(m, pi1.matrix_rows)
+    if r and draw(hst.booleans()):
+        i = draw(hst.integers(0, r - 1))
+        pi[i] = [x + y for x, y in zip(pi[i], draw(row))]
+        m = None
+    return pi1, pi, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotients_and_maps())
+def test_factor_through_matches_snf_reference(case):
+    pi1, pi, m = case
+    pi2 = structure._factor_through(pi, pi1)
+    assert pi2 == factor_through_snf(pi, pi1)
+    if m is not None:
+        assert pi2 == GroupHom.make(m, None, pi1.codomain_rank)
+
+
 def _forged_certificates(a):
     """A well-formed certificate for every simplex projection of a and
     every saturated sublattice of its ker pi spanned by a subset of the
@@ -277,7 +313,7 @@ def _forged_certificates(a):
 
 
 def test_forged_certificates_pass_only_with_the_true_delta():
-    # verify bounds delta from above by oracle_fresh_seed and from below
+    # verify bounds delta from above by oracle_replayed and from below
     # by join_type_wrt_pi2, so a forged certificate whose recorded
     # fields are all consistent passes only when it claims the defect
     accepted = []
@@ -293,8 +329,26 @@ def test_forged_certificates_pass_only_with_the_true_delta():
             if cert.delta > known:
                 assert not report["join_type_wrt_pi2"], cert
             elif cert.delta < known:
-                assert not report["oracle_fresh_seed"], cert
+                assert not report["oracle_replayed"], cert
     assert accepted and all(d == known for d, known in accepted)
+
+
+def test_verify_replays_the_draws_of_analyze(ex5_8, monkeypatch):
+    # verify's one oracle run replays the certificate's seed, bound and
+    # trials, so it reads the tangency samples that analyze read first
+    drawn = []
+    real = tangency.sample_combination
+
+    def recorded(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(tangency, "sample_combination", recorded)
+    cert = structure_certificate(ex5_8)
+    analyzed = list(drawn)
+    drawn.clear()
+    assert verify_certificate(ex5_8, cert)["oracle_replayed"]
+    assert drawn and drawn == analyzed[:len(drawn)]
 
 
 def test_verify_passes_on_fresh_certificates(segre_square, ex5_7, ex5_8):
@@ -385,9 +439,9 @@ def exhaustive_reference(a, cert):
     """Reference: the exhaustive checks over the full enumeration, with
     alpha sampled on every structure, as (lower_bound_law,
     condition4_chain)."""
-    fresh = defect_oracle(
-        TangencyProblem.make(a, cert.seed + 1, cert.bound, cert.trials))
-    if fresh.empty_dual:
+    replay = defect_oracle(
+        TangencyProblem.make(a, cert.seed, cert.bound, cert.trials))
+    if replay.empty_dual:
         return True, True
     lower_ok = chain_ok = True
     ker_pi1 = cert.pi1.kernel_lattice()
