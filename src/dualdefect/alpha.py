@@ -169,11 +169,23 @@ def k_space(summands, bases=None) -> IntMat:
     return kernel_basis_ff([[col[i] for col in cols] for i in range(m)])
 
 
-def alpha(p: AlphaProblem) -> int:
-    """Generic dimension of the span of the components of a K element."""
+def alpha(p: AlphaProblem, above: int | None = None) -> int:
+    """Generic dimension of the span of the components of a K element.
+
+    The largest rank over the first round of samples.  With ``above``,
+    the round is read only up to the first sample whose rank exceeds
+    it, and that rank is returned: a rank at a sample never exceeds the
+    generic one, so it proves alpha > above.  Any other result read the
+    whole round and is the same as without ``above``.
+    """
     if not p.k_basis:
         return 0
-    return max(rank for _comps, rank, _removable in p.first_round())
+    best = 0
+    for _comps, rank, _removable in p.first_round():
+        best = max(best, rank)
+        if above is not None and rank > above:
+            break
+    return best
 
 
 def check_star(p: AlphaProblem) -> bool:

@@ -265,6 +265,8 @@ def _random_unimodular(rng: random.Random, n: int):
 
 def generate_corpus(kind: str, count: int, n: int, points: int, seed: int):
     """Deterministic corpus of configurations with optional expected delta."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, not {count}")
     if not (1 <= n <= MAX_GEN_DIM):
         raise ValueError(f"n must be in 1..{MAX_GEN_DIM}")
     if not (2 <= points <= MAX_GEN_POINTS):

@@ -251,7 +251,10 @@ def load_config_json(text: str) -> PointConfig:
         # bool is an int subclass; floats and bools are refused, not truncated
         if type(x) is not int:
             raise ValueError(f"coordinate {x!r} is not an integer")
-    cfg = PointConfig.make(pts, name=obj.get("name"))
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"'name' is {name!r}, not a string or null")
+    cfg = PointConfig.make(pts, name=name)
     dim = obj.get("dim", cfg.dim)
     if type(dim) is not int or dim != cfg.dim:
         raise ValueError(f"'dim' is {dim!r} but the points have length "

@@ -36,9 +36,12 @@ from .exact_linalg import (
     RationalSubspace,
     hnf,
     hnf_coords,
+    identity,
+    kernel_basis_ff,
     kernel_basis_int,
     lattice_leq,
     mat_mul,
+    rank_int,
     transpose,
 )
 from .tangency import (
@@ -123,10 +126,17 @@ def _part_difference_space(a: PointConfig, part) -> RationalSubspace:
     return RationalSubspace.from_rows(a.dim, rows)
 
 
-def _restrict_to_kernel(pi1: GroupHom, pi: GroupHom,
+def _sums_directly(summands) -> bool:
+    """Whether the subspaces sum directly, that is whether their K space
+    is zero: the rank of their stacked bases is the sum of their dims."""
+    return (rank_int([row for s in summands for row in s.basis])
+            == sum(s.dim for s in summands))
+
+
+def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat,
                         pi2: GroupHom) -> GroupHom:
-    """The map p with p = pi1 restricted to ker pi, in kernel bases."""
-    ker_pi = pi.kernel_lattice()
+    """The map p with p = pi1 restricted to ker pi, in kernel bases;
+    ``ker_pi`` is the HNF basis ``pi.kernel_lattice()``."""
     ker_pi2 = pi2.kernel_lattice()
     cols = []
     for b in ker_pi:
@@ -155,10 +165,19 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
 
 
 def _alpha_problem(a: PointConfig, struct: SimplexProjection, seed: int,
-                   bound: int, trials: int) -> AlphaProblem:
-    """The part difference spaces of a simplex projection inside ker pi."""
-    ambient = RationalSubspace.from_rows(a.dim, struct.pi.kernel_lattice())
-    summands = [_part_difference_space(a, part) for part in struct.parts]
+                   bound: int, trials: int, summands=None) -> AlphaProblem:
+    """The part difference spaces of a simplex projection inside ker pi.
+
+    ``summands`` are those spaces when the caller has them already.  The
+    ambient is the rational kernel of pi, all of Q^n when pi has no rows
+    (r' = 0); ``RationalSubspace`` is canonical, so it equals the span
+    of the HNF kernel lattice ``struct.pi.kernel_lattice()``.
+    """
+    rows = struct.pi.matrix_rows
+    ambient = RationalSubspace.from_rows(
+        a.dim, kernel_basis_ff(rows) if rows else identity(a.dim))
+    if summands is None:
+        summands = [_part_difference_space(a, part) for part in struct.parts]
     return AlphaProblem.make(summands, ambient, seed, bound, trials)
 
 
@@ -246,7 +265,8 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
         raise CertificationError(f"certified invariant failed: {checks}")
     return StructureCertificate(
         n=n, r=struct.r, c=c, delta=delta, grouping=struct.parts,
-        pi1=pi1, pi2=pi2, p=_restrict_to_kernel(pi1, struct.pi, pi2),
+        pi1=pi1, pi2=pi2,
+        p=_restrict_to_kernel(pi1, struct.pi.kernel_lattice(), pi2),
         seed=seed, bound=bound, trials=trials,
         oracle_delta=oracle.delta, checks=checks,
     )
@@ -297,7 +317,11 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     Exhaustive mode also checks that law (``lower_bound_law``) and the
     kernel chain of condition (4) on every simplex projection with
     r' >= delta; those with r' < delta satisfy the law and cannot
-    realize delta.
+    realize delta.  Per structure it computes only what the two checks
+    read: K = 0 is decided from ranks alone, so a structure with
+    r' = delta and K != 0 builds no alpha problem, and alpha stops at
+    the first sample of rank above r' - delta, which proves
+    r' - c' < delta.
     """
     if cert.n != a.dim:
         raise CertificateMismatch(
@@ -318,8 +342,9 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     checks["pi1_surjective"] = cert.pi1.is_surjective()
     pi = cert.pi
     ker_pi1 = cert.pi1.kernel_lattice()
+    ker_pi = pi.kernel_lattice()
     checks["pi1_kernel_rank"] = len(ker_pi1) == cert.c
-    checks["p_matches"] = cert.p == _restrict_to_kernel(cert.pi1, pi,
+    checks["p_matches"] = cert.p == _restrict_to_kernel(cert.pi1, ker_pi,
                                                         cert.pi2)
     try:
         struct = simplex_projection(a, pi)
@@ -345,17 +370,20 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     elif exhaustive:
         lower_ok = True
         chain_ok = True
-        ker_pi = pi.kernel_lattice()
         # a structure with r' < delta can neither break r' - c' <= delta
         # nor realize delta; one with r' = delta realizes it exactly when
         # c' = 0, that is when K is zero, as a nonzero K element has a
-        # nonzero component
+        # nonzero component.  A sample of rank above r' - delta proves
+        # r' - c' < delta, so alpha reads no further.
         for st in enumerate_simplex_projections(a, limit,
                                                 r_min=max(cert.delta, 0)):
-            ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials)
-            if st.r == cert.delta and ap.k_basis:
+            summands = [_part_difference_space(a, part)
+                        for part in st.parts]
+            if st.r == cert.delta and not _sums_directly(summands):
                 continue
-            c2 = alpha_of(ap)
+            ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials,
+                                summands)
+            c2 = alpha_of(ap, above=st.r - cert.delta)
             if st.r - c2 > cert.delta:
                 lower_ok = False
             # condition (4): pairs realizing delta with join-type quotient

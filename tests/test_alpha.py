@@ -165,6 +165,42 @@ def test_removal_condition_matches_pairwise_ranks(comps):
     assert _rank_and_removable(comps) == removal_condition_pairwise(comps)
 
 
+@st.composite
+def summand_families(draw):
+    """1 to 4 summands spanned by a ``component_families`` family, each
+    vector going to one summand, so that K is often nonzero."""
+    comps = draw(component_families())
+    count = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(0, count - 1), min_size=len(comps),
+                          max_size=len(comps)))
+    m = len(comps[0])
+    return [sub(m, [c for c, i in zip(comps, owner) if i == k])
+            for k in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(summand_families(), st.integers(-1, 5), st.integers(1, 3),
+       st.integers(1, 5))
+def test_alpha_above_stops_once_the_bound_is_passed(summands, above, bound,
+                                                    trials):
+    # small bounds make ranks differ between the samples of a round
+    whole = AlphaProblem.make(summands, bound=bound, trials=trials)
+    cut = AlphaProblem.make(summands, bound=bound, trials=trials)
+    want = alpha(whole)
+    got = alpha(cut, above)
+    if want <= above:
+        assert got == want
+    else:
+        assert got > above
+    # _first holds the round-0 samples evaluated so far: all of them up
+    # to the first whose rank exceeds the bound, and none when K = 0
+    ranks = ([rank for _comps, rank, _removable in whole.first_round()]
+             if whole.k_basis else [])
+    stop = next((i + 1 for i, rank in enumerate(ranks) if rank > above),
+                len(ranks))
+    assert len(cut._first[0]) == stop <= len(whole._first[0])
+
+
 @pytest.mark.parametrize("comps,want", [
     # ambient dimension 0: every component is zero
     ([[]], (0, True)),

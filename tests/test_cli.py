@@ -391,6 +391,15 @@ def test_generate_corpus_validation():
         generate_corpus("random", 1, 0, 7, 1)
     with pytest.raises(ValueError):
         generate_corpus("random", 1, 3, 200, 1)
+    with pytest.raises(ValueError, match="count"):
+        generate_corpus("random", -3, 3, 7, 1)
+    assert generate_corpus("random", 0, 3, 7, 1) == []
+
+
+def test_gen_negative_count_exit_2(tmp_path, capsys):
+    code, out, err = invoke(capsys, "gen", "--kind", "random", "--count",
+                            "-3", "--out", str(tmp_path))
+    assert code == 2 and out == "" and "count" in err
 
 
 def run_module(*args, timeout=120):
@@ -641,8 +650,8 @@ cases = [
     (cayley, "hnf_coords", lambda b, v: None,
      lambda: cayley.decompose_along(square, pr2)),
     (structure, "hnf_coords", lambda b, v: None,
-     lambda: structure._restrict_to_kernel(GroupHom.identity_map(2), pr2,
-                                           pr2)),
+     lambda: structure._restrict_to_kernel(GroupHom.identity_map(2),
+                                           pr2.kernel_lattice(), pr2)),
     (cli, "is_join_type", lambda fibers: False,
      lambda: cli.generate_corpus("cayley_join_type", 1, 3, 7, 0)),
     # shape checks on bad arguments, with nothing faked
@@ -786,6 +795,49 @@ def test_bad_config_exit_2(tmp_path, capsys, text, message):
     code, out, err = invoke(capsys, "analyze", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read {path}: ") and message in err
+
+
+_BAD_NAMES = ["7", '["x"]', "true", '{"a": 1}']
+
+
+def _named_config(tmp_path, name) -> str:
+    path = tmp_path / "named.json"
+    path.write_text('{"name": %s, "points": [[0, 0], [1, 0], [0, 1], '
+                    '[1, 1]]}' % name, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_non_string_name_exit_2(tmp_path, capsys, command, name):
+    path = _named_config(tmp_path, name)
+    code, out, err = invoke(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and "'name'" in err
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_non_string_name_verify_exit_2(tmp_path, capsys, name):
+    cert = tmp_path / "cert.json"
+    code, _, _ = invoke(capsys, "analyze", str(FIXTURES / "segre.json"),
+                        "--out", str(cert))
+    assert code == 0
+    path = _named_config(tmp_path, name)
+    code, out, err = invoke(capsys, "verify", path, str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and "'name'" in err
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_non_string_name_fails_its_batch_file(tmp_path, capsys, name):
+    path = _named_config(tmp_path, name)
+    (tmp_path / "good.json").write_text(
+        '{"name": null, "points": [[0], [1]]}', encoding="utf-8")
+    code, out, _ = invoke(capsys, "batch", str(tmp_path))
+    assert code == 1
+    status = {r["file"]: r for r in json.loads(out)}
+    assert status[path]["ok"] is False and "'name'" in status[path]["error"]
+    assert status[str(tmp_path / "good.json")]["ok"] is True
 
 
 def test_ragged_text_config_exit_2(tmp_path, capsys):

@@ -145,6 +145,17 @@ def test_json_missing_points_rejected():
         load_config_json(json.dumps({"name": "x"}))
 
 
+@pytest.mark.parametrize("name", [7, ["x"], True, {"a": 1}, 1.5])
+def test_json_name_must_be_a_string_or_null(name):
+    points = [[0], [1]]
+    with pytest.raises(ValueError, match="'name'"):
+        load_config_json(json.dumps({"name": name, "points": points}))
+    assert load_config_json(
+        json.dumps({"name": None, "points": points})).name is None
+    assert load_config_json(
+        json.dumps({"name": "", "points": points})).name == ""
+
+
 configs = st.integers(0, 4).flatmap(
     lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n),
                        min_size=1, max_size=7, unique=True)

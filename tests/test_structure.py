@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from dualdefect.alpha import alpha
+from dualdefect.alpha import AlphaProblem, alpha
 from dualdefect.cayley import (
     NotSimplexImage,
     cayley_sum,
@@ -18,15 +18,17 @@ from dualdefect.cayley import (
     simplex_projection,
 )
 from dualdefect import structure, tangency
-from dualdefect.cli import generate_corpus
+from dualdefect.cli import generate_corpus, run
 from dualdefect.config import (
     GroupHom,
     PointConfig,
     apply_affine,
+    dump_config_json,
     load_config_file,
     normalize,
 )
 from dualdefect.exact_linalg import (
+    RationalSubspace,
     hnf_basis,
     kernel_basis_int,
     lattice_leq,
@@ -305,7 +307,7 @@ def _forged_certificates(a):
             yield structure.StructureCertificate(
                 n=a.dim, r=st.r, c=len(span), delta=delta,
                 grouping=st.parts, pi1=pi1, pi2=pi2,
-                p=structure._restrict_to_kernel(pi1, st.pi, pi2),
+                p=structure._restrict_to_kernel(pi1, basis, pi2),
                 seed=structure.DEFAULT_SEED, bound=structure.DEFAULT_BOUND,
                 trials=structure.DEFAULT_TRIALS, oracle_delta=delta,
                 checks=tuple((name, True)
@@ -435,10 +437,20 @@ def test_verify_exhaustive_ex5_8(ex5_8):
     assert report["all_passed"]
 
 
+def reference_alpha_problem(a, st, cert):
+    """The alpha problem of a structure with the span of the HNF kernel
+    lattice of pi as its ambient."""
+    summands = [structure._part_difference_space(a, part)
+                for part in st.parts]
+    ambient = RationalSubspace.from_rows(a.dim, st.pi.kernel_lattice())
+    return AlphaProblem.make(summands, ambient, cert.seed, cert.bound,
+                             cert.trials)
+
+
 def exhaustive_reference(a, cert):
     """Reference: the exhaustive checks over the full enumeration, with
-    alpha sampled on every structure, as (lower_bound_law,
-    condition4_chain)."""
+    alpha sampled over the whole first round on every structure, as
+    (lower_bound_law, condition4_chain)."""
     replay = defect_oracle(
         TangencyProblem.make(a, cert.seed, cert.bound, cert.trials))
     if replay.empty_dual:
@@ -447,8 +459,7 @@ def exhaustive_reference(a, cert):
     ker_pi1 = cert.pi1.kernel_lattice()
     ker_pi = cert.pi.kernel_lattice()
     for st in enumerate_simplex_projections(a):
-        ap = structure._alpha_problem(a, st, cert.seed, cert.bound,
-                                      cert.trials)
+        ap = reference_alpha_problem(a, st, cert)
         c2 = alpha(ap)
         if st.r - c2 > cert.delta:
             lower_ok = False
@@ -519,6 +530,27 @@ def test_exhaustive_checks_match_the_full_loop():
             assert got == exhaustive_reference(a, edited), (a.points, delta)
             outcomes.update(enumerate(got))
     assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
+
+
+def test_rank_test_and_kernel_ambient_match_the_alpha_problem():
+    # verify --exhaustive decides K = 0 from ranks before it builds an
+    # alpha problem, whose ambient is the rational kernel of pi
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus()
+    inputs += [segre_product(1, 3), segre_product(2, 3), segre_product(2, 4)]
+    outcomes = set()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        for st in enumerate_simplex_projections(a):
+            summands = [structure._part_difference_space(a, part)
+                        for part in st.parts]
+            ap = structure._alpha_problem(a, st, 1, 7, 3)
+            direct = structure._sums_directly(summands)
+            assert direct == (not ap.k_basis), (a.points, st.parts)
+            assert ap.ambient == RationalSubspace.from_rows(
+                a.dim, st.pi.kernel_lattice())
+            outcomes.add(direct)
+    assert outcomes == {True, False}
 
 
 def test_join_defect_law_certificates():
@@ -626,6 +658,64 @@ def test_certificate_bytes_pinned():
         text = certificate_to_json(structure_certificate(normalize(cfg)[0]))
         got[name] = hashlib.sha256(text.encode()).hexdigest()
     assert got == PINNED_CERTIFICATE_DIGESTS
+
+
+# SHA-256 of the `verify --exhaustive --out` report of each input's
+# certificate with delta one less, as analyze wrote it, and one more;
+# the reports differ only in which checks fail
+_ALL_PASS = (
+    "7cf5b664c959a3774cc2c2c1cc131b8293321b292a14d09cefeb68b3ebd71df2")
+_BOTH_FAIL = (  # lower_bound_law and condition4_chain fail
+    "887f43f102645d1d6c057bb7f11be19691febc388a06592b893162f862291963")
+_LAW_FAILS = (  # lower_bound_law fails, condition4_chain passes
+    "617d230db458ca181033b07cfc611461c2614498e0f824f903e74032742eddd0")
+_DELTA_FAILS = (  # both pass; the delta and oracle checks fail
+    "f5ffd004fe466ed47d810a79c439a0c4f8c1db6a795fb498e33cab435332fff5")
+PINNED_EXHAUSTIVE_REPORTS = {
+    "ex5_7.json": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "ex5_8.json": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "p1xp2.json": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "segre.json": (_LAW_FAILS, _ALL_PASS, _DELTA_FAILS),
+    "simplex1.txt": (_DELTA_FAILS, _ALL_PASS, _DELTA_FAILS),
+    "simplex2.txt": (_DELTA_FAILS, _ALL_PASS, _DELTA_FAILS),
+    "simplex3.txt": (_DELTA_FAILS, _ALL_PASS, _DELTA_FAILS),
+    "small_join_00": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_01": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_02": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_03": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_04": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_05": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_06": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_07": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_08": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+    "small_join_09": (_BOTH_FAIL, _ALL_PASS, _DELTA_FAILS),
+}
+
+
+def test_exhaustive_report_bytes_pinned(tmp_path):
+    inputs = [(p.name, p) for p in sorted(FIXTURES.iterdir())]
+    for i, cfg in enumerate(small_join_corpus()):
+        path = tmp_path / f"small_join_{i:02d}.json"
+        path.write_text(dump_config_json(cfg), encoding="utf-8")
+        inputs.append((path.stem, path))
+    cert_path = tmp_path / "cert.json"
+    report_path = tmp_path / "report.json"
+    got = {}
+    for name, path in inputs:
+        assert run(["analyze", str(path), "--out", str(cert_path)]) == 0
+        obj = json.loads(cert_path.read_text(encoding="utf-8"))
+        digests = []
+        for step in (-1, 0, 1):
+            cert_path.write_text(
+                json.dumps(dict(obj, delta=obj["delta"] + step)),
+                encoding="utf-8")
+            code = run(["verify", str(path), str(cert_path), "--exhaustive",
+                        "--out", str(report_path)])
+            assert code == (0 if step == 0 else 1), (name, step)
+            digests.append(
+                hashlib.sha256(report_path.read_bytes()).hexdigest())
+        got[name] = tuple(digests)
+    assert got == PINNED_EXHAUSTIVE_REPORTS
 
 
 def pi1_edits(pi1):
