@@ -25,6 +25,7 @@ from .exact_linalg import (
     identity,
     kernel_basis_ff,
     rank_int,
+    sums_directly,
 )
 from .tangency import (
     DEFAULT_BOUND,
@@ -245,12 +246,8 @@ def _quotient_is_direct(p: AlphaProblem, span: RationalSubspace) -> bool:
 
     Reducing a vector modulo V' is a linear map onto a complement of V'
     (up to one nonzero factor per vector), so the rank of the remainders
-    of a family is the dimension its span adds to V'.
+    of a family is the dimension its span adds to V', and the quotient
+    sums directly when the remainders do (``sums_directly``).
     """
-    joined = []
-    per_summand = 0
-    for basis in p.bases:
-        rest = [span.reduce(row) for row in basis]
-        per_summand += rank_int(rest)
-        joined.extend(rest)
-    return rank_int(joined) == per_summand
+    return sums_directly([span.reduce(row) for row in basis]
+                         for basis in p.bases)

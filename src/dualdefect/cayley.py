@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .config import (
-    GroupHom,
-    PointConfig,
-    difference_lattice,
-    require_normalized,
-)
+from .config import GroupHom, PointConfig, group_indices, require_normalized
 from .exact_linalg import (
     DimensionError,
     IntMat,
@@ -25,8 +20,8 @@ from .exact_linalg import (
     hnf_coords,
     identity,
     mat_vec,
-    rank_int,
     rref_ff,
+    sums_directly,
     transpose,
 )
 
@@ -37,6 +32,10 @@ class NotSimplexImage(ValueError):
 
 class TooLarge(ValueError):
     """Configuration exceeds the exhaustive enumeration limit."""
+
+
+# largest dim enumerated by default; the search tries Bell(dim + 1) labelings
+EXHAUSTIVE_LIMIT = 11
 
 
 def _simplex_vertex(i: int, r: int) -> tuple[int, ...]:
@@ -110,8 +109,8 @@ def cayley_sum(fibers) -> PointConfig:
 def is_join_type(fibers) -> bool:
     """Whether the difference lattices of the fibers sum directly.
 
-    Decided over Q: the sum of the spans has dimension equal to the sum
-    of the individual dimensions.
+    Decided over Q by ``sums_directly`` on the differences of each
+    fiber from its first point, which span its difference lattice.
     """
     fibers = list(fibers)
     if not fibers:
@@ -119,25 +118,11 @@ def is_join_type(fibers) -> bool:
     m = fibers[0].dim
     if any(f.dim != m for f in fibers):
         raise DimensionError("fibers live in different ambient dimensions")
-    bases = [difference_lattice(f) for f in fibers]
-    total = sum(len(b) for b in bases)
-    stacked = [row for b in bases for row in b]
-    if not stacked:
-        return True
-    return rank_int(stacked) == total
-
-
-def _group_by_image(a: PointConfig, pi: GroupHom):
-    """Partition point indices by pi-value, parts ordered by least index."""
-    by_value: dict[tuple[int, ...], list[int]] = {}
-    order = []
-    for i, p in enumerate(a.points):
-        v = pi.apply(p)
-        if v not in by_value:
-            by_value[v] = []
-            order.append(v)
-        by_value[v].append(i)
-    return [tuple(by_value[v]) for v in order], order
+    if any(not f.points for f in fibers):
+        raise ValueError("an empty fiber has no difference lattice")
+    return sums_directly(
+        [[x - y for x, y in zip(p, f.points[0])] for p in f.points[1:]]
+        for f in fibers)
 
 
 def simplex_projection(a: PointConfig, pi: GroupHom) -> SimplexProjection:
@@ -154,7 +139,9 @@ def simplex_projection(a: PointConfig, pi: GroupHom) -> SimplexProjection:
                          f"configuration in Z^{a.dim}")
     require_normalized(a, "simplex_projection")
     r = pi.codomain_rank
-    parts, values = _group_by_image(a, pi)
+    images = [pi.apply(p) for p in a.points]
+    parts = group_indices(images)
+    values = [images[part[0]] for part in parts]
     if len(values) != r + 1:
         raise NotSimplexImage(
             f"projection image has {len(values)} values, expected {r + 1}"
@@ -162,7 +149,7 @@ def simplex_projection(a: PointConfig, pi: GroupHom) -> SimplexProjection:
     diffs = [[x - y for x, y in zip(v, values[0])] for v in values[1:]]
     if r > 0 and abs(det(diffs)) != 1:
         raise NotSimplexImage("image differences do not form a lattice basis")
-    return SimplexProjection(a, r, tuple(parts), pi)
+    return SimplexProjection(a, r, parts, pi)
 
 
 def decompose_along(a: PointConfig, pi: GroupHom) -> CayleyStructure:
@@ -193,7 +180,8 @@ def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:
 
     struct is the simplex projection of the base along pi = pi2 o pi1.
     Its parts have difference lattices M_i; the predicate holds when
-    the images pi1(M_i) inside ker pi2 sum directly.
+    the images pi1(M_i) inside ker pi2 sum directly (``is_join_type``),
+    as they do when ker pi1 spans the V' that ``vprime`` returned.
     """
     lin = pi1.linear()
     points = struct.base.points
@@ -267,7 +255,8 @@ def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
                                inverse).pi
 
 
-def enumerate_simplex_projections(a: PointConfig, limit: int = 11,
+def enumerate_simplex_projections(a: PointConfig,
+                                  limit: int = EXHAUSTIVE_LIMIT,
                                   r_min: int = 0):
     """All simplex projections of a with r >= r_min, one per realizable
     point partition, ordered by (r, parts).
@@ -367,11 +356,7 @@ def _labeled_projection(a, basis, label, vertex, labels, scale,
     n = a.dim
     for k, b in enumerate(basis):
         vertex[b] = label[k]
-    by_vertex: dict[int, list[int]] = {}
-    for j, v in enumerate(vertex):
-        by_vertex.setdefault(v, []).append(j)
-    # dicts keep insertion order, so parts come by least index
-    parts = tuple(tuple(p) for p in by_vertex.values())
+    parts = group_indices(vertex)
     rows = [[0] * n for _ in range(labels - 1)]
     for k in range(1, n + 1):
         if label[k]:

@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .cayley import TooLarge, cayley_sum, is_join_type
+from .cayley import EXHAUSTIVE_LIMIT, TooLarge, cayley_sum, is_join_type
 from .config import (
     GroupHom,
     PointConfig,
@@ -45,7 +45,6 @@ from .tangency import (
 
 MAX_GEN_DIM = 8
 MAX_GEN_POINTS = 14
-EXHAUSTIVE_LIMIT = 11
 
 
 def _add_sampling(p: argparse.ArgumentParser, seed_only: bool = False):
@@ -102,10 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["random", "cayley_join_type",
                              "unimodular_twist"])
     pg.add_argument("--count", type=int, default=10)
-    pg.add_argument("--n", type=int, default=3,
-                    help="ambient dimension (random kind)")
-    pg.add_argument("--points", type=int, default=7,
-                    help="points per configuration (random kind)")
+    pg.add_argument("--n", type=int,
+                    help="ambient dimension (random kind only; default 3)")
+    pg.add_argument("--points", type=int,
+                    help="points per configuration (random kind only; "
+                         "default 7)")
     _add_sampling(pg, seed_only=True)
     _add_output(pg)
 
@@ -280,6 +280,9 @@ def generate_corpus(kind: str, count: int, n: int, points: int, seed: int):
             while len(pts) < points and attempts < 200:
                 pts.add(tuple(rng.randint(-4, 4) for _ in range(n)))
                 attempts += 1
+            if len(pts) < points:
+                raise ValueError(f"drew only {len(pts)} distinct points "
+                                 f"in [-4, 4]^{n}, not {points}")
             cfg = PointConfig.make(sorted(pts), name=f"random_{idx:03d}")
             out.append((cfg, None))
         elif kind == "cayley_join_type":
@@ -312,9 +315,13 @@ def generate_corpus(kind: str, count: int, n: int, points: int, seed: int):
 
 
 def cmd_gen(args) -> int:
+    if args.kind != "random" and (args.n, args.points) != (None, None):
+        return _fail_input(f"--kind {args.kind} takes no --n or --points")
+    n = 3 if args.n is None else args.n
+    points = 7 if args.points is None else args.points
     try:
-        corpus = generate_corpus(args.kind, args.count, args.n,
-                                 args.points, args.seed)
+        corpus = generate_corpus(args.kind, args.count, n, points,
+                                 args.seed)
     except ValueError as exc:
         return _fail_input(str(exc))
     outdir = args.out or Path(".")

@@ -176,6 +176,16 @@ def apply_affine(a: PointConfig, f: GroupHom, dedupe: bool = False) -> PointConf
     return PointConfig(f.codomain_rank, tuple(sorted(set(images))), a.name)
 
 
+def group_indices(keys) -> tuple[tuple[int, ...], ...]:
+    """The indices of keys grouped by equal key, groups ordered by least
+    index."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    # dicts keep insertion order, so groups come by least index
+    return tuple(map(tuple, groups.values()))
+
+
 def difference_lattice(a: PointConfig) -> IntMat:
     """HNF basis of the subgroup of Z^dim generated by all differences."""
     if not a.points:

@@ -206,6 +206,14 @@ def rank_int(m: IntMat) -> int:
     return len(rref_ff(m)[1])
 
 
+def sums_directly(families) -> bool:
+    """Whether the row spans of the families sum directly over Q: the
+    rank of all their rows together is the sum of their ranks."""
+    families = [list(f) for f in families]
+    return (rank_int([row for f in families for row in f])
+            == sum(map(rank_int, families)))
+
+
 def kernel_basis_ff(m: IntMat) -> IntMat:
     """Integer basis of {x : m * x^T = 0}.
 

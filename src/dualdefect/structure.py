@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .alpha import AlphaProblem, alpha as alpha_of, check_star, vprime
 from .cayley import (
+    EXHAUSTIVE_LIMIT,
     NotSimplexImage,
     SimplexProjection,
     decompose_along,
@@ -41,7 +42,7 @@ from .exact_linalg import (
     kernel_basis_int,
     lattice_leq,
     mat_mul,
-    rank_int,
+    sums_directly,
     transpose,
 )
 from .tangency import (
@@ -124,13 +125,6 @@ def _part_difference_space(a: PointConfig, part) -> RationalSubspace:
     rows = [[x - y for x, y in zip(a.points[i], base)]
             for i in part[1:]]
     return RationalSubspace.from_rows(a.dim, rows)
-
-
-def _sums_directly(summands) -> bool:
-    """Whether the subspaces sum directly, that is whether their K space
-    is zero: the rank of their stacked bases is the sum of their dims."""
-    return (rank_int([row for s in summands for row in s.basis])
-            == sum(s.dim for s in summands))
 
 
 def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat,
@@ -298,7 +292,8 @@ def join_factors(cert: StructureCertificate, a: PointConfig):
 
 
 def verify_certificate(a: PointConfig, cert: StructureCertificate,
-                       exhaustive: bool = False, limit: int = 11) -> dict:
+                       exhaustive: bool = False,
+                       limit: int = EXHAUSTIVE_LIMIT) -> dict:
     """Independent re-check of a certificate; raises CertificateMismatch
     when cert.n is not a.dim.
 
@@ -318,10 +313,13 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     kernel chain of condition (4) on every simplex projection with
     r' >= delta; those with r' < delta satisfy the law and cannot
     realize delta.  Per structure it computes only what the two checks
-    read: K = 0 is decided from ranks alone, so a structure with
-    r' = delta and K != 0 builds no alpha problem, and alpha stops at
-    the first sample of rank above r' - delta, which proves
-    r' - c' < delta.
+    read: K = 0 exactly when the part bases sum directly
+    (``sums_directly``), so a structure with r' = delta and K != 0
+    builds no alpha problem, and alpha stops at the first sample of
+    rank above r' - delta, which proves r' - c' < delta.  The join-type
+    half of condition (4) is not tested again: a structure has a
+    minimal quotient only once ``vprime`` has checked that its V_i sum
+    directly modulo its V', which the kernel of its pi1 spans.
     """
     if cert.n != a.dim:
         raise CertificateMismatch(
@@ -379,7 +377,8 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
                                                 r_min=max(cert.delta, 0)):
             summands = [_part_difference_space(a, part)
                         for part in st.parts]
-            if st.r == cert.delta and not _sums_directly(summands):
+            if st.r == cert.delta and not sums_directly(
+                    s.basis for s in summands):
                 continue
             ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials,
                                 summands)
@@ -393,8 +392,7 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
             if quotient is None:
                 continue
             pi1b, _ = quotient
-            if st.r > 0 and not join_type_wrt(st, pi1b):
-                continue
+            # join type holds: vprime made the V_i sum directly mod ker pi1b
             ker_pi1b = pi1b.kernel_lattice()
             ker_pib = st.pi.kernel_lattice()
             if not (lattice_leq(ker_pi1, ker_pi1b)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .config import PointConfig, require_normalized
+from .config import PointConfig, group_indices, require_normalized
 from .exact_linalg import IntMat, kernel_basis_bareiss, kernel_basis_ff
 
 DEFAULT_SEED = 0xA11CE
@@ -238,15 +238,8 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
 
 def _grouping_from_kernel(a: PointConfig, kernel: IntMat):
     """Partition points by the functional v -> <u, v> on the kernel."""
-    keys = {}
-    order = []
-    for i, u in enumerate(a.points):
-        key = tuple(sum(map(mul, u, v)) for v in kernel)
-        if key not in keys:
-            keys[key] = []
-            order.append(key)
-        keys[key].append(i)
-    return tuple(tuple(keys[k]) for k in order)
+    return group_indices(tuple(sum(map(mul, u, v)) for v in kernel)
+                         for u in a.points)
 
 
 def contact_grouping(p: TangencyProblem):

@@ -7,11 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from dualdefect import exact_linalg, structure, tangency
 from dualdefect.cli import generate_corpus, run
@@ -191,6 +193,16 @@ def test_package_imports_only_the_standard_library():
     assert imported
     assert [(name, module) for name, module in imported
             if module.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so invariants are explicit exceptions
+    asserts = [(path.name, node.lineno)
+               for path in sorted((SRC / "dualdefect").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(
+                   encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_oracle_segre(capsys):
@@ -393,7 +405,22 @@ def test_generate_corpus_validation():
         generate_corpus("random", 1, 3, 200, 1)
     with pytest.raises(ValueError, match="count"):
         generate_corpus("random", -3, 3, 7, 1)
+    # only 9 distinct points fit in [-4, 4]
+    with pytest.raises(ValueError, match="distinct"):
+        generate_corpus("random", 1, 1, 10, 1)
     assert generate_corpus("random", 0, 3, 7, 1) == []
+
+
+@pytest.mark.parametrize("kind", ["cayley_join_type", "unimodular_twist"])
+@pytest.mark.parametrize("flag", ["--n", "--points"])
+def test_gen_refuses_shape_flags_of_fixed_kinds(tmp_path, capsys, kind,
+                                                flag):
+    # those kinds draw their own shapes, so a shape flag is an input
+    # error, not ignored
+    code, out, err = invoke(capsys, "gen", "--kind", kind, flag, "5",
+                            "--out", str(tmp_path / "corpus"))
+    assert code == 2 and out == "" and flag in err
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_gen_negative_count_exit_2(tmp_path, capsys):
@@ -991,3 +1018,37 @@ def test_fuzz_verify_malformed_configs(fuzz_dir, name, config):
     cfg_path = fuzz_dir / f"config{suffix}"
     cfg_path.write_text(text, encoding="utf-8")
     _verify_both_ways(cfg_path, fuzz_dir / f"{name}.cert.json")
+
+
+# at n = 1 only 9 distinct points exist, so n is drawn small often
+@FUZZ
+@given(kind=hst.sampled_from(["random", "cayley_join_type",
+                              "unimodular_twist"]),
+       count=hst.integers(-1, 3),
+       n=hst.none() | hst.integers(1, 2) | hst.integers(-1, 9),
+       points=hst.none() | hst.integers(0, 16),
+       seed=hst.integers(0, 2 ** 16))
+@example(kind="random", count=1, n=1, points=14, seed=0)
+def test_fuzz_gen_writes_what_was_asked_or_exits_2(kind, count, n, points,
+                                                   seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "corpus"
+        argv = ["gen", "--kind", kind, "--count", count, "--seed", seed,
+                "--out", out]
+        argv += [] if n is None else ["--n", n]
+        argv += [] if points is None else ["--points", points]
+        code, err = _quiet_run(argv)
+        assert code in (0, 2), (code, err)
+        assert "Traceback" not in err, err
+        if code == 2:
+            assert not out.exists()
+            return
+        files = sorted(out.iterdir())
+        assert len(files) == count
+        if kind != "random":
+            assert n is None and points is None
+            return
+        for path in files:
+            cfg = load_config_file(path)
+            assert cfg.dim == (3 if n is None else n), path.name
+            assert len(cfg) == (7 if points is None else points), path.name

@@ -25,6 +25,7 @@ from dualdefect.exact_linalg import (
     saturate,
     snf,
     solve_int,
+    sums_directly,
     transpose,
 )
 
@@ -289,6 +290,29 @@ def test_hnf_coords_rejects_non_echelon_basis():
 @given(st.one_of(matrices, low_rank))
 def test_rational_rank_matches_integer_rank(m):
     assert rank_rat([[Fraction(x) for x in row] for row in m]) == rank_int(m)
+
+
+@st.composite
+def row_families(draw):
+    """The rows of a matrix from ``matrices`` or ``low_rank``, cut into
+    consecutive families; repeated cuts give empty families."""
+    m = draw(st.one_of(matrices, low_rank))
+    cuts = sorted(draw(st.lists(st.integers(0, len(m)), max_size=3)))
+    bounds = [0, *cuts, len(m)]
+    return [m[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_families())
+@example([[[1, 2]], [[2, 4]]])
+@example([[[1, 0]], [], [[0, 1]]])
+def test_sums_directly_matches_rational_ranks(families):
+    def rank(rows):
+        return rank_rat([[Fraction(x) for x in row] for row in rows])
+
+    stacked = [row for f in families for row in f]
+    assert sums_directly(families) == (
+        rank(stacked) == sum(map(rank, families)))
 
 
 def test_rref_pivots_and_kernel_rat():

@@ -34,6 +34,7 @@ from dualdefect.exact_linalg import (
     lattice_leq,
     mat_mul,
     saturate,
+    sums_directly,
 )
 from dualdefect.structure import (
     CertificateMismatch,
@@ -533,8 +534,9 @@ def test_exhaustive_checks_match_the_full_loop():
 
 
 def test_rank_test_and_kernel_ambient_match_the_alpha_problem():
-    # verify --exhaustive decides K = 0 from ranks before it builds an
-    # alpha problem, whose ambient is the rational kernel of pi
+    # verify --exhaustive decides K = 0 by sums_directly before it builds
+    # an alpha problem, whose ambient is the rational kernel of pi; the
+    # parts taken as configurations are of join type exactly then
     inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
     inputs += small_join_corpus()
     inputs += [segre_product(1, 3), segre_product(2, 3), segre_product(2, 4)]
@@ -545,8 +547,11 @@ def test_rank_test_and_kernel_ambient_match_the_alpha_problem():
             summands = [structure._part_difference_space(a, part)
                         for part in st.parts]
             ap = structure._alpha_problem(a, st, 1, 7, 3)
-            direct = structure._sums_directly(summands)
+            direct = sums_directly(s.basis for s in summands)
             assert direct == (not ap.k_basis), (a.points, st.parts)
+            assert direct == is_join_type(
+                PointConfig(a.dim, tuple(a.points[i] for i in part))
+                for part in st.parts), (a.points, st.parts)
             assert ap.ambient == RationalSubspace.from_rows(
                 a.dim, st.pi.kernel_lattice())
             outcomes.add(direct)
