@@ -24,7 +24,6 @@ from .exact_linalg import (
     RationalSubspace,
     identity,
     kernel_basis_ff,
-    rank_int,
     sums_directly,
 )
 from .tangency import (
@@ -38,19 +37,19 @@ from .tangency import (
 
 @dataclass(frozen=True)
 class AlphaProblem(SampledProblem):
-    """A family of summands V_0, ..., V_r inside an ambient subspace.
+    """The summands V_0, ..., V_r of Q^ambient_dim, and nothing around them.
 
     ``bases`` holds the RREF bases of the summands scaled by one common
     denominator, and ``k_basis`` the integer K basis in those
-    coordinates.  Every sampled K element, and so every set of
-    components, is the rational one times a single positive integer,
-    which leaves all ranks and spans unchanged.  Each sample is kept
-    as its components, their rank and whether any two of them can be
-    removed without shrinking their span, both read off one dependency
-    kernel (``_rank_and_removable``).
+    coordinates, empty exactly when the summands sum directly.  Every
+    sampled K element, and so every set of components, is the rational
+    one times a single positive integer, which leaves all ranks and
+    spans unchanged.  Each sample is kept as its components, their rank
+    and whether any two of them can be removed without shrinking their
+    span, both read off one dependency kernel (``_rank_and_removable``).
     """
 
-    ambient: RationalSubspace
+    ambient_dim: int
     k_basis: tuple[tuple[int, ...], ...]
     bases: tuple[tuple[tuple[int, ...], ...], ...]
     seed: int = DEFAULT_SEED
@@ -58,8 +57,8 @@ class AlphaProblem(SampledProblem):
     trials: int = DEFAULT_TRIALS
 
     @classmethod
-    def make(cls, summands, ambient: RationalSubspace | None = None,
-             seed: int = DEFAULT_SEED, bound: int = DEFAULT_BOUND,
+    def make(cls, summands, seed: int = DEFAULT_SEED,
+             bound: int = DEFAULT_BOUND,
              trials: int = DEFAULT_TRIALS) -> "AlphaProblem":
         summands = tuple(summands)
         if not summands:
@@ -67,18 +66,10 @@ class AlphaProblem(SampledProblem):
         m = summands[0].ambient_dim
         if any(s.ambient_dim != m for s in summands):
             raise ValueError("summands live in different ambient spaces")
-        if ambient is None:
-            ambient = RationalSubspace.from_rows(
-                m, [row for s in summands for row in s.basis]
-            )
         bases = tuple(tuple(tuple(row) for row in basis)
                       for basis in _integer_bases(summands))
-        stacked = [list(row) for row in ambient.basis]
-        stacked += [list(row) for basis in bases for row in basis]
-        if rank_int(stacked) != ambient.dim:
-            raise ValueError("summands are not contained in the ambient")
         kb = tuple(tuple(row) for row in k_space(summands, bases))
-        return cls(ambient, kb, bases, seed, bound, trials)
+        return cls(m, kb, bases, seed, bound, trials)
 
     @property
     def r(self) -> int:
@@ -93,8 +84,8 @@ class AlphaProblem(SampledProblem):
         return (comps, *_rank_and_removable(comps))
 
     def components(self, element) -> IntMat:
-        """Split a K element (in summand coordinates) into ambient vectors."""
-        m = self.ambient.ambient_dim
+        """Split a K element (in summand coordinates) into its components."""
+        m = self.ambient_dim
         out = []
         pos = 0
         for basis in self.bases:
@@ -217,9 +208,8 @@ def vprime(p: AlphaProblem, target: int) -> RationalSubspace:
     is returned.  Each candidate span is eliminated once, and both
     checks reduce against its rows.
     """
-    m = p.ambient.ambient_dim
     if not p.k_basis:
-        span = RationalSubspace.from_rows(m, [])
+        span = RationalSubspace.from_rows(p.ambient_dim, [])
         if not _quotient_is_direct(p, span):
             raise RuntimeError("K is zero but the summands do not sum "
                                "directly")
@@ -228,7 +218,7 @@ def vprime(p: AlphaProblem, target: int) -> RationalSubspace:
         for comps, rank, _removable in samples:
             if rank != target:
                 continue
-            span = RationalSubspace.from_rows(m, comps)
+            span = RationalSubspace.from_rows(p.ambient_dim, comps)
             if (_components_contained(p, span)
                     and _quotient_is_direct(p, span)):
                 return span

@@ -45,6 +45,7 @@ from .tangency import (
 
 MAX_GEN_DIM = 8
 MAX_GEN_POINTS = 14
+GEN_KINDS = ("random", "cayley_join_type", "unimodular_twist")
 
 
 def _add_sampling(p: argparse.ArgumentParser, seed_only: bool = False):
@@ -97,9 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(pv)
 
     pg = sub.add_parser("gen", help="generate a test corpus")
-    pg.add_argument("--kind", required=True,
-                    choices=["random", "cayley_join_type",
-                             "unimodular_twist"])
+    pg.add_argument("--kind", required=True, choices=GEN_KINDS)
     pg.add_argument("--count", type=int, default=10)
     pg.add_argument("--n", type=int,
                     help="ambient dimension (random kind only; default 3)")
@@ -263,14 +262,23 @@ def _random_unimodular(rng: random.Random, n: int):
     return u
 
 
-def generate_corpus(kind: str, count: int, n: int, points: int, seed: int):
-    """Deterministic corpus of configurations with optional expected delta."""
+def generate_corpus(kind: str, count: int, n: int | None,
+                    points: int | None, seed: int):
+    """Deterministic corpus of configurations with optional expected delta;
+    ``n`` and ``points`` (default 3 and 7) shape the random kind only."""
+    if kind not in GEN_KINDS:
+        raise ValueError(f"unknown corpus kind {kind}")
+    if kind != "random" and (n, points) != (None, None):
+        raise ValueError(f"--kind {kind} takes no --n or --points")
     if count < 0:
         raise ValueError(f"count must be at least 0, not {count}")
-    if not (1 <= n <= MAX_GEN_DIM):
-        raise ValueError(f"n must be in 1..{MAX_GEN_DIM}")
-    if not (2 <= points <= MAX_GEN_POINTS):
-        raise ValueError(f"points must be in 2..{MAX_GEN_POINTS}")
+    if kind == "random":
+        n = 3 if n is None else n
+        points = 7 if points is None else points
+        if not (1 <= n <= MAX_GEN_DIM):
+            raise ValueError(f"n must be in 1..{MAX_GEN_DIM}")
+        if not (2 <= points <= MAX_GEN_POINTS):
+            raise ValueError(f"points must be in 2..{MAX_GEN_POINTS}")
     rng = random.Random(seed)
     out = []
     for idx in range(count):
@@ -302,25 +310,19 @@ def generate_corpus(kind: str, count: int, n: int, points: int, seed: int):
             cs = cayley_sum(placed)
             cfg = PointConfig(cs.dim, cs.points, f"join_{idx:03d}")
             out.append((cfg, r))
-        elif kind == "unimodular_twist":
+        else:
             base = PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)])
             u = _random_unimodular(rng, 2)
             t = [rng.randint(-5, 5) for _ in range(2)]
             cfg = apply_affine(base, GroupHom.make(u, t))
             cfg = PointConfig(cfg.dim, cfg.points, f"twist_{idx:03d}")
             out.append((cfg, 0))
-        else:
-            raise ValueError(f"unknown corpus kind {kind}")
     return out
 
 
 def cmd_gen(args) -> int:
-    if args.kind != "random" and (args.n, args.points) != (None, None):
-        return _fail_input(f"--kind {args.kind} takes no --n or --points")
-    n = 3 if args.n is None else args.n
-    points = 7 if args.points is None else args.points
     try:
-        corpus = generate_corpus(args.kind, args.count, n, points,
+        corpus = generate_corpus(args.kind, args.count, args.n, args.points,
                                  args.seed)
     except ValueError as exc:
         return _fail_input(str(exc))

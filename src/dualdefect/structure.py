@@ -37,12 +37,9 @@ from .exact_linalg import (
     RationalSubspace,
     hnf,
     hnf_coords,
-    identity,
-    kernel_basis_ff,
     kernel_basis_int,
     lattice_leq,
     mat_mul,
-    sums_directly,
     transpose,
 )
 from .tangency import (
@@ -159,20 +156,14 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
 
 
 def _alpha_problem(a: PointConfig, struct: SimplexProjection, seed: int,
-                   bound: int, trials: int, summands=None) -> AlphaProblem:
-    """The part difference spaces of a simplex projection inside ker pi.
-
-    ``summands`` are those spaces when the caller has them already.  The
-    ambient is the rational kernel of pi, all of Q^n when pi has no rows
-    (r' = 0); ``RationalSubspace`` is canonical, so it equals the span
-    of the HNF kernel lattice ``struct.pi.kernel_lattice()``.
-    """
-    rows = struct.pi.matrix_rows
-    ambient = RationalSubspace.from_rows(
-        a.dim, kernel_basis_ff(rows) if rows else identity(a.dim))
-    if summands is None:
-        summands = [_part_difference_space(a, part) for part in struct.parts]
-    return AlphaProblem.make(summands, ambient, seed, bound, trials)
+                   bound: int, trials: int) -> AlphaProblem:
+    """The alpha problem of the part difference spaces of a simplex
+    projection.  They lie in ker pi, as every point of a part has the
+    image of its vertex (``simplex_projection``, ``_labeled_projection``),
+    but K and alpha do not depend on that ambient."""
+    return AlphaProblem.make(
+        [_part_difference_space(a, part) for part in struct.parts],
+        seed, bound, trials)
 
 
 def _minimal_quotient(a: PointConfig, struct: SimplexProjection,
@@ -313,10 +304,9 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     kernel chain of condition (4) on every simplex projection with
     r' >= delta; those with r' < delta satisfy the law and cannot
     realize delta.  Per structure it computes only what the two checks
-    read: K = 0 exactly when the part bases sum directly
-    (``sums_directly``), so a structure with r' = delta and K != 0
-    builds no alpha problem, and alpha stops at the first sample of
-    rank above r' - delta, which proves r' - c' < delta.  The join-type
+    read: K = 0 is read off the alpha problem's K basis, so a structure
+    with r' = delta and K != 0 samples nothing, and alpha stops at the
+    first sample of rank above r' - delta, which proves r' - c' < delta.  The join-type
     half of condition (4) is not tested again: a structure has a
     minimal quotient only once ``vprime`` has checked that its V_i sum
     directly modulo its V', which the kernel of its pi1 spans.
@@ -375,13 +365,9 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         # r' - c' < delta, so alpha reads no further.
         for st in enumerate_simplex_projections(a, limit,
                                                 r_min=max(cert.delta, 0)):
-            summands = [_part_difference_space(a, part)
-                        for part in st.parts]
-            if st.r == cert.delta and not sums_directly(
-                    s.basis for s in summands):
+            ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials)
+            if st.r == cert.delta and ap.k_basis:
                 continue
-            ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials,
-                                summands)
             c2 = alpha_of(ap, above=st.r - cert.delta)
             if st.r - c2 > cert.delta:
                 lower_ok = False

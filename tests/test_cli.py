@@ -108,8 +108,7 @@ def test_pipeline_makes_no_snf(tmp_path, capsys, monkeypatch):
 def test_ex5_8_eliminates_each_sampled_matrix_once(capsys, monkeypatch):
     # each of the three Hessians gets one forward Bareiss pass and no
     # rref_ff; check_star reads the removal condition off the dependency
-    # kernels without rank_int, and vprime eliminates its one candidate
-    # span once
+    # kernels, and vprime eliminates its one candidate span once
     alpha_module = importlib.import_module("dualdefect.alpha")
     args = collections.defaultdict(list)  # last argument of each call
     active = set()  # the pipeline stages running now
@@ -144,7 +143,6 @@ def test_ex5_8_eliminates_each_sampled_matrix_once(capsys, monkeypatch):
     monkeypatch.setattr(tangency, "hessian", hessian)
     spy(exact_linalg, "_bareiss")
     spy(exact_linalg, "rref_ff")
-    spy(alpha_module, "rank_int", "check_star")
     scoped("check_star")
     scoped("vprime")
     real_from_rows = exact_linalg.RationalSubspace.from_rows.__func__
@@ -161,7 +159,7 @@ def test_ex5_8_eliminates_each_sampled_matrix_once(capsys, monkeypatch):
     for h in hessians:
         assert sum(m is h for m in args["_bareiss"]) == 1
         assert not any(m is h for m in args["rref_ff"])
-    assert args["rank_int"] == []
+    assert not hasattr(alpha_module, "rank_int")
     assert len(args["from_rows"]) == 1
 
 
@@ -193,6 +191,33 @@ def test_package_imports_only_the_standard_library():
     assert imported
     assert [(name, module) for name, module in imported
             if module.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_package_has_no_unused_imports():
+    # every name a module imports is read there or listed in __all__
+    unused = []
+    for path in sorted((SRC / "dualdefect").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and \
+                        node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        unused += [(path.name, name, line)
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
 
 
 def test_package_has_no_assert_statements():
@@ -409,6 +434,15 @@ def test_generate_corpus_validation():
     with pytest.raises(ValueError, match="distinct"):
         generate_corpus("random", 1, 1, 10, 1)
     assert generate_corpus("random", 0, 3, 7, 1) == []
+    assert generate_corpus("random", 1, None, None, 1) == \
+        generate_corpus("random", 1, 3, 7, 1)
+    with pytest.raises(ValueError, match="unknown"):
+        generate_corpus("bogus", 0, None, None, 1)
+    # the fixed kinds have shapes of their own
+    for kind in ("cayley_join_type", "unimodular_twist"):
+        for n, points in ((3, None), (None, 7), (3, 7)):
+            with pytest.raises(ValueError, match="--n or --points"):
+                generate_corpus(kind, 1, n, points, 1)
 
 
 @pytest.mark.parametrize("kind", ["cayley_join_type", "unimodular_twist"])
@@ -680,7 +714,9 @@ cases = [
      lambda: structure._restrict_to_kernel(GroupHom.identity_map(2),
                                            pr2.kernel_lattice(), pr2)),
     (cli, "is_join_type", lambda fibers: False,
-     lambda: cli.generate_corpus("cayley_join_type", 1, 3, 7, 0)),
+     lambda: cli.generate_corpus("cayley_join_type", 1, None, None, 0)),
+    (cayley, "_vertex_of", lambda w, label, labels, scale: 0,
+     lambda: cayley.enumerate_simplex_projections(square)),
     # shape checks on bad arguments, with nothing faked
     (cayley, None, None,
      lambda: cayley.SimplexProjection(square, 1, ((0, 1, 2, 3),), pr2)),
@@ -708,7 +744,7 @@ def test_solve_path_invariants_survive_optimized_interpreter():
     # against; the others pass arguments of the wrong shape
     proc = run_module("-O", "-c", _BROKEN_INVARIANTS)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["ArithmeticError"] * 4 + [
+    assert proc.stdout.decode().split() == ["ArithmeticError"] * 5 + [
         "ValueError", "DimensionError", "DimensionError"]
 
 
