@@ -144,20 +144,14 @@ def _rank_and_removable(comps: IntMat) -> tuple[int, bool]:
     return rank, len(keys) == count
 
 
-def k_space(summands, bases=None) -> IntMat:
+def k_space(summands, bases) -> IntMat:
     """Integer basis of the kernel of (m_0,...,m_r) -> m_0 + ... + m_r.
 
     Rows are in concatenated coordinates of ``bases``, the summands'
-    ``_integer_bases`` (computed here when not given); the rank equals
-    sum dim V_i - dim(sum V_i).
+    ``_integer_bases``; the rank equals sum dim V_i - dim(sum V_i).
     """
-    summands = list(summands)
     m = summands[0].ambient_dim
-    if bases is None:
-        bases = _integer_bases(summands)
     cols = [row for basis in bases for row in basis]
-    if not cols:
-        return []
     return kernel_basis_ff([[col[i] for col in cols] for i in range(m)])
 
 
@@ -188,8 +182,6 @@ def check_star(p: AlphaProblem) -> bool:
     ``_rank_and_removable``) without another elimination.
     """
     if not p.k_basis:
-        return True
-    if p.r < 1:
         return True
     for samples in p.rounds():
         verdicts = {removable for _comps, _rank, removable in samples}

@@ -118,8 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: Path | None):
     if out is None:
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         out.write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(out, exc)
+
+
+def _cannot_write(path: Path, exc: OSError) -> SystemExit:
+    return SystemExit(_fail_input(f"cannot write {path}: {exc.strerror}"))
 
 
 def _load(path: Path) -> PointConfig:
@@ -327,14 +334,17 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         return _fail_input(str(exc))
     outdir = args.out or Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(outdir, exc)
     manifest = []
     for cfg, expected in corpus:
         obj = json.loads(dump_config_json(cfg))
         if expected is not None:
             obj["expected_delta"] = expected
         path = outdir / f"{cfg.name}.json"
-        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        _emit(json.dumps(obj), path)
         manifest.append({"file": str(path), "expected_delta": expected})
     if args.format == "json":
         print(json.dumps(manifest, indent=2))

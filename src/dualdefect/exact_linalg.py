@@ -476,12 +476,6 @@ def hnf_coords(basis: IntMat, v) -> list[int] | None:
     return None if any(rest) else coords
 
 
-def lattice_leq(a: IntMat, b: IntMat) -> bool:
-    """Whether the row lattice of a is contained in that of b."""
-    basis = hnf_basis(b)
-    return all(hnf_coords(basis, row) is not None for row in a)
-
-
 def is_surjective(m: IntMat) -> bool:
     """Whether v -> m * v maps Z^cols onto Z^rows: the columns generate
     Z^rows exactly when their HNF basis is the identity."""

@@ -38,8 +38,8 @@ from .exact_linalg import (
     hnf,
     hnf_coords,
     kernel_basis_int,
-    lattice_leq,
     mat_mul,
+    rank_int,
     transpose,
 )
 from .tangency import (
@@ -306,10 +306,12 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     realize delta.  Per structure it computes only what the two checks
     read: K = 0 is read off the alpha problem's K basis, so a structure
     with r' = delta and K != 0 samples nothing, and alpha stops at the
-    first sample of rank above r' - delta, which proves r' - c' < delta.  The join-type
-    half of condition (4) is not tested again: a structure has a
-    minimal quotient only once ``vprime`` has checked that its V_i sum
-    directly modulo its V', which the kernel of its pi1 spans.
+    first sample of rank above r' - delta, which proves r' - c' < delta.
+    The chain ker pi1 <= ker pi1' <= ker pi' <= ker pi of saturated
+    lattices is checked on Q-spans: ker pi1 in the V' of ``vprime``, and
+    the rows of pi in the row span of pi'.  The rest of condition (4)
+    holds by construction: V' lies in the sum of the V_i, inside
+    ker pi', and ``vprime`` checked that the V_i sum directly mod V'.
     """
     if cert.n != a.dim:
         raise CertificateMismatch(
@@ -371,19 +373,13 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
             c2 = alpha_of(ap, above=st.r - cert.delta)
             if st.r - c2 > cert.delta:
                 lower_ok = False
-            # condition (4): pairs realizing delta with join-type quotient
-            if st.r - c2 != cert.delta:
+            # condition (4) on spans: ker pi1 in V', the span of ker pi1',
+            # and ker pi' in ker pi, as pi' spans the rows of pi
+            if st.r - c2 != cert.delta or not check_star(ap):
                 continue
-            quotient = _minimal_quotient(a, st, ap, c2)
-            if quotient is None:
-                continue
-            pi1b, _ = quotient
-            # join type holds: vprime made the V_i sum directly mod ker pi1b
-            ker_pi1b = pi1b.kernel_lattice()
-            ker_pib = st.pi.kernel_lattice()
-            if not (lattice_leq(ker_pi1, ker_pi1b)
-                    and lattice_leq(ker_pi1b, ker_pib)
-                    and lattice_leq(ker_pib, ker_pi)):
+            span = vprime(ap, c2)
+            if (not all(map(span.contains, ker_pi1))
+                    or rank_int(st.pi.matrix_rows + pi.matrix_rows) != st.r):
                 chain_ok = False
         checks["lower_bound_law"] = lower_ok
         checks["condition4_chain"] = chain_ok
@@ -449,8 +445,14 @@ def certificate_from_json(text: str) -> StructureCertificate:
     if not (0 <= r and 0 <= c and r + c <= n):
         raise ValueError(f"r = {r} and c = {c} do not fit n = {n}")
 
+    def table(key):
+        rows = obj[key]
+        if type(rows) is not list or any(type(x) is not list for x in rows):
+            raise ValueError(f"{key!r} is not an array of arrays")
+        return [[_dec_int(x) for x in row] for row in rows]
+
     def mat(key, rows, cols):
-        m = [[_dec_int(x) for x in row] for row in obj[key]]
+        m = table(key)
         if len(m) != rows or any(len(row) != cols for row in m):
             raise ValueError(f"{key} is not a {rows} x {cols} matrix")
         return GroupHom.make(m, None, cols)
@@ -464,8 +466,7 @@ def certificate_from_json(text: str) -> StructureCertificate:
         raise ValueError("'checks' is not an object")
     return StructureCertificate(
         n=n, r=r, c=c, delta=_dec_int(obj["delta"]),
-        grouping=tuple(tuple(_dec_int(i) for i in g)
-                       for g in obj["grouping"]),
+        grouping=tuple(map(tuple, table("grouping"))),
         pi1=mat("pi1", n - c, n),
         pi2=mat("pi2", r, n - c),
         p=mat("p", n - r - c, n - r),

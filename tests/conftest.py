@@ -207,6 +207,12 @@ def lattice_eq(a, b):
     return hnf_basis(a) == hnf_basis(b)
 
 
+def lattice_leq(a, b):
+    """Whether the row lattice of a is contained in that of b."""
+    basis = hnf_basis(b)
+    return all(hnf_coords(basis, row) is not None for row in a)
+
+
 def rank_rat(m):
     """Reference: rank over Q by ``rref``."""
     return len(rref(m)[0])

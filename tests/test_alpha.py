@@ -9,7 +9,6 @@ from dualdefect.alpha import (
     _rank_and_removable,
     alpha,
     check_star,
-    k_space,
     vprime,
 )
 from dualdefect.exact_linalg import RationalSubspace, rank_int
@@ -34,21 +33,22 @@ LINE = lambda: sub(1, [[1]])
 
 
 def test_k_space_two_copies_of_the_line():
-    basis = k_space([LINE(), LINE()])
+    basis = AlphaProblem.make([LINE(), LINE()]).k_basis
     assert len(basis) == 1
     row = basis[0]
     assert row[0] == -row[1] != 0
 
 
 def test_k_space_pairwise_direct_is_zero():
-    assert k_space([sub(2, [[1, 0]]), sub(2, [[0, 1]])]) == []
+    p = AlphaProblem.make([sub(2, [[1, 0]]), sub(2, [[0, 1]])])
+    assert p.k_basis == ()
 
 
 def test_k_space_ex5_7_dimension():
     v0 = sub(2, [[1, 0]])
     v1 = sub(2, [[0, 1]])
     v2 = sub(2, [[1, 0], [0, 1]])
-    assert len(k_space([v0, v1, v2, v2])) == 4
+    assert len(AlphaProblem.make([v0, v1, v2, v2]).k_basis) == 4
 
 
 def test_alpha_ex5_7():

@@ -29,6 +29,7 @@ from conftest import (
     EX58_U,
     EX58_V,
     FIXTURES,
+    lattice_leq,
     random_unimodular,
     segre_product,
     unit_vector,
@@ -401,7 +402,6 @@ def test_coarsening_preserves_join_type():
     coarse = decompose_along(cs, GroupHom.zero_map(3))
     assert is_join_type(coarse.fibers)
     # nested kernels as required for a coarsening
-    from dualdefect.exact_linalg import lattice_leq
     assert lattice_leq(fine.kernel_lattice(), coarse.kernel_lattice())
 
 

@@ -163,12 +163,18 @@ def test_ex5_8_eliminates_each_sampled_matrix_once(capsys, monkeypatch):
     assert len(args["from_rows"]) == 1
 
 
-def test_bench_traced_names_resolve():
-    # `bench/run.py --trace 1` wraps each of these by name
+def _bench_tracing():
+    """The module ``bench/tracing.py``, which is not a package."""
     path = FIXTURES.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_traced_names_resolve():
+    # `bench/run.py --trace 1` wraps each of these by name
+    tracing = _bench_tracing()
     missing = [f"{layer}.{fn}"
                for layer, fns in tracing.LAYER_FUNCTIONS.items()
                for fn in fns
@@ -193,31 +199,69 @@ def test_package_imports_only_the_standard_library():
             if module.split(".")[0] not in sys.stdlib_module_names] == []
 
 
+def _package_trees():
+    """(file name, syntax tree) of each module of the package."""
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((SRC / "dualdefect").glob("*.py"))]
+
+
+def _names_read(tree) -> set[str]:
+    """The names a module loads, and those its __all__ lists."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
 def test_package_has_no_unused_imports():
     # every name a module imports is read there or listed in __all__
     unused = []
-    for path in sorted((SRC / "dualdefect").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in _package_trees():
         imported = {}
-        read = set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 if isinstance(node, ast.ImportFrom) and \
                         node.module == "__future__":
                     continue
                 for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    imported[name] = node.lineno
-            elif isinstance(node, ast.Name) and \
-                    isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets):
-                read.update(ast.literal_eval(node.value))
-        unused += [(path.name, name, line)
-                   for name, line in imported.items() if name not in read]
+                    imported[alias.asname or alias.name.split(".")[0]] = \
+                        node.lineno
+        read = _names_read(tree)
+        unused += [(name, imp, line)
+                   for imp, line in imported.items() if imp not in read]
     assert unused == []
+
+
+def test_package_defines_nothing_unread():
+    # every module-level function or class, and every method, is read
+    # somewhere in the package (as a name or an attribute), listed in
+    # __all__ or traced by the benchmark; Python itself calls dunders
+    read = {fn for fns in _bench_tracing().LAYER_FUNCTIONS.values()
+            for fn in fns}
+    defined = []
+    for name, tree in _package_trees():
+        read |= _names_read(tree)
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.append((name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(name, f"{node.name}.{sub.name}", sub.name)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not (sub.name.startswith("__")
+                                     and sub.name.endswith("__"))]
+    assert defined
+    assert [(name, qual) for name, qual, short in defined
+            if short not in read] == []
 
 
 def test_package_has_no_assert_statements():
@@ -643,6 +687,15 @@ def _verify_edited(tmp_path, capsys, cert, *flags):
                  id="bound_fraction"),
     pytest.param(lambda cert: cert["pi1"][0].__setitem__(
         0, cert["pi1"][0][0] + 0.5), id="pi1_entry_fraction"),
+    # rows written as digit strings spell the true certificate of ex5_8
+    pytest.param(lambda cert: cert.update(
+        grouping=["".join(map(str, g)) for g in cert["grouping"]]),
+        id="grouping_digit_strings"),
+    pytest.param(lambda cert: cert.update(
+        pi1=["".join(map(str, row)) for row in cert["pi1"]]),
+        id="pi1_digit_strings"),
+    pytest.param(lambda cert: cert.update(
+        grouping=dict(enumerate(cert["grouping"]))), id="grouping_object"),
 ])
 def test_misshapen_certificate_exit_2(tmp_path, capsys, edit):
     cert = _ex5_8_certificate(capsys)
@@ -659,6 +712,23 @@ def test_decimal_string_numbers_accepted(tmp_path, capsys):
     cert["pi1"][0][0] = str(cert["pi1"][0][0])
     code, out, _ = _verify_edited(tmp_path, capsys, cert)
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["analyze", "{cfg}"], "missing/x.json"),
+    (["oracle", "{cfg}"], "."),
+    (["verify", "{cfg}", "{cert}"], "missing/x.json"),
+    (["gen", "--kind", "random", "--count", "1"], "cert.json"),
+    (["batch", "{cfg}"], "missing/x.json"),
+], ids=["analyze", "oracle", "verify", "gen", "batch"])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv, blocked):
+    # a missing parent directory, a directory or an existing file as
+    # --out is an input error, not a traceback
+    cert = _write_certificate(tmp_path, capsys, "ex5_8.json")
+    argv = [x.format(cfg=FIXTURES / "ex5_8.json", cert=cert) for x in argv]
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / blocked))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path / blocked}: ")
 
 
 def _write_certificate(tmp_path, capsys, fixture, edit=None) -> str:

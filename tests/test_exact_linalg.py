@@ -17,7 +17,6 @@ from dualdefect.exact_linalg import (
     kernel_basis_bareiss,
     kernel_basis_ff,
     kernel_basis_int,
-    lattice_leq,
     mat_mul,
     rank_int,
     rref,
@@ -33,6 +32,7 @@ from conftest import (
     is_surjective_snf,
     kernel_basis_rat,
     lattice_eq,
+    lattice_leq,
     random_unimodular,
     rank_rat,
     rational_basis,

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -30,7 +31,6 @@ from dualdefect.config import (
 from dualdefect.exact_linalg import (
     hnf_basis,
     kernel_basis_int,
-    lattice_leq,
     mat_mul,
     saturate,
     sums_directly,
@@ -53,6 +53,7 @@ from conftest import (
     factor_through_snf,
     join_type_wrt_recompute,
     lattice_eq,
+    lattice_leq,
     random_unimodular,
     segre_product,
     unit_vector,
@@ -527,6 +528,22 @@ def test_exhaustive_checks_match_the_full_loop():
             assert got == exhaustive_reference(a, edited), (a.points, delta)
             outcomes.update(enumerate(got))
     assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
+
+
+def test_exhaustive_chain_matches_the_reference_on_forged_certificates():
+    # ten of the 62 forged certificates of delta 1 break only the first
+    # link ker pi1 <= ker pi1' of the chain, which the reference checks
+    # on lattices through the minimal quotient
+    a = normalize(load_config_file(FIXTURES / "ex5_8.json"))[0]
+    outcomes = collections.Counter()
+    for cert in _forged_certificates(a):
+        if cert.delta != 1:
+            continue
+        report = verify_certificate(a, cert, exhaustive=True)
+        got = (report["lower_bound_law"], report["condition4_chain"])
+        assert got == exhaustive_reference(a, cert), cert
+        outcomes[got] += 1
+    assert outcomes[True, False] > 0 and outcomes[True, True] > 0
 
 
 def test_k_basis_is_empty_exactly_when_the_parts_sum_directly():
