@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +26,9 @@ from .exact_linalg import (
     mat_vec,
     transpose,
 )
+
+# an integer as the loaders accept it: ASCII digits with an optional minus
+DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class CollapseError(ValueError):
@@ -273,12 +277,16 @@ def load_config_json(text: str) -> PointConfig:
 
 
 def load_config_text(text: str, name: str | None = None) -> PointConfig:
+    """Points from text, one per line, as ``DECIMAL`` tokens: ``1_0``,
+    ``+1`` and non-ASCII digits are refused, not read as numbers."""
     pts = []
     for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        pts.append([int(tok) for tok in line.split()])
+        toks = line.split("#", 1)[0].split()
+        for tok in toks:
+            if not DECIMAL.fullmatch(tok):
+                raise ValueError(f"{tok!r} is not an integer")
+        if toks:
+            pts.append([int(tok) for tok in toks])
     if not pts:
         raise ValueError("no points found in text configuration")
     return PointConfig.make(pts, name=name)

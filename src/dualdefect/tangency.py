@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from operator import mul
 
 from .config import PointConfig, group_indices, require_normalized
-from .exact_linalg import IntMat, kernel_basis_bareiss, kernel_basis_ff
+from .exact_linalg import (
+    IntMat,
+    kernel_basis_bareiss,
+    kernel_basis_ff,
+    rank_int,
+)
 
 DEFAULT_SEED = 0xA11CE
 DEFAULT_BOUND = 1 << 20
@@ -234,6 +239,19 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
         if not kernel:
             break
     return DefectResult(len(best[1]), best[0], used)
+
+
+def first_corank_at_most(p: TangencyProblem, delta: int) -> int | None:
+    """The first Hessian corank <= delta in round 0, or None; each
+    corank is read off a rank, with no kernel."""
+    if p.dim_l == 0:
+        return None
+    for coeffs in next(sample_rounds(p.tangency_basis, p.seed, p.bound,
+                                     p.trials)):
+        corank = p.config.dim - rank_int(hessian(p.config, coeffs))
+        if corank <= delta:
+            return corank
+    return None
 
 
 def _grouping_from_kernel(a: PointConfig, kernel: IntMat):

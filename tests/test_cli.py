@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as hst
 
 from dualdefect import exact_linalg, structure, tangency
 from dualdefect.cli import generate_corpus, run
-from dualdefect.config import load_config_file, normalize
+from dualdefect.config import GroupHom, load_config_file, normalize
 from dualdefect.structure import (
     certificate_to_json,
     structure_certificate,
@@ -83,6 +83,50 @@ def test_nondefective_analyze_and_verify_read_one_sample(
     counts.clear()
     assert invoke(capsys, "verify", cfg, cert_path)[0] == 0
     assert counts == {"draws": 1, "hessians": 1}
+
+
+def test_verify_builds_no_kernel_lattice_of_pi1(tmp_path, capsys,
+                                                monkeypatch):
+    # pi1_kernel_rank reads the rank of pi1; only the chain of
+    # --exhaustive reads the rows of ker pi1
+    built = []
+    real = GroupHom.kernel_lattice
+
+    def spy(self):
+        built.append(self.matrix_rows)
+        return real(self)
+
+    certs = []
+    for name in ("ex5_8", "p1xp2"):
+        cfg = str(FIXTURES / f"{name}.json")
+        cert_path = tmp_path / f"{name}.cert.json"
+        assert invoke(capsys, "analyze", cfg, "--out", str(cert_path))[0] == 0
+        certs.append((cfg, str(cert_path),
+                      json.loads(cert_path.read_text())["pi1"]))
+    monkeypatch.setattr(GroupHom, "kernel_lattice", spy)
+    cfg, cert_path, pi1 = certs[0]
+    assert invoke(capsys, "verify", cfg, cert_path)[0] == 0
+    assert len(built) == 2 and pi1 not in built
+    for cfg, cert_path, pi1 in certs:
+        built.clear()
+        assert invoke(capsys, "verify", cfg, cert_path, "--exhaustive")[0] == 0
+        assert pi1 in built
+
+
+@pytest.mark.parametrize("shift,draws", [(0, 1), (1, 1), (-1, 3)])
+def test_verify_replay_stops_at_the_first_corank_at_most_delta(
+        tmp_path, capsys, monkeypatch, shift, draws):
+    # every sampled Hessian of ex5_8 has corank 1: the replay stops at the
+    # first one unless the claimed delta is below it, and then reads the
+    # whole round of trials = 3 and finds no corank to stop at
+    cert = _ex5_8_certificate(capsys)
+    cert["delta"] = cert["oracle_delta"] = cert["delta"] + shift
+    counts = _count_draws_and_hessians(monkeypatch)
+    code, out, _ = _verify_edited(tmp_path, capsys, cert)
+    assert counts == {"draws": draws, "hessians": draws}
+    checks = json.loads(out)["checks"]
+    assert code == (0 if shift == 0 else 1)
+    assert checks["oracle_replayed"] is (shift == 0)
 
 
 def test_pipeline_makes_no_snf(tmp_path, capsys, monkeypatch):
@@ -978,6 +1022,16 @@ def test_ragged_text_config_exit_2(tmp_path, capsys):
     path.write_text("0 0\n1 0 0\n0 1\n", encoding="utf-8")
     code, out, err = invoke(capsys, "analyze", str(path))
     assert code == 2 and out == "" and "length 2" in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
+def test_non_decimal_text_token_exit_2(tmp_path, capsys, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 0\n{token} 0\n0 1\n1 1\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert f"{token!r} is not an integer" in err
 
 
 def test_matching_dim_field_accepted(tmp_path, capsys):

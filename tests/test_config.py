@@ -135,6 +135,15 @@ def test_text_format_comments_and_blanks():
     assert cfg.points == ((0, 0), (0, 1), (1, 0))
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "\uff11", "1.0",
+                                   "--1", "0x1"])
+def test_text_format_refuses_non_ascii_decimal_tokens(token):
+    # int() reads 1_0 as 10 and +1, the Arabic-Indic or fullwidth one as
+    # 1; the text loader accepts only what the JSON loader would
+    with pytest.raises(ValueError, match="not an integer"):
+        load_config_text(f"0 0\n{token} 0\n0 1\n")
+
+
 def test_text_format_empty_rejected():
     with pytest.raises(ValueError):
         load_config_text("# nothing here\n")

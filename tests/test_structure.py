@@ -32,6 +32,7 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     kernel_basis_int,
     mat_mul,
+    rank_int,
     saturate,
     sums_directly,
 )
@@ -44,7 +45,11 @@ from dualdefect.structure import (
     structure_certificate,
     verify_certificate,
 )
-from dualdefect.tangency import TangencyProblem, defect_oracle
+from dualdefect.tangency import (
+    TangencyProblem,
+    defect_oracle,
+    first_corank_at_most,
+)
 
 from conftest import (
     EX58_U,
@@ -352,6 +357,55 @@ def test_verify_replays_the_draws_of_analyze(ex5_8, monkeypatch):
     drawn.clear()
     assert verify_certificate(ex5_8, cert)["oracle_replayed"]
     assert drawn and drawn == analyzed[:len(drawn)]
+
+
+def least_corank_rule(a, cert):
+    """The replay verdict as the whole first round reads it: the least
+    Hessian corank over round 0 (``defect_oracle``) equals delta."""
+    oracle = defect_oracle(
+        TangencyProblem.make(a, cert.seed, cert.bound, cert.trials))
+    return (oracle.empty_dual and cert.delta == 0) or \
+        oracle.delta == cert.delta
+
+
+def test_replay_stopping_early_matches_the_least_corank_rule():
+    # the replay stops at the first corank <= delta; on a generic round
+    # it gives the verdict of the least corank over the whole round
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus()
+    inputs += [segre_product(a, b) for a in (1, 2) for b in (3, 4)]
+    verdicts = set()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        cert = structure_certificate(a)
+        for delta in (cert.delta - 1, cert.delta, cert.delta + 1):
+            edited = dataclasses.replace(cert, delta=delta)
+            got = verify_certificate(a, edited)["oracle_replayed"]
+            assert got == least_corank_rule(a, edited), (a.points, delta)
+            verdicts.add((delta - cert.delta, got))
+    assert verdicts == {(-1, False), (0, True), (1, False)}
+
+
+def test_replay_on_a_round_that_is_not_generic(ex5_8):
+    # with seed 4 and bound 1 the round-0 Hessians of ex5_8 have coranks
+    # 2, 2, 1: the replay stops at the first, so a claimed delta of 2
+    # passes oracle_replayed where the least corank, 1, refuses it, and
+    # delta_consistent (r - c = 1) still refuses the certificate
+    tp = TangencyProblem.make(ex5_8, seed=4, bound=1, trials=3)
+    round0 = next(tangency.sample_rounds(tp.tangency_basis, 4, 1, 3))
+    assert [ex5_8.dim - rank_int(tangency.hessian(ex5_8, coeffs))
+            for coeffs in round0] == [2, 2, 1]
+    assert [first_corank_at_most(tp, d) for d in range(4)] == [
+        None, 1, 2, 2]
+    cert = dataclasses.replace(structure_certificate(ex5_8), seed=4,
+                               bound=1, trials=3)
+    for delta, replayed in ((0, False), (1, True), (2, True), (3, False)):
+        edited = dataclasses.replace(cert, delta=delta, oracle_delta=delta)
+        report = verify_certificate(ex5_8, edited)
+        assert report["oracle_replayed"] is replayed
+        assert least_corank_rule(ex5_8, edited) is (delta == 1)
+        assert report["delta_consistent"] is (delta == 1)
+        assert report["all_passed"] is (delta == 1)
 
 
 def test_verify_passes_on_fresh_certificates(segre_square, ex5_7, ex5_8):
