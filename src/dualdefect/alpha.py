@@ -72,10 +72,6 @@ class AlphaProblem(SampledProblem):
         return cls(m, kb, bases, seed, bound, trials)
 
     @property
-    def r(self) -> int:
-        return len(self.bases) - 1
-
-    @property
     def sample_basis(self):
         return self.k_basis
 

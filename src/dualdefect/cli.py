@@ -132,7 +132,7 @@ def _cannot_write(path: Path, exc: OSError) -> SystemExit:
 def _load(path: Path) -> PointConfig:
     try:
         return load_config_file(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(_fail_input(f"cannot read {path}: {exc}"))
 
 

@@ -254,8 +254,16 @@ def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
 # --- file formats -----------------------------------------------------------
 
 
+def read_json(text: str):
+    """``json.loads``; nesting too deep to parse is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+
+
 def load_config_json(text: str) -> PointConfig:
-    obj = json.loads(text)
+    obj = read_json(text)
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValueError("expected a JSON object with a 'points' field")
     pts = obj["points"]

@@ -30,6 +30,7 @@ from .config import (
     PointConfig,
     apply_affine,
     normalize,
+    read_json,
     require_normalized,
 )
 from .exact_linalg import (
@@ -290,12 +291,12 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     when cert.n is not a.dim.
 
     Passing checks prove delta from both sides, with no genericity
-    assumption.  Upper bound, ``oracle_replayed``: the replay draws the
-    first round of the certificate's seed, bound and trials up to the
-    first sampled Hessian of corank <= delta and passes when that corank
-    is delta, as a rank at a sample never exceeds the generic rank; the
-    round analyze read holds corank delta and none lower, so the replay
-    cannot fail a certificate that analyze wrote.  Lower bound,
+    assumption.  Upper bound, ``oracle_replayed``: the replay reads the
+    problem's round 0 under the certificate's seed, bound and trials up
+    to the first Hessian kernel of size <= delta, and passes when that
+    size is delta, as a rank at a sample never exceeds the generic
+    rank; analyze read corank delta and none lower in that round, so the
+    replay cannot fail a certificate that analyze wrote.  Lower bound,
     ``simplex_image``, ``r_matches``, ``pi1_surjective``,
     ``pi1_kernel_rank``, ``join_type_wrt_pi2``: the pi1(V_i) sum
     directly, so the components of a K element lie in ker pi1 and
@@ -437,7 +438,7 @@ def certificate_to_json(cert: StructureCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> StructureCertificate:
-    obj = json.loads(text)
+    obj = read_json(text)
     n = _dec_int(obj["n"])
     c = _dec_int(obj["c"])
     r = _dec_int(obj["r"])

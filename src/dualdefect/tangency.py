@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .config import PointConfig, group_indices, require_normalized
-from .exact_linalg import (
-    IntMat,
-    kernel_basis_bareiss,
-    kernel_basis_ff,
-    rank_int,
-)
+from .exact_linalg import IntMat, kernel_basis_bareiss, kernel_basis_ff
 
 DEFAULT_SEED = 0xA11CE
 DEFAULT_BOUND = 1 << 20
@@ -60,11 +55,10 @@ class SampledProblem:
     """The one sample stream of a problem with seed, bound and trials.
 
     A subclass names the basis it samples from (``sample_basis``) and
-    what each sample becomes (``evaluate``).  The first round of
-    ``sample_rounds`` is drawn and evaluated on demand, in draw order,
-    by ``first_round``; each of its samples is evaluated at most once
-    and shared by every reader of the problem.  ``rounds`` serves it
-    again and draws the later rounds only on escalation.
+    what each sample becomes (``evaluate``).  ``rounds`` evaluates each
+    round-0 draw the first time any reader reaches it and shares it with
+    every later reader.  The cache holds those draws and samples, not the
+    problem, so nothing a problem keeps refers back to it.
     """
 
     def __post_init__(self):
@@ -72,35 +66,30 @@ class SampledProblem:
 
     @functools.cached_property
     def _first(self):
-        """The evaluated round-0 samples so far, and the rest to come."""
-        rounds = sample_rounds(self.sample_basis, self.seed, self.bound,
-                               self.trials)
-        return [], map(self.evaluate, next(rounds))
+        """The evaluated round-0 samples so far, and the draws to come."""
+        return [], next(sample_rounds(self.sample_basis, self.seed,
+                                      self.bound, self.trials))
 
     def first_round(self):
         """Round 0, evaluated sample by sample as the reader asks."""
-        done, pending = self._first
-        for i in itertools.count():
-            if i == len(done):
-                done.extend(itertools.islice(pending, 1))
-                if i == len(done):
-                    return
-            yield done[i]
+        return next(self.rounds())
 
     def rounds(self):
         """``sample_rounds`` with every sample evaluated.
 
-        Round 0 is ``first_round``.  A later round first replays as many
-        round-0 draws as the caller took, so it draws exactly what
-        ``sample_rounds`` draws after a first round left at that place.
+        A later round first replays as many round-0 draws as this reader
+        took, so it draws exactly what ``sample_rounds`` draws after a
+        first round left at that place.
         """
         used = 0
 
         def first():
             nonlocal used
-            for item in self.first_round():
-                used += 1
-                yield item
+            done, pending = self._first
+            for used in range(1, self.trials + 1):
+                if used > len(done):
+                    done.append(self.evaluate(next(pending)))
+                yield done[used - 1]
 
         yield first()
         rounds = sample_rounds(self.sample_basis, self.seed, self.bound,
@@ -242,16 +231,12 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
 
 
 def first_corank_at_most(p: TangencyProblem, delta: int) -> int | None:
-    """The first Hessian corank <= delta in round 0, or None; each
-    corank is read off a rank, with no kernel."""
+    """The first Hessian corank <= delta in the problem's round 0, or
+    None; each corank is the size of the sample's kernel."""
     if p.dim_l == 0:
         return None
-    for coeffs in next(sample_rounds(p.tangency_basis, p.seed, p.bound,
-                                     p.trials)):
-        corank = p.config.dim - rank_int(hessian(p.config, coeffs))
-        if corank <= delta:
-            return corank
-    return None
+    coranks = (len(kernel) for _coeffs, kernel in p.first_round())
+    return next((k for k in coranks if k <= delta), None)
 
 
 def _grouping_from_kernel(a: PointConfig, kernel: IntMat):

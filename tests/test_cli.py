@@ -129,6 +129,46 @@ def test_verify_replay_stops_at_the_first_corank_at_most_delta(
     assert checks["oracle_replayed"] is (shift == 0)
 
 
+def test_replay_reads_the_samples_the_oracle_read(ex5_8, monkeypatch):
+    # the replay reads the problem's own round 0, so after the oracle
+    # read all of it, no delta makes it draw or build a Hessian again
+    tp = tangency.TangencyProblem.make(ex5_8)
+    assert tangency.defect_oracle(tp).samples_used == 3
+    counts = _count_draws_and_hessians(monkeypatch)
+    assert [tangency.first_corank_at_most(tp, d) for d in (1, 0)] == [
+        1, None]
+    assert counts == {}
+
+
+_DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("command,nested", [
+    *((command, nested) for nested in ("config", "points")
+      for command in ("analyze", "oracle", "verify")),
+    ("verify", "certificate"),
+])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, command, nested):
+    # json.loads raises RecursionError on this nesting; it is an input
+    # error like any other unreadable file
+    cert = tmp_path / "cert.json"
+    code, _, _ = invoke(capsys, "analyze", str(FIXTURES / "segre.json"),
+                        "--out", str(cert))
+    assert code == 0
+    cfg = tmp_path / "config.json"
+    segre = (FIXTURES / "segre.json").read_text(encoding="utf-8")
+    cfg.write_text({"config": _DEEP, "points": '{"points": ' + _DEEP,
+                    "certificate": segre}[nested], encoding="utf-8")
+    if nested == "certificate":
+        cert.write_text(_DEEP, encoding="utf-8")
+    argv = [command, str(cfg)] + ([str(cert)] if command == "verify" else [])
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    bad = "certificate" if nested == "certificate" else cfg
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "nested too deeply" in err
+
+
 def test_pipeline_makes_no_snf(tmp_path, capsys, monkeypatch):
     # the pipeline reads kernels, coordinates, surjectivity and the lift
     # of pi2 off Hermite normal forms; the Smith normal form is only the
@@ -306,6 +346,25 @@ def test_package_defines_nothing_unread():
     assert defined
     assert [(name, qual) for name, qual, short in defined
             if short not in read] == []
+
+
+def test_only_the_sample_stream_reads_sample_rounds():
+    # SampledProblem is the one sampler: every other reader of a round
+    # takes it from a problem's stream and shares its evaluated samples
+    inside, outside = [], []
+    for name, tree in _package_trees():
+        stream = {id(node) for cls in ast.walk(tree)
+                  if name == "tangency.py" and isinstance(cls, ast.ClassDef)
+                  and cls.name == "SampledProblem"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id == "sample_rounds"
+                 and isinstance(node.ctx, ast.Load))
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr == "sample_rounds")):
+                (inside if id(node) in stream else outside).append(
+                    (name, node.lineno))
+    assert inside and outside == []
 
 
 def test_package_has_no_assert_statements():

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from dualdefect import tangency
+from dualdefect.alpha import AlphaProblem, alpha, check_star, vprime
 from dualdefect.cayley import cayley_sum
 from dualdefect.cli import generate_corpus, run
 from dualdefect.config import (
@@ -16,7 +19,7 @@ from dualdefect.config import (
     load_config_file,
     normalize,
 )
-from dualdefect.exact_linalg import det, kernel_basis_ff
+from dualdefect.exact_linalg import RationalSubspace, det, kernel_basis_ff
 from dualdefect.tangency import (
     ESCALATIONS,
     MAX_TRIALS,
@@ -350,3 +353,27 @@ def test_sample_rounds_shape(segre_square):
     rounds = [list(r) for r in sample_rounds(basis, 1, 2, 4)]
     assert len(rounds) == ESCALATIONS + 1
     assert all(len(r) == 4 for r in rounds)
+
+
+def test_read_problems_are_freed_without_the_cyclic_collector(ex5_8):
+    # a problem's sample cache holds draws and samples, never the problem
+    # itself, so dropping the last reference frees it at once; the alpha
+    # problem is that of ex5_7, two coordinate lines and the plane twice
+    v0, v1, v2 = (RationalSubspace.from_rows(2, rows)
+                  for rows in ([[1, 0]], [[0, 1]], [[1, 0], [0, 1]]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tp = TangencyProblem.make(ex5_8)
+        assert defect_oracle(tp).delta == 1
+        assert len(contact_grouping(tp)) == 3
+        ap = AlphaProblem.make([v0, v1, v2, v2])
+        c = alpha(ap)
+        assert check_star(ap)
+        assert vprime(ap, c).dim == c
+        refs = [weakref.ref(tp), weakref.ref(ap)]
+        del tp, ap
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
