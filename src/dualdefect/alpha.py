@@ -7,6 +7,10 @@ generic element of K; the span itself is the minimal subspace whose
 quotient makes the V_i sum directly, provided the removal condition
 check_star holds.
 
+``AlphaProblem.make`` finds a K basis of the summands with one kernel;
+``AlphaProblem.from_components`` takes K as written down in the affine
+frame of ``verify --exhaustive`` (``structure._frame_alpha_problem``).
+
 Each sampled K element is eliminated once: one kernel of the relations
 among its components gives their rank and the removal condition (see
 ``_rank_and_removable``).  ``vprime`` eliminates a candidate span once
@@ -39,14 +43,16 @@ from .tangency import (
 class AlphaProblem(SampledProblem):
     """The summands V_0, ..., V_r of Q^ambient_dim, and nothing around them.
 
-    ``bases`` holds the RREF bases of the summands scaled by one common
-    denominator, and ``k_basis`` the integer K basis in those
-    coordinates, empty exactly when the summands sum directly.  Every
-    sampled K element, and so every set of components, is the rational
-    one times a single positive integer, which leaves all ranks and
-    spans unchanged.  Each sample is kept as its components, their rank
-    and whether any two of them can be removed without shrinking their
-    span, both read off one dependency kernel (``_rank_and_removable``).
+    ``bases`` holds rows spanning each summand, and ``k_basis`` rows
+    spanning K, empty exactly when the summands sum directly.  From
+    ``make``, they are the RREF bases of the summands scaled by one
+    common denominator and the integer K basis in those coordinates.
+    Every sampled K element, and so every set of components, is the
+    rational one times a single positive integer, which leaves all ranks
+    and spans unchanged.  Each sample is kept as its components, their
+    rank and whether any two of them can be removed without shrinking
+    their span, both read off one dependency kernel
+    (``_rank_and_removable``).
     """
 
     ambient_dim: int
@@ -71,6 +77,18 @@ class AlphaProblem(SampledProblem):
         kb = tuple(tuple(row) for row in k_space(summands, bases))
         return cls(m, kb, bases, seed, bound, trials)
 
+    @classmethod
+    def from_components(cls, ambient_dim: int, k_rows, spans,
+                        seed: int = DEFAULT_SEED,
+                        bound: int = DEFAULT_BOUND,
+                        trials: int = DEFAULT_TRIALS) -> "AlphaProblem":
+        """The summands spanned by the rows of ``spans``, with K spanned
+        by ``k_rows``: nonzero K elements, each its components
+        concatenated.  Nothing is eliminated or checked."""
+        return _WrittenOut(ambient_dim, tuple(map(tuple, k_rows)),
+                           tuple(tuple(map(tuple, rows)) for rows in spans),
+                           seed, bound, trials)
+
     @property
     def sample_basis(self):
         return self.k_basis
@@ -92,6 +110,14 @@ class AlphaProblem(SampledProblem):
             else:
                 out.append([0] * m)
         return out
+
+
+class _WrittenOut(AlphaProblem):
+    """A problem of ``from_components``: a K element is its components."""
+
+    def components(self, element) -> IntMat:
+        m = self.ambient_dim
+        return [element[i * m:(i + 1) * m] for i in range(len(self.bases))]
 
 
 def _integer_bases(summands) -> list[IntMat]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .config import GroupHom, PointConfig, group_indices, require_normalized
 from .exact_linalg import (
@@ -192,21 +193,102 @@ def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:
     )
 
 
-def _affine_frame(a: PointConfig):
-    """The greedy affine basis of a normalized a, and every point of a in
-    its coordinates, from one fraction-free elimination.
+class AffineFrame(NamedTuple):
+    """A normalized configuration in the coordinates of its greedy
+    affine basis (``_affine_frame``).
 
-    With u_0 the first point, ``rref_ff`` of the n x (N - 1 + n) matrix
+    With u_0 the first point, D the matrix of the basis differences
+    u_bk - u_0 and L = ``scale`` > 0, the frame map is
+    x -> L * D^-1 (x - u_0), under which basis position k sits at
+    L * e_k (e_0 = 0).  ``basis`` holds the point indices b_0 = 0, b_1,
+    ..., b_n, ``inverse`` the rows of L * D^-1, and ``outside`` the pair
+    (j, W_j) of every point u_j outside the basis: its image W_j as the
+    nonzero entries (k, x), keyed by basis position k = 1..n; W_j != 0
+    as u_j != u_0.
+    """
+
+    config: PointConfig
+    basis: list[int]
+    scale: int
+    inverse: IntMat
+    outside: list[tuple[int, list[tuple[int, int]]]]
+
+    def labelings(self, r_min: int = 0):
+        """Every labeling of the basis positions by simplex vertices
+        whose map sends each point to a vertex, with r >= r_min, depth
+        first.
+
+        Yields (label, vertex): label[k] is the vertex of basis
+        position k, vertex[j] that of point j.  The labeled map, whose
+        row l is the sum of the rows of ``inverse`` at the positions
+        labeled l, divided by L, is ``projection``.  A point outside
+        the basis is tested as soon as the last position in the support
+        of its W_j is labeled, and a failed test cuts every labeling
+        that extends the prefix; so does a prefix that can no longer
+        reach r_min + 1 labels.
+        """
+        n = self.config.dim
+        if r_min > n:
+            return
+        # the points outside the basis, filed under the last position of
+        # the support of their W_j
+        tests: list[list] = [[] for _ in range(n + 1)]
+        for j, w in self.outside:
+            tests[w[-1][0]].append((j, w))
+        label = [0] * (n + 1)
+        vertex = [0] * len(self.config)
+        for _ in _kept_labelings(tests, self.scale, r_min, label, vertex):
+            for b, lab in zip(self.basis, label):
+                vertex[b] = lab
+            yield tuple(label), tuple(vertex)
+
+    def projection(self, label, vertex) -> SimplexProjection:
+        """The simplex projection of a labeling that ``labelings`` kept.
+
+        label holds the vertex of every basis position and vertex that
+        of every point.  Checks that the map is integral and sends every
+        u_j - u_b0 to its vertex, so that, every vertex being hit by a
+        basis point, the image of the configuration is a translated unit
+        simplex.
+        """
+        a = self.config
+        n = a.dim
+        r = max(label)
+        parts = group_indices(vertex)
+        rows = [[0] * n for _ in range(r)]
+        for lab, inv in zip(label[1:], self.inverse):
+            if lab:
+                row = rows[lab - 1]
+                for i, x in enumerate(inv):
+                    row[i] += x
+        if any(x % self.scale for row in rows for x in row):
+            raise ArithmeticError(
+                f"partition {parts} passed the vertex test but its "
+                "projection is not integral")
+        mat = [[x // self.scale for x in row] for row in rows]
+        u0 = a.points[0]
+        for j, p in enumerate(a.points):
+            off = [x - y for x, y in zip(p, u0)]
+            if tuple(mat_vec(mat, off)) != _simplex_vertex(vertex[j], r):
+                raise ArithmeticError(
+                    f"partition {parts} passed the vertex test but its "
+                    f"projection does not send point {j} to its vertex")
+        # no kernel dedupe: the parts are the cosets of ker pi met with a,
+        # so distinct partitions have distinct kernels
+        return SimplexProjection(a, r, parts, GroupHom.make(mat, None, n))
+
+
+def _affine_frame(a: PointConfig) -> AffineFrame:
+    """The frame of a normalized a, from one fraction-free elimination.
+
+    ``rref_ff`` of the n x (N - 1 + n) matrix
     [u_1 - u_0, ..., u_{N-1} - u_0 | I_n] has its pivots in the
     difference columns of the points that raise the rank, taken in
-    order: the basis u_b1, ..., u_bn, with u_b0 = u_0.  With D the
-    matrix of their differences, ``rref`` is D^-1 times the matrix, and
-    row i of ``rref_ff`` is row i of ``rref`` times its pivot; scaling
-    row i by L over its pivot, L > 0 the lcm of the pivots, gives
-    L * D^-1 times the matrix.  Returns the basis indices, L, the rows
-    of L * D^-1, and (j, W_j) for every point u_j outside the basis:
-    W_j = L * D^-1 (u_j - u_0) as its nonzero entries (k, x), keyed by
-    basis position k = 1..n; W_j != 0 as u_j != u_0.
+    order: the basis u_b1, ..., u_bn, with u_b0 = u_0.  ``rref`` is
+    D^-1 times the matrix, and row i of ``rref_ff`` is row i of ``rref``
+    times its pivot; scaling row i by L over its pivot, L the lcm of
+    the pivots, gives L * D^-1 times the matrix, whose difference
+    columns are the W_j and whose last n columns are L * D^-1.
     """
     u0 = a.points[0]
     diffs = transpose([[x - y for x, y in zip(p, u0)]
@@ -220,7 +302,18 @@ def _affine_frame(a: PointConfig):
                         for k, row in enumerate(rows) if row[c]])
                for c in range(len(a) - 1) if c not in pivots]
     inverse = [row[len(a) - 1:] for row in rows]
-    return [0] + [c + 1 for c in piv], scale, inverse, outside
+    return AffineFrame(a, [0] + [c + 1 for c in piv], scale, inverse,
+                       outside)
+
+
+def exhaustive_frame(a: PointConfig,
+                     limit: int = EXHAUSTIVE_LIMIT) -> AffineFrame:
+    """The affine frame of a normalized a, whose ``labelings`` are its
+    simplex projections; TooLarge when dim exceeds the limit."""
+    if a.dim > limit:
+        raise TooLarge(f"dim {a.dim} exceeds enumeration limit {limit}")
+    require_normalized(a, "the exhaustive enumeration")
+    return _affine_frame(a)
 
 
 def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
@@ -230,7 +323,7 @@ def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
     by least index, so that u_0 lies in part 0; other parts raise
     ValueError.  Labels each point of the affine basis of
     ``_affine_frame`` by its part, and returns the labeled map of
-    ``enumerate_simplex_projections``, or None when a part holds no basis
+    ``AffineFrame.projection``, or None when a part holds no basis
     point (its vertex is then outside the affine hull of the image) or a
     point outside the basis misses the vertex of its part.
     """
@@ -244,59 +337,36 @@ def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
     for i, part in enumerate(parts):
         for j in part:
             part_of[j] = i
-    basis, scale, inverse, outside = _affine_frame(a)
-    label = [part_of[b] for b in basis]
+    frame = _affine_frame(a)
+    label = [part_of[b] for b in frame.basis]
     labels = len(parts)
     if len(set(label)) < labels or any(
-            _vertex_of(w, label, labels, scale) != part_of[j]
-            for j, w in outside):
+            _vertex_of(w, label, labels, frame.scale) != part_of[j]
+            for j, w in frame.outside):
         return None
-    return _labeled_projection(a, basis, label, part_of, labels, scale,
-                               inverse).pi
+    return frame.projection(label, part_of).pi
 
 
 def enumerate_simplex_projections(a: PointConfig,
                                   limit: int = EXHAUSTIVE_LIMIT,
                                   r_min: int = 0):
     """All simplex projections of a with r >= r_min, one per realizable
-    point partition, ordered by (r, parts).
+    point partition, ordered by (r, parts): the projections of the
+    ``labelings`` of ``exhaustive_frame``.
 
     A projection onto the simplex is fixed by where it sends an affine
     basis u_b0, ..., u_bn of a, so it suffices to try every labeling of
     the basis points by vertices, in restricted-growth order: Bell(dim+1)
-    candidates at most.  In the frame of ``_affine_frame``, the labeled
-    map sends u_j to (sum over each label of the entries of W_j) / L;
-    the labeling is kept when every point lands on a vertex.  Since the
-    differences of a normalized a generate Z^n and every vertex is hit
-    by a basis point, such a map is integral and surjective, and every
-    part contains a basis point, so each partition is found exactly
-    once.  Row l of its matrix is the sum of the rows of L * D^-1 at the
-    basis points labeled l, divided by L.
-
-    The labeling is searched depth first, one basis position at a time.
-    A point outside the basis is tested as soon as the last position in
-    the support of its W_j is labeled, and a failed test cuts every
-    labeling that extends the prefix; so does a prefix that can no
-    longer reach r_min + 1 labels.
+    candidates at most.  In the frame, the labeled map sends u_j to
+    (sum over each label of the entries of W_j) / L; the labeling is
+    kept when every point lands on a vertex.  Since the differences of
+    a normalized a generate Z^n and every vertex is hit by a basis
+    point, such a map is integral and surjective, and every part
+    contains a basis point, so each partition is found exactly once.
     """
-    if a.dim > limit:
-        raise TooLarge(f"dim {a.dim} exceeds enumeration limit {limit}")
-    require_normalized(a, "enumerate_simplex_projections")
-    n = a.dim
-    if r_min > n:
-        return []
-    basis, scale, inverse, outside = _affine_frame(a)
-    # the points outside the basis, filed under the last position of the
-    # support of their W_j
-    tests: list[list] = [[] for _ in range(n + 1)]
-    for j, w in outside:
-        tests[w[-1][0]].append((j, w))
-    label = [0] * (n + 1)
-    vertex = [0] * len(a)
-    out = [_labeled_projection(a, basis, label, vertex, labels, scale,
-                               inverse)
-           for labels in _kept_labelings(tests, scale, r_min, label,
-                                         vertex)]
+    frame = exhaustive_frame(a, limit)
+    out = [frame.projection(label, vertex)
+           for label, vertex in frame.labelings(r_min)]
     out.sort(key=lambda st: (st.r, st.parts))
     return out
 
@@ -305,14 +375,14 @@ def _kept_labelings(tests, scale, r_min, label, vertex, k=1, labels=1):
     """Depth-first search over the labelings of basis positions k..n.
 
     label[0..k-1] is a restricted-growth prefix using labels
-    0..labels-1.  Extends it in place and yields the number of labels of
-    every complete labeling that passes the vertex tests in tests and
-    uses at least r_min + 1 labels; vertex then holds the vertex of
-    every point outside the basis.
+    0..labels-1.  Extends it in place and yields once for every complete
+    labeling that passes the vertex tests in tests and uses at least
+    r_min + 1 labels; vertex then holds the vertex of every point
+    outside the basis.
     """
     n = len(label) - 1
     if k > n:
-        yield labels
+        yield
         return
     for lab in range(labels + 1):
         used = max(labels, lab + 1)
@@ -341,41 +411,3 @@ def _vertex_of(w, label, labels, scale):
     if len(hit) > 1 or sums[hit[0]] != scale:
         return None
     return hit[0]
-
-
-def _labeled_projection(a, basis, label, vertex, labels, scale,
-                        inverse) -> SimplexProjection:
-    """The simplex projection of a kept labeling of the affine basis.
-
-    vertex holds the vertex of every point outside the basis; the
-    entries of the basis points are filled in from label.  Checks
-    that the map is integral and sends every u_j - u_b0 to its vertex,
-    so that, every vertex being hit by a basis point, the image of a is
-    a translated unit simplex.
-    """
-    n = a.dim
-    for k, b in enumerate(basis):
-        vertex[b] = label[k]
-    parts = group_indices(vertex)
-    rows = [[0] * n for _ in range(labels - 1)]
-    for k in range(1, n + 1):
-        if label[k]:
-            row = rows[label[k] - 1]
-            for i, x in enumerate(inverse[k - 1]):
-                row[i] += x
-    if any(x % scale for row in rows for x in row):
-        raise ArithmeticError(
-            f"partition {parts} passed the vertex test but its "
-            "projection is not integral")
-    mat = [[x // scale for x in row] for row in rows]
-    r = labels - 1
-    u0 = a.points[0]
-    for j, p in enumerate(a.points):
-        off = [x - y for x, y in zip(p, u0)]
-        if tuple(mat_vec(mat, off)) != _simplex_vertex(vertex[j], r):
-            raise ArithmeticError(
-                f"partition {parts} passed the vertex test but its "
-                f"projection does not send point {j} to its vertex")
-    # no kernel dedupe: the parts are the cosets of ker pi met with a,
-    # so distinct partitions have distinct kernels
-    return SimplexProjection(a, r, parts, GroupHom.make(mat, None, n))

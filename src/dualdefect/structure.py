@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 from .alpha import AlphaProblem, alpha as alpha_of, check_star, vprime
 from .cayley import (
     EXHAUSTIVE_LIMIT,
+    AffineFrame,
     NotSimplexImage,
     SimplexProjection,
     decompose_along,
-    enumerate_simplex_projections,
+    exhaustive_frame,
     is_join_type,
     join_type_wrt,
     projection_for_partition,
@@ -40,6 +41,7 @@ from .exact_linalg import (
     hnf_coords,
     kernel_basis_int,
     mat_mul,
+    mat_vec,
     rank_int,
     transpose,
 )
@@ -161,11 +163,57 @@ def _alpha_problem(a: PointConfig, struct: SimplexProjection, seed: int,
                    bound: int, trials: int) -> AlphaProblem:
     """The alpha problem of the part difference spaces of a simplex
     projection.  They lie in ker pi, as every point of a part has the
-    image of its vertex (``simplex_projection``, ``_labeled_projection``),
-    but K and alpha do not depend on that ambient."""
+    image of its vertex (``simplex_projection``), but K and alpha do not
+    depend on that ambient."""
     return AlphaProblem.make(
         [_part_difference_space(a, part) for part in struct.parts],
         seed, bound, trials)
+
+
+def _frame_alpha_problem(frame: AffineFrame, label, vertex, seed: int,
+                         bound: int, trials: int) -> AlphaProblem:
+    """The alpha problem of the parts of a kept labeling of the affine
+    frame, written down in frame coordinates with no elimination.
+
+    The frame map is x -> L * D^-1 (x - u_0), under which basis position
+    k sits at L * e_k (e_0 = 0); P_l is the set of positions labeled l.
+    A point j outside the basis, with vertex v, gives the K element
+    kappa_j: its component at each label l != v is -W_j restricted to
+    P_l, and its component at v is W_j off P_v.  V_l is spanned by the
+    vectors e_k - e_first(l) for k in P_l, which span the sum-zero space
+    S_l on P_l, and the W_j - L * e_first(l) of its points j; the latter
+    lie in the component at l of kappa_j plus S_l.  The kappa_j span K:
+    the sum of the V_l is ker pi' (over Q), the direct sum of the S_l,
+    so a K element less the matching combination of the kappa_j has its
+    components in the S_l and is zero.  Hence K = 0 exactly when every
+    W_j is supported on its own part's positions.
+    """
+    n = frame.config.dim
+    spans: list[list] = [[] for _ in range(max(label) + 1)]
+    first: dict[int, int] = {}
+    for k, lab in enumerate(label):
+        if lab not in first:
+            first[lab] = k
+            continue
+        row = [0] * n
+        row[k - 1] = 1
+        if first[lab]:
+            row[first[lab] - 1] = -1
+        spans[lab].append(row)
+    k_rows = []
+    for j, w in frame.outside:
+        v = vertex[j]
+        row = [0] * (len(spans) * n)
+        for k, x in w:
+            lab = label[k]
+            if lab != v:
+                row[v * n + k - 1] += x
+                row[lab * n + k - 1] -= x
+        if any(row):
+            k_rows.append(row)
+            spans[v].append(row[v * n:(v + 1) * n])
+    return AlphaProblem.from_components(n, k_rows, spans, seed, bound,
+                                        trials)
 
 
 def _minimal_quotient(a: PointConfig, struct: SimplexProjection,
@@ -307,15 +355,17 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     Exhaustive mode also checks that law (``lower_bound_law``) and the
     kernel chain of condition (4) on every simplex projection with
     r' >= delta; those with r' < delta satisfy the law and cannot
-    realize delta.  Per structure it computes only what the two checks
-    read: K = 0 is read off the alpha problem's K basis, so a structure
+    realize delta.  Per structure, a kept labeling of one affine frame,
+    it computes only what the two checks read: the alpha problem is
+    written down in the frame (``_frame_alpha_problem``), so a structure
     with r' = delta and K != 0 samples nothing, and alpha stops at the
     first sample of rank above r' - delta, which proves r' - c' < delta.
     The chain ker pi1 <= ker pi1' <= ker pi' <= ker pi of saturated
-    lattices is checked on Q-spans: ker pi1 in the V' of ``vprime``, and
-    the rows of pi in the row span of pi'.  The rest of condition (4)
-    holds by construction: V' lies in the sum of the V_i, inside
-    ker pi', and ``vprime`` checked that the V_i sum directly mod V'.
+    lattices is checked on Q-spans: ker pi1, mapped into the frame, in
+    the V' of ``vprime``, and the rows of pi in the row span of pi'.  The
+    rest of condition (4) holds by construction: V' lies in the sum of
+    the V_i, inside ker pi', and ``vprime`` checked that the V_i sum
+    directly mod V'.
     """
     if cert.n != a.dim:
         raise CertificateMismatch(
@@ -360,7 +410,11 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         checks["lower_bound_law"] = True
         checks["condition4_chain"] = True
     elif exhaustive:
-        ker_pi1 = cert.pi1.kernel_lattice()
+        frame = exhaustive_frame(a, limit)
+        # ker pi1 in frame coordinates: inclusion of spans survives the
+        # invertible linear part L * D^-1 of the frame map
+        ker_pi1 = [mat_vec(frame.inverse, row)
+                   for row in cert.pi1.kernel_lattice()]
         lower_ok = True
         chain_ok = True
         # a structure with r' < delta can neither break r' - c' <= delta
@@ -368,21 +422,23 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         # c' = 0, that is when K is zero, as a nonzero K element has a
         # nonzero component.  A sample of rank above r' - delta proves
         # r' - c' < delta, so alpha reads no further.
-        for st in enumerate_simplex_projections(a, limit,
-                                                r_min=max(cert.delta, 0)):
-            ap = _alpha_problem(a, st, cert.seed, cert.bound, cert.trials)
-            if st.r == cert.delta and ap.k_basis:
+        for label, vertex in frame.labelings(r_min=max(cert.delta, 0)):
+            r2 = max(label)
+            ap = _frame_alpha_problem(frame, label, vertex, cert.seed,
+                                      cert.bound, cert.trials)
+            if r2 == cert.delta and ap.k_basis:
                 continue
-            c2 = alpha_of(ap, above=st.r - cert.delta)
-            if st.r - c2 > cert.delta:
+            c2 = alpha_of(ap, above=r2 - cert.delta)
+            if r2 - c2 > cert.delta:
                 lower_ok = False
             # condition (4) on spans: ker pi1 in V', the span of ker pi1',
             # and ker pi' in ker pi, as pi' spans the rows of pi
-            if st.r - c2 != cert.delta or not check_star(ap):
+            if r2 - c2 != cert.delta or not check_star(ap):
                 continue
             span = vprime(ap, c2)
+            st = frame.projection(label, vertex)
             if (not all(map(span.contains, ker_pi1))
-                    or rank_int(st.pi.matrix_rows + pi.matrix_rows) != st.r):
+                    or rank_int(st.pi.matrix_rows + pi.matrix_rows) != r2):
                 chain_ok = False
         checks["lower_bound_law"] = lower_ok
         checks["condition4_chain"] = chain_ok

@@ -14,11 +14,12 @@ from dualdefect.cayley import (
     cayley_sum,
     decompose_along,
     enumerate_simplex_projections,
+    exhaustive_frame,
     is_join_type,
     join_type_wrt,
     simplex_projection,
 )
-from dualdefect import structure, tangency
+from dualdefect import cayley, structure, tangency
 from dualdefect.cli import generate_corpus, run
 from dualdefect.config import (
     GroupHom,
@@ -29,9 +30,11 @@ from dualdefect.config import (
     normalize,
 )
 from dualdefect.exact_linalg import (
+    RationalSubspace,
     hnf_basis,
     kernel_basis_int,
     mat_mul,
+    mat_vec,
     rank_int,
     saturate,
     sums_directly,
@@ -620,6 +623,101 @@ def test_k_basis_is_empty_exactly_when_the_parts_sum_directly():
                 for part in st.parts), (a.points, st.parts)
             outcomes.add(direct)
     assert outcomes == {True, False}
+
+
+def test_frame_k_matches_the_part_space_reference():
+    # verify --exhaustive reads K off the affine frame: the kappa rows
+    # lie in the frame image of the K of the part difference spaces and
+    # have its dimension, the spanning rows of each part span its image,
+    # and K = 0 exactly for join type
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus()
+    inputs += [segre_product(1, 3), segre_product(2, 3), segre_product(2, 4)]
+    outcomes = set()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        frame = exhaustive_frame(a)
+        for label, vertex in frame.labelings():
+            parts = [[j for j, v in enumerate(vertex) if v == lab]
+                     for lab in range(max(label) + 1)]
+            summands = [structure._part_difference_space(a, part)
+                        for part in parts]
+            images = [RationalSubspace.from_rows(
+                a.dim, [mat_vec(frame.inverse, row) for row in s.basis])
+                for s in summands]
+            ap = structure._frame_alpha_problem(frame, label, vertex, 1, 7, 3)
+            where = (a.points, parts)
+            assert rank_int(ap.k_basis) == len(
+                AlphaProblem.make(summands).k_basis), where
+            for row in ap.k_basis:
+                comps = ap.components(row)
+                assert not any(map(sum, zip(*comps))), where
+                assert all(map(RationalSubspace.contains, images,
+                               comps)), where
+            assert [RationalSubspace.from_rows(a.dim, rows)
+                    for rows in ap.bases] == images, where
+            join = is_join_type(
+                PointConfig(a.dim, tuple(a.points[i] for i in part))
+                for part in parts)
+            assert join == (not ap.k_basis), where
+            outcomes.add(join)
+    assert outcomes == {True, False}
+
+
+def test_exhaustive_verify_builds_no_part_spaces(ex5_8, monkeypatch):
+    # an honest exhaustive verify builds every alpha problem in frame
+    # coordinates, and pi' only for a structure that reaches the chain
+    # check, which one structure of ex5_8 does
+    cert = structure_certificate(ex5_8)
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(structure, "_part_difference_space")
+    counted(AlphaProblem, "make")
+    counted(cayley.AffineFrame, "projection")
+    counted(structure, "vprime")
+    report = verify_certificate(ex5_8, cert, exhaustive=True)
+    assert report["all_passed"]
+    assert calls == {"projection": 1, "vprime": 1}
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def cube_census():
+    """Every subset of {0,1}^3 that contains 0, has at least 4 points and
+    spans Q^3: some three of its points have a nonzero determinant."""
+    corners = list(itertools.product((0, 1), repeat=3))[1:]
+    return [PointConfig.make([(0, 0, 0), *pts])
+            for k in range(3, len(corners) + 1)
+            for pts in itertools.combinations(corners, k)
+            if any(_det3(t) for t in itertools.combinations(pts, 3))]
+
+
+def test_exhaustive_checks_match_the_full_loop_on_the_cube_census():
+    # no structure was planted in these inputs; the frame loop must give
+    # the reports of the full loop over the part spaces at delta - 1,
+    # delta and delta + 1
+    deltas = collections.Counter()
+    for cfg in cube_census():
+        a, _ = normalize(cfg)
+        cert = structure_certificate(a)
+        deltas[cert.delta] += 1
+        for step in (-1, 0, 1):
+            edited = dataclasses.replace(cert, delta=cert.delta + step)
+            report = verify_certificate(a, edited, exhaustive=True)
+            got = (report["lower_bound_law"], report["condition4_chain"])
+            assert got == exhaustive_reference(a, edited), (a.points, step)
+    assert deltas == {0: 54, 1: 39}
 
 
 def test_join_defect_law_certificates():
