@@ -180,17 +180,18 @@ def join_type_wrt(struct: SimplexProjection, pi1: GroupHom) -> bool:
     """Whether struct.base is of join type with respect to (pi1, pi2).
 
     struct is the simplex projection of the base along pi = pi2 o pi1.
-    Its parts have difference lattices M_i; the predicate holds when
-    the images pi1(M_i) inside ker pi2 sum directly (``is_join_type``),
-    as they do when ker pi1 spans the V' that ``vprime`` returned.
+    The predicate holds when the pi1 images of the differences of each
+    part from its first point sum directly (``sums_directly``), as they
+    do when ker pi1 spans the V' that ``vprime`` returned.
     """
-    lin = pi1.linear()
     points = struct.base.points
-    return is_join_type(
-        PointConfig(lin.codomain_rank,
-                    tuple(lin.apply(points[i]) for i in part))
-        for part in struct.parts
-    )
+    families = []
+    for part in struct.parts:
+        first = points[part[0]]
+        families.append([mat_vec(pi1.matrix, [x - y for x, y in
+                                              zip(points[i], first)])
+                         for i in part[1:]])
+    return sums_directly(families)
 
 
 class AffineFrame(NamedTuple):

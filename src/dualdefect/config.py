@@ -131,9 +131,6 @@ class GroupHom:
             img = [x + t for x, t in zip(img, self.translation)]
         return tuple(img)
 
-    def linear(self) -> "GroupHom":
-        return GroupHom(self.matrix, None, self.domain_rank)
-
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
         if inner.codomain_rank != self.domain_rank:

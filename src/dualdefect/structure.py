@@ -216,6 +216,12 @@ def _frame_alpha_problem(frame: AffineFrame, label, vertex, seed: int,
                                         trials)
 
 
+def _frame_k_nonzero(frame: AffineFrame, label, vertex) -> bool:
+    """Whether the K of ``_frame_alpha_problem`` is nonzero: some W_j
+    has an entry at a position not labeled with the vertex of point j."""
+    return any(label[k] != vertex[j] for j, w in frame.outside for k, _ in w)
+
+
 def _minimal_quotient(a: PointConfig, struct: SimplexProjection,
                       ap: AlphaProblem, c: int):
     """The factorization pi = pi2 o pi1 with ker pi1 = V', as (pi1, pi2).
@@ -356,10 +362,11 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     kernel chain of condition (4) on every simplex projection with
     r' >= delta; those with r' < delta satisfy the law and cannot
     realize delta.  Per structure, a kept labeling of one affine frame,
-    it computes only what the two checks read: the alpha problem is
-    written down in the frame (``_frame_alpha_problem``), so a structure
-    with r' = delta and K != 0 samples nothing, and alpha stops at the
-    first sample of rank above r' - delta, which proves r' - c' < delta.
+    it computes only what the two checks read: a structure with
+    r' = delta and K != 0 (``_frame_k_nonzero``) builds nothing, the
+    alpha problem of any other is written down in the frame
+    (``_frame_alpha_problem``), and alpha stops at the first sample of
+    rank above r' - delta, which proves r' - c' < delta.
     The chain ker pi1 <= ker pi1' <= ker pi' <= ker pi of saturated
     lattices is checked on Q-spans: ker pi1, mapped into the frame, in
     the V' of ``vprime``, and the rows of pi in the row span of pi'.  The
@@ -424,10 +431,10 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         # r' - c' < delta, so alpha reads no further.
         for label, vertex in frame.labelings(r_min=max(cert.delta, 0)):
             r2 = max(label)
+            if r2 == cert.delta and _frame_k_nonzero(frame, label, vertex):
+                continue
             ap = _frame_alpha_problem(frame, label, vertex, cert.seed,
                                       cert.bound, cert.trials)
-            if r2 == cert.delta and ap.k_basis:
-                continue
             c2 = alpha_of(ap, above=r2 - cert.delta)
             if r2 - c2 > cert.delta:
                 lower_ok = False

@@ -241,8 +241,8 @@ def first_corank_at_most(p: TangencyProblem, delta: int) -> int | None:
 
 def _grouping_from_kernel(a: PointConfig, kernel: IntMat):
     """Partition points by the functional v -> <u, v> on the kernel."""
-    return group_indices(tuple(sum(map(mul, u, v)) for v in kernel)
-                         for u in a.points)
+    values = [[sum(map(mul, u, v)) for u in a.points] for v in kernel]
+    return group_indices(zip(*values) if kernel else [()] * len(a))
 
 
 def contact_grouping(p: TangencyProblem):

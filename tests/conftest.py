@@ -6,13 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from dualdefect.config import GroupHom, PointConfig, difference_lattice
+from dualdefect.config import (
+    GroupHom,
+    PointConfig,
+    difference_lattice,
+    group_indices,
+)
 from dualdefect.cayley import cayley_sum, decompose_along
 from dualdefect.exact_linalg import (
     hnf_basis,
     hnf_coords,
     identity,
     mat_mul,
+    mat_vec,
     rank_int,
     rref,
     snf,
@@ -172,14 +178,13 @@ def join_type_wrt_recompute(a, pi1, pi2):
     callers passed their Cayley structure, decomposing a along pi2 o pi1
     afresh."""
     struct = decompose_along(a, pi2.compose(pi1))
-    lin = pi1.linear()
     total = 0
     stacked = []
     for part in struct.parts:
-        base_pt = a.points[part[0]]
+        base_pt = mat_vec(pi1.matrix, a.points[part[0]])
         rows = [
-            [x - y for x, y in zip(lin.apply(a.points[i]),
-                                   lin.apply(base_pt))]
+            [x - y for x, y in zip(mat_vec(pi1.matrix, a.points[i]),
+                                   base_pt)]
             for i in part[1:]
         ]
         basis = hnf_basis(rows)
@@ -188,6 +193,23 @@ def join_type_wrt_recompute(a, pi1, pi2):
     if not stacked:
         return True
     return rank_int(stacked) == total
+
+
+def components_contained(ap, span):
+    """Reference: whether every component of every K basis element of
+    the alpha problem lies in the span, as ``vprime`` checked before it
+    read this off the direct sum modulo the span."""
+    return all(span.contains(c)
+               for k_row in ap.k_basis for c in ap.components(k_row))
+
+
+def grouping_per_point(a, kernel):
+    """Reference: the points grouped by the tuple of their values on the
+    kernel vectors, one point at a time, as ``_grouping_from_kernel`` did
+    before it evaluated each vector over all points."""
+    return group_indices(tuple(sum(x * y for x, y in zip(u, v))
+                               for v in kernel)
+                         for u in a.points)
 
 
 def removal_condition_pairwise(comps):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualdefect.alpha import (
     AlphaProblem,
@@ -12,11 +12,12 @@ from dualdefect.alpha import (
     vprime,
 )
 from dualdefect.exact_linalg import RationalSubspace, rank_int
-from dualdefect.tangency import sample_combination
+from dualdefect.tangency import GenericityFailure, sample_combination
 
 from conftest import (
     clear_denominators,
     common_multiple,
+    components_contained,
     escalation_loop,
     fraction_sample,
     kernel_basis_rat,
@@ -280,6 +281,22 @@ def test_vprime_quotient_rank_additivity():
             rows += list(s.basis)
         total = RationalSubspace.from_rows(3, rows).dim - vp.dim
         assert total == joined
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(summand_families(), st.integers(1, 3))
+# two planes: every sample of rank 1 spans a line that misses a K
+# component, so no span passes
+@example([sub(2, [[1, 0], [0, 1]])] * 2, 3)
+def test_every_span_vprime_returns_holds_every_k_component(summands, bound):
+    # vprime checks only the direct sum modulo V', which implies the
+    # containment; small bounds and no check_star give spans that fail
+    p = AlphaProblem.make(summands, bound=bound)
+    try:
+        span = vprime(p, alpha(p))
+    except GenericityFailure:
+        return
+    assert components_contained(p, span)
 
 
 def test_alpha_monotone_in_trials():

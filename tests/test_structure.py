@@ -58,6 +58,7 @@ from conftest import (
     EX58_U,
     EX58_V,
     FIXTURES,
+    components_contained,
     factor_through_snf,
     join_type_wrt_recompute,
     lattice_eq,
@@ -683,9 +684,101 @@ def test_exhaustive_verify_builds_no_part_spaces(ex5_8, monkeypatch):
     counted(AlphaProblem, "make")
     counted(cayley.AffineFrame, "projection")
     counted(structure, "vprime")
+    counted(structure, "_frame_alpha_problem")
+    counted(structure, "alpha_of")
     report = verify_certificate(ex5_8, cert, exhaustive=True)
     assert report["all_passed"]
+    # a structure with r' = delta and K != 0 is skipped on the frame
+    # test alone, so every alpha problem built is sampled
+    assert calls.pop("_frame_alpha_problem") == calls.pop("alpha_of") > 0
     assert calls == {"projection": 1, "vprime": 1}
+
+
+def test_frame_k_nonzero_matches_the_k_basis():
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus() + cube_census()
+    outcomes = set()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        frame = exhaustive_frame(a)
+        for label, vertex in frame.labelings():
+            ap = structure._frame_alpha_problem(frame, label, vertex, 1, 7, 3)
+            got = structure._frame_k_nonzero(frame, label, vertex)
+            assert got == bool(ap.k_basis), (a.points, label)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_every_vprime_span_holds_every_k_component(monkeypatch):
+    # vprime checks only that the summands sum directly modulo V', which
+    # implies that V' holds every component of every K element; checked
+    # here on every span analyze and verify --exhaustive take
+    real = structure.vprime
+    spans = collections.Counter()
+    stage = ["analyze"]
+
+    def checked(ap, target):
+        span = real(ap, target)
+        assert components_contained(ap, span), stage
+        spans[stage[0]] += 1
+        return span
+    monkeypatch.setattr(structure, "vprime", checked)
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        stage[0] = "analyze"
+        cert = structure_certificate(a)
+        stage[0] = "verify"
+        assert verify_certificate(a, cert, exhaustive=True)["all_passed"]
+    stage[0] = "analyze"
+    for b in range(2, 6):
+        for a_ in range(1, b):
+            assert structure_certificate(segre_product(a_, b)).delta == b - a_
+    assert spans["analyze"] > 0 and spans["verify"] > 0
+
+
+@pytest.mark.parametrize("cfg", [
+    load_config_file(FIXTURES / "ex5_8.json"), segre_product(2, 4)])
+def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
+    # components are split only off sampled K elements (vprime reads no
+    # K basis), and join_type_wrt builds no configuration
+    a, _ = normalize(cfg)
+    calls = collections.Counter()
+    inside = []
+    real_components = AlphaProblem.components
+    real_evaluate = AlphaProblem.evaluate
+    real_post_init = PointConfig.__post_init__
+
+    def components(self, element):
+        calls["components"] += 1
+        return real_components(self, element)
+
+    def evaluate(self, element):
+        calls["evaluate"] += 1
+        return real_evaluate(self, element)
+
+    def post_init(self):
+        calls["config_in_join_type"] += bool(inside)
+        real_post_init(self)
+
+    def join_type(struct, pi1):
+        calls["join_type_wrt"] += 1
+        inside.append(True)
+        try:
+            return join_type_wrt(struct, pi1)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(AlphaProblem, "components", components)
+    monkeypatch.setattr(AlphaProblem, "evaluate", evaluate)
+    monkeypatch.setattr(PointConfig, "__post_init__", post_init)
+    monkeypatch.setattr(structure, "join_type_wrt", join_type)
+    cert = structure_certificate(a)
+    assert verify_certificate(a, cert)["all_passed"]
+    assert calls["components"] == calls["evaluate"] > 0
+    assert calls["join_type_wrt"] == 2
+    assert calls["config_in_join_type"] == 0
 
 
 def _det3(rows):

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualdefect import tangency
 from dualdefect.alpha import AlphaProblem, alpha, check_star, vprime
@@ -38,6 +39,7 @@ from conftest import (
     common_multiple,
     escalation_loop,
     fraction_sample,
+    grouping_per_point,
     kernel_basis_rat,
     random_unimodular,
     segre_product,
@@ -284,6 +286,27 @@ def test_contact_grouping_escalation_draws_reference_samples(
     assert evaluated[:left_at] == want[0]
     assert evaluated[left_at:] == want[1]
     assert len(groupings) == left_at + tp.trials
+
+
+@st.composite
+def points_and_kernels(draw):
+    """0 to 8 points, repeats allowed, and 0 to 3 kernel vectors in
+    dimension 0 to 4, with small entries so that values repeat."""
+    n = draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    points = draw(st.lists(vec.map(tuple), max_size=8))
+    return PointConfig(n, tuple(points)), draw(st.lists(vec, max_size=3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(points_and_kernels())
+@example((PointConfig(2, ((0, 0), (1, 0), (0, 1))), []))
+@example((PointConfig(2, ((1, 0), (0, 1), (1, 1), (2, 0), (1, 0))),
+          [[1, 1], [2, 2], [1, 1]]))
+def test_grouping_from_kernel_matches_the_per_point_grouping(case):
+    a, kernel = case
+    assert (tangency._grouping_from_kernel(a, kernel)
+            == grouping_per_point(a, kernel))
 
 
 def test_join_defect_law_small():
