@@ -3,7 +3,8 @@
 Subcommands: analyze (structure certificate), oracle (randomized corank
 oracle only), verify (re-check an emitted certificate), gen (test corpus
 generation), batch (analyze a directory).  Exit codes: 0 success, 1
-verification or certification failure, 2 input error.
+verification or certification failure, or a stdout whose reader went
+away, 2 input error.
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
+import stat
 import sys
+import warnings
 from pathlib import Path
 
 from .cayley import EXHAUSTIVE_LIMIT, TooLarge, cayley_sum, is_join_type
@@ -116,11 +120,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: Path | None):
+    """Write text and a newline to stdout or to ``out``.  A regular
+    file is overwritten in place and cut to length only if it was longer
+    (truncating on open costs more); a failed write leaves it empty, not
+    new bytes over old.  A FIFO or device is written as a stream."""
     if out is None:
         sys.stdout.write(text + "\n")
         return
+    data = (text + "\n").encode("utf-8")
     try:
-        out.write_text(text + "\n", encoding="utf-8")
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            st = os.fstat(fd)
+            regular = stat.S_ISREG(st.st_mode)
+            try:
+                # a positive buffer size skips open's isatty probe
+                with os.fdopen(fd, "wb", buffering=len(data),
+                               closefd=False) as f:
+                    f.write(data)
+            except OSError:
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+            if regular and st.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _cannot_write(out, exc)
 
@@ -129,9 +154,21 @@ def _cannot_write(path: Path, exc: OSError) -> SystemExit:
     return SystemExit(_fail_input(f"cannot write {path}: {exc.strerror}"))
 
 
+def _read_config(path: Path) -> PointConfig:
+    """``load_config_file``, with each warning it raises (repeated
+    points) printed to stderr as one line that names the file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return load_config_file(path)
+        finally:
+            for w in caught:
+                print(f"warning: {path}: {w.message}", file=sys.stderr)
+
+
 def _load(path: Path) -> PointConfig:
     try:
-        return load_config_file(path)
+        return _read_config(path)
     except (OSError, ValueError) as exc:
         raise SystemExit(_fail_input(f"cannot read {path}: {exc}"))
 
@@ -371,7 +408,7 @@ def cmd_batch(args) -> int:
     for path in _batch_files(args.inputs):
         rec = {"file": str(path)}
         try:
-            cfg = load_config_file(path)
+            cfg = _read_config(path)
             a, _ = normalize(cfg)
             cert = structure_certificate(a, args.seed, args.bound,
                                          args.trials)
@@ -421,4 +458,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader went away: send what Python still flushes at exit
+        # to devnull, and exit 1 without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

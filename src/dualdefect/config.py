@@ -305,10 +305,13 @@ def load_config_file(path) -> PointConfig:
     stripped = text.lstrip()
     if p.suffix == ".json" or stripped.startswith("{"):
         cfg = load_config_json(text)
-        if cfg.name is None:
-            cfg = PointConfig(cfg.dim, cfg.points, p.stem)
-        return cfg
-    return load_config_text(text, name=p.stem)
+    else:
+        cfg = load_config_text(text)
+    # an unnamed configuration takes the file's stem after it is read,
+    # so a dedupe warning carries only a name the file itself gives
+    if cfg.name is None:
+        cfg = PointConfig(cfg.dim, cfg.points, p.stem)
+    return cfg
 
 
 def dump_config_json(a: PointConfig) -> str:

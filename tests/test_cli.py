@@ -1,6 +1,7 @@
 import ast
 import collections
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -8,7 +9,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import types
 from datetime import timedelta
 from pathlib import Path
 
@@ -610,13 +613,18 @@ def test_gen_negative_count_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "count" in err
 
 
-def run_module(*args, timeout=120):
-    """Run python <args> as a subprocess with the package on the path."""
+def _module_env() -> dict:
+    """The environment with the package on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_module(*args, timeout=120):
+    """Run python <args> as a subprocess with the package on the path."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          env=env, timeout=timeout)
+                          env=_module_env(), timeout=timeout)
 
 
 @pytest.mark.parametrize("command", ["analyze", "oracle", "batch"])
@@ -832,6 +840,183 @@ def test_unwritable_out_exit_2(tmp_path, capsys, argv, blocked):
     code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / blocked))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {tmp_path / blocked}: ")
+
+
+def _analyze_stdout(capsys) -> str:
+    code, out, _ = invoke(capsys, "analyze", str(FIXTURES / "ex5_8.json"))
+    assert code == 0
+    return out
+
+
+def _analyze_to(capsys, out) -> tuple[int, str, str]:
+    return invoke(capsys, "analyze", str(FIXTURES / "ex5_8.json"),
+                  "--out", str(out))
+
+
+def test_out_over_a_longer_file_leaves_no_stale_tail(tmp_path, capsys):
+    # --out writes an existing file in place and cuts it to the new length
+    expected = _analyze_stdout(capsys)
+    out = tmp_path / "cert.json"
+    out.write_text("x" * (3 * len(expected)), encoding="utf-8")
+    out.chmod(0o600)
+    before = out.stat()
+    assert _analyze_to(capsys, out) == (0, "", "")
+    assert out.read_bytes() == expected.encode("utf-8")
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_out_through_a_symlink_writes_the_target(tmp_path, capsys):
+    expected = _analyze_stdout(capsys)
+    target = tmp_path / "target.json"
+    target.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert _analyze_to(capsys, link)[0] == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text(encoding="utf-8") == expected
+
+
+def test_out_keeps_hard_links(tmp_path, capsys):
+    expected = _analyze_stdout(capsys)
+    out = tmp_path / "cert.json"
+    out.write_text("old " * 1000, encoding="utf-8")
+    other = tmp_path / "other.json"
+    os.link(out, other)
+    assert _analyze_to(capsys, out)[0] == 0
+    assert other.read_text(encoding="utf-8") == expected
+    assert out.stat().st_nlink == 2
+
+
+def test_out_new_file_mode_follows_the_umask(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        assert _analyze_to(capsys, tmp_path / "cert.json")[0] == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "cert.json").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_out_dev_null_exit_0(capsys):
+    assert _analyze_to(capsys, os.devnull) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_out_fifo_is_written_as_a_stream(tmp_path, capsys):
+    # a FIFO cannot be cut to length; it gets the bytes and exit 0
+    expected = _analyze_stdout(capsys)
+    fifo = tmp_path / "cert.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert _analyze_to(capsys, fifo) == (0, "", "")
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [expected.encode("utf-8")]
+
+
+def test_out_failed_write_leaves_the_file_empty(tmp_path, capsys,
+                                               monkeypatch):
+    # a write that fails part way (here ENOSPC after half the bytes) is
+    # exit 2 and leaves an empty file, not new bytes over an old tail
+    out = tmp_path / "cert.json"
+    out.write_text("x" * 100_000, encoding="utf-8")
+    fdopen = os.fdopen
+
+    @contextlib.contextmanager
+    def disk_fills(fd, *args, **kwargs):
+        with fdopen(fd, *args, **kwargs) as f:
+            def write(data):
+                f.write(data[:len(data) // 2])
+                f.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            yield types.SimpleNamespace(write=write)
+
+    monkeypatch.setattr(os, "fdopen", disk_fills)
+    code, stdout, err = _analyze_to(capsys, out)
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: cannot write {out}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert out.read_bytes() == b""
+
+
+def test_package_has_no_truncating_write():
+    # --out files are overwritten in place (cli._emit): no write_text or
+    # write_bytes, no open of a path for writing and no O_TRUNC, so a
+    # truncating open cannot come back unnoticed; os.fdopen wraps a
+    # descriptor that is already open and is allowed
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "write_text", "write_bytes", "O_TRUNC"):
+                found.append((name, node.lineno, node.attr))
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if not ((isinstance(fn, ast.Name) and fn.id == "open")
+                    or (isinstance(fn, ast.Attribute) and fn.attr == "open"
+                        and not (isinstance(fn.value, ast.Name)
+                                 and fn.value.id == "os"))):
+                continue
+            mode = (node.args[1:2] + [kw.value for kw in node.keywords
+                                      if kw.arg == "mode"]
+                    or [ast.Constant("r")])[0]
+            if not isinstance(mode, ast.Constant) or "w" in mode.value:
+                found.append((name, node.lineno, "open"))
+    assert found == []
+
+
+def test_repeated_points_warning_is_one_stderr_line(tmp_path, capsys):
+    # the dedupe warning names the file and has no source line; stdout
+    # and the exit code are those of the deduplicated configuration
+    dup = tmp_path / "dup.json"
+    dup.write_text('{"points": [[0], [0], [1]]}', encoding="utf-8")
+    clean = tmp_path / "dup.txt"
+    clean.write_text("0\n1\n", encoding="utf-8")
+    line = (f"warning: {dup}: configuration contains repeated points; "
+            "deduplicated 3 -> 2\n")
+    for command in ("analyze", "oracle", "batch"):
+        code, out, err = invoke(capsys, command, str(dup))
+        code_clean, out_clean, err_clean = invoke(capsys, command,
+                                                  str(clean))
+        assert err == line and err_clean == ""
+        assert code == code_clean
+        assert out == out_clean.replace(str(clean), str(dup))
+    # a name the file gives is kept in the line
+    named = tmp_path / "named.json"
+    named.write_text('{"name": "sq", "points": [[0], [1], [1]]}',
+                     encoding="utf-8")
+    assert invoke(capsys, "analyze", str(named))[2] == (
+        f"warning: {named}: configuration sq contains repeated points; "
+        "deduplicated 3 -> 2\n")
+
+
+def test_repeated_points_under_python_warnings_as_errors(tmp_path):
+    dup = tmp_path / "dup.txt"
+    dup.write_text("0 0\n0 0\n1 0\n0 1\n", encoding="utf-8")
+    proc = run_module("-W", "error", "-m", "dualdefect", "analyze", str(dup))
+    assert proc.returncode == 0
+    assert proc.stderr.decode() == (
+        f"warning: {dup}: configuration contains repeated points; "
+        "deduplicated 4 -> 3\n")
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the manifest is larger than a pipe buffer, so its write meets the
+    # closed pipe
+    with subprocess.Popen(
+            [sys.executable, "-m", "dualdefect", "gen", "--kind", "random",
+             "--count", "2000", "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_module_env()) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err and err == b""
 
 
 def _write_certificate(tmp_path, capsys, fixture, edit=None) -> str:

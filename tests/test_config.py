@@ -124,6 +124,13 @@ def test_dedupe_warning():
     assert any("repeated" in str(w.message) for w in rec)
 
 
+def test_dedupe_warning_names_a_named_configuration():
+    with pytest.warns(UserWarning) as rec:
+        PointConfig.make([(0, 0), (0, 0), (1, 0)], name="sq")
+    assert [str(w.message) for w in rec] == [
+        "configuration sq contains repeated points; deduplicated 3 -> 2"]
+
+
 def test_json_roundtrip(segre_square):
     text = dump_config_json(PointConfig(2, segre_square.points, "sq"))
     back = load_config_json(text)
