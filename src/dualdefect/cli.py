@@ -44,6 +44,7 @@ from .tangency import (
     GenericityFailure,
     TangencyProblem,
     check_sampling,
+    check_seed,
     defect_oracle,
 )
 
@@ -316,6 +317,7 @@ def generate_corpus(kind: str, count: int, n: int | None,
         raise ValueError(f"--kind {kind} takes no --n or --points")
     if count < 0:
         raise ValueError(f"count must be at least 0, not {count}")
+    check_seed(seed)
     if kind == "random":
         n = 3 if n is None else n
         points = 7 if points is None else points
@@ -438,9 +440,11 @@ def run(argv=None) -> int:
             args.exhaustive_limit = EXHAUSTIVE_LIMIT
         elif not args.exhaustive:
             return _fail_input("--exhaustive-limit needs --exhaustive")
-    if "trials" in vars(args):
+    if "seed" in vars(args):  # every command but verify
         try:
-            check_sampling(args.bound, args.trials)
+            check_seed(args.seed)
+            if "trials" in vars(args):
+                check_sampling(args.bound, args.trials)
         except ValueError as exc:
             return _fail_input(str(exc))
     handler = {

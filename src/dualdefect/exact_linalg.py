@@ -5,10 +5,10 @@ deliberately no floating-point path.  Ranks, kernels and reduced
 row-echelon bases over Q come from fraction-free elimination
 (``rref_ff``), whose rows are the rational ones times one positive
 integer each, and subspaces of Q^n (``RationalSubspace``) are held as
-those integer rows.  Determinants and the Hessian kernels come from
-one forward Bareiss pass (``_bareiss``), shared by ``det`` and
-``kernel_basis_bareiss``; the kernel back-substituted from it has the
-rows of ``kernel_basis_ff``.  Lattices are handled by the Hermite
+those integer rows.  Determinants, Hessian coranks and kernels and
+the tangency samples come from one forward Bareiss pass (``_bareiss``),
+shared by ``det`` and ``Echelon``; a kernel back-substituted from it
+has the rows of ``kernel_basis_ff``.  Lattices are handled by the Hermite
 normal form alone: kernels, saturation, coordinates (``hnf_coords``)
 and surjectivity.  The Smith normal form (``snf``) and its solver
 ``solve_int``, like the one rational routine, ``rref`` over
@@ -20,6 +20,7 @@ of lists in row-major order, and all lattice maps act on row vectors
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -119,41 +120,69 @@ def det(m: IntMat) -> int:
     return sign * a[n - 1][n - 1] if len(piv) == n else 0
 
 
-def kernel_basis_bareiss(m: IntMat) -> IntMat:
-    """The rows of ``kernel_basis_ff(m)``, from one Bareiss pass.
+class Echelon:
+    """The kernel of an integer matrix m, read off one forward Bareiss
+    pass (``_bareiss``).
 
-    The forward pass (``_bareiss``) alone decides full column rank,
-    with an empty kernel, at the cost of ``det``.  Otherwise each free
-    column f gets the last pivot d and the pivot coordinates are
-    back-substituted from the same echelon rows; by Cramer's rule they
-    are integers, so every division is exact.  The rows are then d times the rational kernel basis, and
-    dividing them by the gcd of d and all their entries, with the sign
-    of d, leaves the least positive multiple that is integral, which is
-    the one ``kernel_basis_ff`` returns.
+    ``len`` is the kernel's dimension, the number of ``free`` columns;
+    the pass alone decides it.  A kernel vector is back-substituted
+    from the echelon rows on demand: its free coordinates are ``scale``
+    times weights, and by Cramer's rule every pivot coordinate is then
+    an integer, so each division is exact.
     """
-    n = len(m[0]) if m else 0
-    a, piv, _ = _bareiss(m)
-    rank = len(piv)
-    if rank == n:
-        return []
-    d = a[rank - 1][piv[-1]] if rank else 1
-    pivots = set(piv)
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        vec = [0] * n
-        vec[f] = d
-        for i in range(rank - 1, -1, -1):
-            c = piv[i]
-            row = a[i]
-            s = sum(row[j] * vec[j] for j in range(c + 1, n) if vec[j])
-            vec[c] = -s // row[c]
-        basis.append(vec)
-    g = gcd(*(x for vec in basis for x in vec))
-    if d < 0:
-        g = -g
-    return [[x // g for x in vec] for vec in basis]
+
+    def __init__(self, m: IntMat):
+        self.rows, self.piv, _ = _bareiss(m)
+        self.width = len(m[0]) if m else 0
+        self.free = tuple(itertools.filterfalse(set(self.piv).__contains__,
+                                                range(self.width)))
+        # d, the absolute last pivot: the minor on the pivot rows and
+        # columns, up to sign
+        self.scale = abs(self.rows[len(self.piv) - 1][self.piv[-1]]
+                         if self.piv else 1)
+
+    def __len__(self) -> int:
+        return len(self.free)
+
+    def _solve(self, vec: list[int]) -> list[int]:
+        """Set the pivot coordinates of vec, 0 on entry, so that
+        m * vec = 0: bottom up, row i is 0 before its pivot c and vec
+        is still 0 at c, so the whole row times vec fixes vec[c]."""
+        rank = len(self.piv)
+        for c, row in zip(reversed(self.piv), reversed(self.rows[:rank])):
+            s = -sum(map(mul, row, vec))
+            q, r = divmod(s, row[c])
+            if r:
+                raise ArithmeticError(
+                    f"back-substitution divides {s} by {row[c]}")
+            vec[c] = q
+        return vec
+
+    def combine(self, weights) -> tuple[int, ...]:
+        """The kernel vector with ``scale * weights[k]`` at the k-th free
+        column over its content: the primitive positive multiple of the
+        rational kernel vector with free coordinates ``weights``."""
+        d = self.scale
+        vec = [0] * self.width
+        for f, w in zip(self.free, weights):
+            vec[f] = d * w
+        vec = self._solve(vec)
+        g = gcd(*vec)
+        return tuple([x // g for x in vec])
+
+    def kernel_basis(self) -> IntMat:
+        """The rows of ``kernel_basis_ff(m)``: those with one free
+        coordinate ``scale`` are that many times the rational basis, and
+        over the gcd of all their entries its least integral multiple."""
+        if not len(self):
+            return []
+        basis = []
+        for f in self.free:
+            vec = [0] * self.width
+            vec[f] = self.scale
+            basis.append(self._solve(vec))
+        g = gcd(*(x for vec in basis for x in vec))
+        return [[x // g for x in vec] for vec in basis]
 
 
 def rref_ff(m: IntMat) -> tuple[IntMat, list[int]]:

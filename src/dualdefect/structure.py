@@ -52,6 +52,7 @@ from .tangency import (
     ESCALATIONS,
     TangencyProblem,
     check_sampling,
+    check_seed,
     contact_grouping,
     defect_oracle,
     first_corank_at_most,
@@ -523,6 +524,8 @@ def certificate_from_json(text: str) -> StructureCertificate:
     oracle = obj["oracle_delta"]
     bound = _dec_int(obj["bound"])
     trials = _dec_int(obj["trials"])
+    seed = _dec_int(obj["seed"])
+    check_seed(seed)
     check_sampling(bound, trials)
     checks = obj["checks"]
     if not isinstance(checks, dict):
@@ -533,7 +536,7 @@ def certificate_from_json(text: str) -> StructureCertificate:
         pi1=mat("pi1", n - c, n),
         pi2=mat("pi2", r, n - c),
         p=mat("p", n - r - c, n - r),
-        seed=_dec_int(obj["seed"]),
+        seed=seed,
         bound=bound,
         trials=trials,
         oracle_delta=None if oracle == "empty_dual" else _dec_int(oracle),

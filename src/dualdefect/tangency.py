@@ -7,11 +7,14 @@ dual defect; its kernel spans the tangent directions of the contact
 plane, and grouping points by the induced linear functional recovers the
 minimal simplex projection.
 
-All sampled arithmetic is in integers.  The tangency basis and every
-Hessian kernel come from fraction-free elimination and are one positive
-integer multiple of the rational bases, so each sample is a positive
-multiple of the rational sample with the same draws, and every rank,
-kernel span and grouping is that of the rational computation.
+All sampled arithmetic is in integers.  A tangency sample is the
+primitive kernel vector of [1; A] back-substituted from one forward
+Bareiss pass (an ``Echelon``), a positive multiple of the rational
+combination of the kernel basis with the same weights.  A Hessian's
+forward pass gives its corank, and its kernel, back-substituted only
+for the contact grouping, is the least positive integral multiple of
+the rational kernel basis.  So every rank, kernel span and grouping is
+that of the rational computation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .config import PointConfig, group_indices, require_normalized
-from .exact_linalg import IntMat, kernel_basis_bareiss, kernel_basis_ff
+from .exact_linalg import Echelon, IntMat, kernel_basis_ff
 
 DEFAULT_SEED = 0xA11CE
 DEFAULT_BOUND = 1 << 20
@@ -42,6 +45,13 @@ class ArityError(ValueError):
     """Coefficient vector length does not match the point count."""
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which would draw what its absolute value
+    draws: ``random.Random`` seeds with abs(seed)."""
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, not {seed}")
+
+
 def check_sampling(bound: int, trials: int) -> None:
     """Reject sampling parameters that draw nothing or never stop."""
     if bound < 1:
@@ -54,14 +64,16 @@ def check_sampling(bound: int, trials: int) -> None:
 class SampledProblem:
     """The one sample stream of a problem with seed, bound and trials.
 
-    A subclass names the basis it samples from (``sample_basis``) and
-    what each sample becomes (``evaluate``).  ``rounds`` evaluates each
-    round-0 draw the first time any reader reaches it and shares it with
-    every later reader.  The cache holds those draws and samples, not the
-    problem, so nothing a problem keeps refers back to it.
+    A subclass names the basis it samples from (``sample_basis``, see
+    ``sample_combination``) and what each sample becomes
+    (``evaluate``).  ``rounds`` evaluates each round-0 draw the first
+    time any reader reaches it and shares it with every later reader.
+    The cache holds those draws and samples, not the problem, so
+    nothing a problem keeps refers back to it.
     """
 
     def __post_init__(self):
+        check_seed(self.seed)
         check_sampling(self.bound, self.trials)
 
     @functools.cached_property
@@ -102,17 +114,15 @@ class SampledProblem:
 
 @dataclass(frozen=True)
 class TangencyProblem(SampledProblem):
-    """Tangency coefficients of a configuration; each sample is kept
-    with the kernel of its Hessian (``kernel_basis_ff``).
-
-    Each Hessian is eliminated once, by ``kernel_basis_bareiss``: its
-    forward Bareiss pass decides a nonsingular Hessian, with an empty
-    kernel, at the cost of ``det``, and a singular one gets its kernel
-    back-substituted from the same rows.
+    """Tangency coefficients of a configuration, drawn from the
+    forward pass of [1; A] (``tangency``, see ``sample_combination``).
+    Each sample is kept with its Hessian's forward pass: its length is
+    the corank, and only the contact grouping reads its
+    ``kernel_basis``.
     """
 
     config: PointConfig
-    tangency_basis: tuple[tuple[int, ...], ...]
+    tangency: Echelon
     seed: int = DEFAULT_SEED
     bound: int = DEFAULT_BOUND
     trials: int = DEFAULT_TRIALS
@@ -121,20 +131,20 @@ class TangencyProblem(SampledProblem):
     def make(cls, config: PointConfig, seed: int = DEFAULT_SEED,
              bound: int = DEFAULT_BOUND, trials: int = DEFAULT_TRIALS
              ) -> "TangencyProblem":
-        basis = tangency_space(config)
-        return cls(config, tuple(tuple(row) for row in basis),
+        require_normalized(config, "TangencyProblem")
+        return cls(config, Echelon(_tangency_matrix(config)),
                    seed, bound, trials)
 
     @property
     def dim_l(self) -> int:
-        return len(self.tangency_basis)
+        return len(self.tangency)
 
     @property
     def sample_basis(self):
-        return self.tangency_basis
+        return self.tangency
 
     def evaluate(self, coeffs):
-        return coeffs, kernel_basis_bareiss(hessian(self.config, coeffs))
+        return coeffs, Echelon(hessian(self.config, coeffs))
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,8 @@ class DefectResult:
 
     delta is None exactly when the dual variety is degenerate
     (EmptyDual: no tangent hyperplane at the identity at all).
+    rank_witness is the first sample of least corank, a primitive
+    integer vector (see ``TangencyProblem``).
     """
 
     delta: int | None
@@ -162,8 +174,12 @@ def tangency_space(a: PointConfig) -> IntMat:
     (see ``kernel_basis_ff``).
     """
     require_normalized(a, "tangency_space")
-    rows = [[1] * len(a)] + [list(col) for col in zip(*a.points)]
-    return kernel_basis_ff(rows)
+    return kernel_basis_ff(_tangency_matrix(a))
+
+
+def _tangency_matrix(a: PointConfig) -> IntMat:
+    """The (n + 1) x #A matrix [1; A] whose kernel is the tangency space."""
+    return [[1] * len(a)] + [list(col) for col in zip(*a.points)]
 
 
 def hessian(a: PointConfig, coeffs) -> IntMat:
@@ -182,15 +198,19 @@ def hessian(a: PointConfig, coeffs) -> IntMat:
 
 
 def sample_combination(rng: random.Random, basis, bound: int):
-    """A random nonzero integer combination of the basis rows.
+    """A random nonzero integer combination of the basis.
 
-    One weight per row is drawn from [-bound, bound]; all weights are
-    redrawn while they are all zero.
+    One weight per basis vector (``len(basis)``) is drawn from
+    [-bound, bound]; all weights are redrawn while they are all zero.
+    Rows are summed with the weights; an ``Echelon`` back-substitutes
+    the primitive kernel vector with them (``Echelon.combine``).
     """
     while True:
-        weights = [rng.randint(-bound, bound) for _ in basis]
+        weights = [rng.randint(-bound, bound) for _ in range(len(basis))]
         if any(weights):
             break
+    if isinstance(basis, Echelon):
+        return basis.combine(weights)
     return tuple(sum(map(mul, weights, col)) for col in zip(*basis))
 
 
@@ -222,20 +242,20 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
     if p.dim_l == 0:
         return DefectResult(None, None, 0)
     best = None
-    for used, (coeffs, kernel) in enumerate(p.first_round(), 1):
-        if best is None or len(kernel) < len(best[1]):
-            best = coeffs, kernel
-        if not kernel:
+    for used, (coeffs, h) in enumerate(p.first_round(), 1):
+        if best is None or len(h) < len(best[1]):
+            best = coeffs, h
+        if not h:
             break
     return DefectResult(len(best[1]), best[0], used)
 
 
 def first_corank_at_most(p: TangencyProblem, delta: int) -> int | None:
     """The first Hessian corank <= delta in the problem's round 0, or
-    None; each corank is the size of the sample's kernel."""
+    None; each corank is read off the Hessian's forward pass."""
     if p.dim_l == 0:
         return None
-    coranks = (len(kernel) for _coeffs, kernel in p.first_round())
+    coranks = (len(h) for _coeffs, h in p.first_round())
     return next((k for k in coranks if k <= delta), None)
 
 
@@ -259,7 +279,8 @@ def contact_grouping(p: TangencyProblem):
     for samples in p.rounds():
         parts = None
         corank = None
-        for _coeffs, kernel in samples:
+        for _coeffs, h in samples:
+            kernel = h.kernel_basis()
             grouping = _grouping_from_kernel(p.config, kernel)
             if parts is None:
                 parts, corank = grouping, len(kernel)

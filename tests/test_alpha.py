@@ -360,7 +360,8 @@ def test_make_rejects_bad_summands():
         AlphaProblem.make([sub(2, [[1, 0]]), sub(3, [[1, 0, 0]])])
 
 
-@pytest.mark.parametrize("field,value", [("bound", 0), ("trials", 0)])
+@pytest.mark.parametrize("field,value", [("bound", 0), ("trials", 0),
+                                         ("seed", -1)])
 def test_make_rejects_bad_sampling_parameters(field, value):
     with pytest.raises(ValueError):
         AlphaProblem.make([LINE(), LINE()], **{field: value})

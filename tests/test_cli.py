@@ -22,6 +22,7 @@ from dualdefect import exact_linalg, structure, tangency
 from dualdefect.cli import generate_corpus, run
 from dualdefect.config import GroupHom, load_config_file, normalize
 from dualdefect.structure import (
+    certificate_from_json,
     certificate_to_json,
     structure_certificate,
     verify_certificate,
@@ -86,6 +87,44 @@ def test_nondefective_analyze_and_verify_read_one_sample(
     counts.clear()
     assert invoke(capsys, "verify", cfg, cert_path)[0] == 0
     assert counts == {"draws": 1, "hessians": 1}
+
+
+def _random_nondefective_config(tmp_path):
+    """The first random configuration with a nonempty tangency space
+    and delta = 0, written to a file."""
+    for cfg, _ in generate_corpus("random", 20, 4, 9, 5):
+        a, _ = normalize(cfg)
+        tp = tangency.TangencyProblem.make(a)
+        if tp.dim_l and tangency.defect_oracle(tp).delta == 0:
+            path = tmp_path / f"{cfg.name}.json"
+            path.write_text(json.dumps({"dim": cfg.dim,
+                                        "points": cfg.points}))
+            return str(path)
+    raise AssertionError("no nondefective random configuration")
+
+
+def test_nondefective_analyze_builds_no_basis_of_l(tmp_path, capsys,
+                                                   monkeypatch):
+    # the tangency samples are back-substituted from one forward pass of
+    # [1; A]: no Gauss-Jordan elimination runs anywhere in the package
+    configs = [str(FIXTURES / "segre.json"),
+               _random_nondefective_config(tmp_path)]
+    calls = collections.Counter()
+    for module in (exact_linalg, tangency, structure,
+                   importlib.import_module("dualdefect.alpha"),
+                   importlib.import_module("dualdefect.cayley"),
+                   importlib.import_module("dualdefect.config")):
+        for name in ("rref_ff", "kernel_basis_ff"):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                def counted(*a, _fn=fn, _name=name):
+                    calls[_name] += 1
+                    return _fn(*a)
+                monkeypatch.setattr(module, name, counted)
+    for cfg in configs:
+        code, out, _ = invoke(capsys, "analyze", cfg)
+        assert code == 0 and json.loads(out)["delta"] == 0
+    assert calls == {}
 
 
 def test_verify_builds_no_kernel_lattice_of_pi1(tmp_path, capsys,
@@ -638,6 +677,34 @@ def test_bad_sampling_parameters_exit_2(capsys, command, flag, value):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(FIXTURES / "ex5_8.json")],
+    ["oracle", str(FIXTURES / "ex5_8.json"), "--bound", "1", "--trials", "1"],
+    ["batch", str(FIXTURES)],
+    ["gen", "--kind", "random", "--count", "1"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    # random.Random(-3) draws what Random(3) draws, so --seed -3 would
+    # silently run seed 3
+    out_dir = tmp_path / "out"
+    code, out, err = invoke(capsys, *argv, "--seed", "-3",
+                            "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err == "error: seed must be at least 0, not -3\n"
+    assert not out_dir.exists()
+
+
+def test_negative_seed_refused_by_the_library(ex5_8):
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        structure_certificate(ex5_8, seed=-1)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        generate_corpus("random", 1, None, None, -1)
+    obj = json.loads(certificate_to_json(structure_certificate(ex5_8)))
+    obj["seed"] = -1
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        certificate_from_json(json.dumps(obj))
+
+
 def test_bound_zero_exits_2():
     # with bound 0 every weight is 0, so the sampler would redraw forever
     proc = run_module("-m", "dualdefect", "analyze",
@@ -678,7 +745,8 @@ def test_removal_condition_failure_exits_1(capsys):
 
 @pytest.mark.parametrize("field,value", [("bound", 0), ("trials", 0),
                                          ("trials", None),
-                                         ("trials", MAX_TRIALS + 1)])
+                                         ("trials", MAX_TRIALS + 1),
+                                         ("seed", -3)])
 def test_certificate_with_bad_sampling_parameters_exit_2(tmp_path, capsys,
                                                          field, value):
     cfg = str(FIXTURES / "ex5_8.json")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualdefect.exact_linalg import (
+    Echelon,
     RationalSubspace,
     det,
     hnf,
@@ -14,7 +15,6 @@ from dualdefect.exact_linalg import (
     hnf_coords,
     identity,
     is_surjective,
-    kernel_basis_bareiss,
     kernel_basis_ff,
     kernel_basis_int,
     mat_mul,
@@ -397,7 +397,7 @@ def leibniz_det(m):
                      st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                      min_size=n, max_size=n))))
 def test_bareiss_kernel_is_the_fraction_free_kernel(m):
-    kernel = kernel_basis_bareiss(m)
+    kernel = Echelon(m).kernel_basis()
     assert kernel == kernel_basis_ff(m)
     assert det(m) == leibniz_det(m)
     assert (kernel == []) == (det(m) != 0)
@@ -416,7 +416,7 @@ def test_bareiss_kernel_is_the_fraction_free_kernel(m):
     ([[0, 0, 0], [0, 0, 0], [1, 2, 3]], [[-2, 1, 0], [-3, 0, 1]]),
 ])
 def test_bareiss_kernel_edge_cases(m, want):
-    assert kernel_basis_bareiss(m) == want == kernel_basis_ff(m)
+    assert Echelon(m).kernel_basis() == want == kernel_basis_ff(m)
 
 
 def test_subspace_contains_over_cleared_denominators():

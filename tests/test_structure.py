@@ -52,6 +52,7 @@ from dualdefect.tangency import (
     TangencyProblem,
     defect_oracle,
     first_corank_at_most,
+    tangency_space,
 )
 
 from conftest import (
@@ -396,9 +397,10 @@ def test_replay_on_a_round_that_is_not_generic(ex5_8):
     # passes oracle_replayed where the least corank, 1, refuses it, and
     # delta_consistent (r - c = 1) still refuses the certificate
     tp = TangencyProblem.make(ex5_8, seed=4, bound=1, trials=3)
-    round0 = next(tangency.sample_rounds(tp.tangency_basis, 4, 1, 3))
+    round0 = next(tangency.sample_rounds(tangency_space(ex5_8), 4, 1, 3))
     assert [ex5_8.dim - rank_int(tangency.hessian(ex5_8, coeffs))
             for coeffs in round0] == [2, 2, 1]
+    assert [len(h) for _coeffs, h in tp.first_round()] == [2, 2, 1]
     assert [first_corank_at_most(tp, d) for d in range(4)] == [
         None, 1, 2, 2]
     cert = dataclasses.replace(structure_certificate(ex5_8), seed=4,

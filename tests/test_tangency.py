@@ -4,6 +4,7 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,12 @@ from dualdefect.config import (
     load_config_file,
     normalize,
 )
-from dualdefect.exact_linalg import RationalSubspace, det, kernel_basis_ff
+from dualdefect.exact_linalg import (
+    Echelon,
+    RationalSubspace,
+    det,
+    kernel_basis_ff,
+)
 from dualdefect.tangency import (
     ESCALATIONS,
     MAX_TRIALS,
@@ -140,10 +146,16 @@ def test_oracle_monotone_in_trials(ex5_8):
         assert later <= earlier
 
 
+def positive_multiple(sample, ref):
+    """Whether the primitive sample times a positive integer is ref."""
+    return gcd(*sample) == 1 and common_multiple(ref, sample) is not None
+
+
 def full_round_oracle(tp):
     """Reference: the least Hessian corank over the whole first round,
     with the first sample that reaches it."""
-    rounds = sample_rounds(tp.tangency_basis, tp.seed, tp.bound, tp.trials)
+    rounds = sample_rounds(tangency_space(tp.config), tp.seed, tp.bound,
+                           tp.trials)
     coranks = [(len(kernel_basis_ff(hessian(tp.config, s))), s)
                for s in next(rounds)]
     corank = min(k for k, _ in coranks)
@@ -171,7 +183,8 @@ def test_oracle_matches_full_round_minimum():
                     None, None, 0)
                 continue
             delta, witness, index = full_round_oracle(tp)
-            assert (res.delta, res.rank_witness) == (delta, witness)
+            assert res.delta == delta
+            assert positive_multiple(res.rank_witness, witness)
             assert res.samples_used == (index + 1 if delta == 0
                                         else trials)
             seen.add((delta == 0, index))
@@ -186,12 +199,14 @@ def test_evaluate_kernel_is_the_eliminated_kernel(ex5_8, segre_square):
     singular = set()
     for a in (ex5_8, segre_square, segre_product(2, 3)):
         tp = TangencyProblem.make(a)
-        coeffs = [sample_combination(rng, tp.tangency_basis, 2)
+        coeffs = [sample_combination(rng, tangency_space(a), 2)
                   for _ in range(10)]
         # zero coefficients give the zero Hessian
         for c in coeffs + [(0,) * len(a)]:
             want = kernel_basis_ff(hessian(a, c))
-            assert tp.evaluate(c) == (c, want)
+            got, h = tp.evaluate(c)
+            assert got == c and h.kernel_basis() == want
+            assert len(h) == len(want)
             singular.add(bool(want))
     assert singular == {True, False}
 
@@ -214,7 +229,9 @@ def test_every_analyze_hessian_kernel_is_the_eliminated_kernel(
     assert seen
     for a, coeffs, h in seen:
         want = kernel_basis_ff(h)
-        assert TangencyProblem.make(a).evaluate(coeffs) == (coeffs, want)
+        got, echelon = TangencyProblem.make(a).evaluate(coeffs)
+        assert got == coeffs and echelon.kernel_basis() == want
+        assert len(echelon) == len(want)
         assert (want == []) == (det(h) != 0)
 
 
@@ -281,10 +298,10 @@ def test_contact_grouping_escalation_draws_reference_samples(
     # the first round is evaluated once, up to the disagreement; the
     # second round is what the reference loop draws after leaving the
     # first at the same sample
-    want = escalation_loop(tp.tangency_basis, tp.seed, tp.bound, tp.trials,
-                           (left_at, tp.trials))
-    assert evaluated[:left_at] == want[0]
-    assert evaluated[left_at:] == want[1]
+    want = escalation_loop(tangency_space(ex5_8), tp.seed, tp.bound,
+                           tp.trials, (left_at, tp.trials))
+    assert len(evaluated) == left_at + tp.trials
+    assert all(map(positive_multiple, evaluated, want[0] + want[1]))
     assert len(groupings) == left_at + tp.trials
 
 
@@ -350,7 +367,90 @@ def test_integer_sample_is_positive_multiple_of_fraction_sample(
         assert len(scales) == 1
 
 
+@st.composite
+def spanning_configs(draw):
+    """3 to 9 distinct points in [-3, 3]^n for n in 1..4, normalized."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    points = draw(st.lists(vec, min_size=3, max_size=9, unique=True))
+    return normalize(PointConfig.make(points))[0]
+
+
+def assert_echelon_samples_match(a, seed, bound, draws=4):
+    """Each sample of the problem of a, drawn from the same RNG state as
+    ``sample_combination`` on the basis ``tangency_space(a)``, is its
+    primitive positive divisor, uses the same draws, and gives the same
+    Hessian kernel."""
+    tp = TangencyProblem.make(a, seed, bound)
+    basis = tangency_space(a)
+    assert tp.dim_l == len(basis)
+    if not basis:
+        return
+    rng_echelon, rng_basis = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        sample = sample_combination(rng_echelon, tp.sample_basis, bound)
+        ref = sample_combination(rng_basis, basis, bound)
+        assert positive_multiple(sample, ref), (a.points, sample, ref)
+        assert rng_echelon.getstate() == rng_basis.getstate()
+        assert (Echelon(hessian(a, sample)).kernel_basis()
+                == Echelon(hessian(a, ref)).kernel_basis())
+
+
+@pytest.mark.parametrize("bound", [1, 3, 1 << 20])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=spanning_configs())
+def test_echelon_samples_match_basis_samples_on_drawn_inputs(bound, a):
+    assert_echelon_samples_match(a, 17, bound)
+
+
+@pytest.mark.parametrize("bound", [1, 3, 1 << 20])
+def test_echelon_samples_match_basis_samples(bound):
+    from test_structure import small_join_corpus
+
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus()
+    inputs += [segre_product(a, b) for a in range(1, 4)
+               for b in range(a, 4)]
+    rng = random.Random(29)
+    scaled = 0  # random inputs whose pivot minor d is above 1
+    while scaled < 8:
+        n = rng.randint(2, 4)
+        pts = {tuple(rng.randint(-3, 3) for _ in range(n))
+               for _ in range(n + rng.randint(2, 5))}
+        a = normalize(PointConfig.make(sorted(pts)))[0]
+        if TangencyProblem.make(a).tangency.scale > 1:
+            inputs.append(a)
+            scaled += 1
+    for cfg in inputs:
+        a = normalize(cfg)[0]
+        for seed in (3, 4):
+            assert_echelon_samples_match(a, seed, bound)
+
+
+def test_problem_without_tangency_space_draws_nothing(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(tangency, "sample_combination", draw)
+    tp = TangencyProblem.make(unit_simplex(3))
+    assert tp.dim_l == 0 and tangency_space(tp.config) == []
+    assert defect_oracle(tp) == tangency.DefectResult(None, None, 0)
+    assert tangency.first_corank_at_most(tp, 0) is None
+    with pytest.raises(ValueError):
+        contact_grouping(tp)
+
+
+def test_back_substitution_refuses_an_inexact_division():
+    # [2 1]: the free coordinate 2 * w makes the pivot coordinate -w
+    e = Echelon([[2, 1]])
+    assert (len(e), e.scale, e.combine([3])) == (1, 2, (-1, 2))
+    e.scale = 1  # the pivot coordinate would be -1/2
+    with pytest.raises(ArithmeticError):
+        e.combine([1])
+
+
 @pytest.mark.parametrize("field,value", [("bound", 0), ("bound", -5),
+                                         ("seed", -1), ("seed", -3),
                                          ("trials", 0),
                                          ("trials", MAX_TRIALS + 1)])
 def test_problem_rejects_bad_sampling_parameters(segre_square, field, value):
