@@ -9,7 +9,7 @@ check_star holds.
 
 ``AlphaProblem.make`` finds a K basis of the summands with one kernel;
 ``AlphaProblem.from_components`` takes K as written down in the affine
-frame of ``verify --exhaustive`` (``structure._frame_alpha_problem``).
+frame of ``verify --exhaustive`` (``cayley.AffineFrame.k_and_spans``).
 
 Each sampled K element is eliminated once: one kernel of the relations
 among its components gives their rank and the removal condition (see

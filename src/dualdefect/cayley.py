@@ -205,7 +205,9 @@ class AffineFrame(NamedTuple):
     ..., b_n, ``inverse`` the rows of L * D^-1, and ``outside`` the pair
     (j, W_j) of every point u_j outside the basis: its image W_j as the
     nonzero entries (k, x), keyed by basis position k = 1..n; W_j != 0
-    as u_j != u_0.
+    as u_j != u_0.  Other modules read the layout only through
+    ``labelings``, ``projection``, ``to_frame``, ``k_nonzero`` and
+    ``k_and_spans``.
     """
 
     config: PointConfig
@@ -242,6 +244,63 @@ class AffineFrame(NamedTuple):
             for b, lab in zip(self.basis, label):
                 vertex[b] = lab
             yield tuple(label), tuple(vertex)
+
+    def to_frame(self, rows) -> IntMat:
+        """The rows under the linear part L * D^-1 of the frame map,
+        which is invertible and so keeps every inclusion of spans."""
+        return [mat_vec(self.inverse, row) for row in rows]
+
+    def k_nonzero(self, label, vertex) -> bool:
+        """Whether the K of ``k_and_spans`` is nonzero: some W_j has an
+        entry at a position not labeled with the vertex of point j."""
+        return any(label[k] != vertex[j] for j, w in self.outside
+                   for k, _ in w)
+
+    def k_and_spans(self, label, vertex):
+        """The K rows and the summand spans of the parts of a kept
+        labeling, written down in frame coordinates with no elimination,
+        as ``AlphaProblem.from_components`` takes them.
+
+        P_l is the set of basis positions labeled l.  A point j outside
+        the basis, with vertex v, gives the K element kappa_j: its
+        component at each label l != v is -W_j restricted to P_l, and
+        its component at v is W_j off P_v.  V_l is spanned by the
+        vectors e_k - e_first(l) for k in P_l, which span the sum-zero
+        space S_l on P_l, and the W_j - L * e_first(l) of its points j;
+        the latter lie in the component at l of kappa_j plus S_l.  The
+        kappa_j span K: the sum of the V_l is ker pi' (over Q), the
+        direct sum of the S_l, so a K element less the matching
+        combination of the kappa_j has its components in the S_l and is
+        zero.  Hence K = 0 exactly when every W_j is supported on its
+        own part's positions.  Returns (k_rows, spans): the nonzero
+        kappa_j, each its components concatenated, and the rows
+        spanning each V_l.
+        """
+        n = self.config.dim
+        spans: list[list] = [[] for _ in range(max(label) + 1)]
+        first: dict[int, int] = {}
+        for k, lab in enumerate(label):
+            if lab not in first:
+                first[lab] = k
+                continue
+            row = [0] * n
+            row[k - 1] = 1
+            if first[lab]:
+                row[first[lab] - 1] = -1
+            spans[lab].append(row)
+        k_rows = []
+        for j, w in self.outside:
+            v = vertex[j]
+            row = [0] * (len(spans) * n)
+            for k, x in w:
+                lab = label[k]
+                if lab != v:
+                    row[v * n + k - 1] += x
+                    row[lab * n + k - 1] -= x
+            if any(row):
+                k_rows.append(row)
+                spans[v].append(row[v * n:(v + 1) * n])
+        return k_rows, spans
 
     def projection(self, label, vertex) -> SimplexProjection:
         """The simplex projection of a labeling that ``labelings`` kept.
@@ -317,13 +376,14 @@ def exhaustive_frame(a: PointConfig,
     return _affine_frame(a)
 
 
-def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
-    """The unique projection sending part i to vertex i, if one exists.
+def projection_for_partition(a: PointConfig,
+                             parts) -> SimplexProjection | None:
+    """The simplex projection sending part i to vertex i, if one exists.
 
     parts must partition the point indices of the normalized a, ordered
     by least index, so that u_0 lies in part 0; other parts raise
     ValueError.  Labels each point of the affine basis of
-    ``_affine_frame`` by its part, and returns the labeled map of
+    ``_affine_frame`` by its part, and returns the labeled projection of
     ``AffineFrame.projection``, or None when a part holds no basis
     point (its vertex is then outside the affine hull of the image) or a
     point outside the basis misses the vertex of its part.
@@ -345,7 +405,7 @@ def projection_for_partition(a: PointConfig, parts) -> GroupHom | None:
             _vertex_of(w, label, labels, frame.scale) != part_of[j]
             for j, w in frame.outside):
         return None
-    return frame.projection(label, part_of).pi
+    return frame.projection(label, part_of)
 
 
 def enumerate_simplex_projections(a: PointConfig,

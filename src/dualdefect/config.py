@@ -8,7 +8,6 @@ optional translation part, applied as v -> matrix * v + translation.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import re
 import warnings
@@ -35,6 +34,16 @@ class CollapseError(ValueError):
     """A map that should be injective on a configuration merged points."""
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; bool is an int subclass, and
+    floats, bools and fractions are refused, not truncated."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise ValueError(f"{what} {x!r} is not an integer")
+    return out
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """A finite set of distinct points in Z^dim, lexicographically sorted."""
@@ -53,8 +62,9 @@ class PointConfig:
 
     @classmethod
     def make(cls, points, dim: int | None = None, name: str | None = None) -> "PointConfig":
-        """Build a configuration, deduplicating repeated points with a warning."""
-        pts = [tuple(int(x) for x in p) for p in points]
+        """Build a configuration, deduplicating repeated points with a
+        warning; a coordinate that is not an int is a ValueError."""
+        pts = [_ints(p, "coordinate") for p in points]
         if dim is None:
             if not pts:
                 raise ValueError("cannot infer dimension of an empty configuration")
@@ -108,10 +118,13 @@ class GroupHom:
 
     @classmethod
     def make(cls, matrix, translation=None, domain_rank: int | None = None) -> "GroupHom":
-        mat = tuple(tuple(int(x) for x in row) for row in matrix)
+        """The map of the given rows and translation; an entry that is
+        not an int is a ValueError."""
+        mat = tuple(_ints(row, "matrix entry") for row in matrix)
         if domain_rank is None:
             domain_rank = len(mat[0]) if mat else 0
-        tr = tuple(int(x) for x in translation) if translation is not None else None
+        tr = (None if translation is None
+              else _ints(translation, "translation entry"))
         return cls(matrix=mat, translation=tr, domain_rank=domain_rank)
 
     @property
@@ -266,10 +279,6 @@ def load_config_json(text: str) -> PointConfig:
     pts = obj["points"]
     if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
         raise ValueError("'points' must be a list of points")
-    for x in itertools.chain(*pts):
-        # bool is an int subclass; floats and bools are refused, not truncated
-        if type(x) is not int:
-            raise ValueError(f"coordinate {x!r} is not an integer")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError(f"'name' is {name!r}, not a string or null")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from .alpha import AlphaProblem, alpha as alpha_of, check_star, vprime
 from .cayley import (
     EXHAUSTIVE_LIMIT,
-    AffineFrame,
     NotSimplexImage,
     SimplexProjection,
     decompose_along,
@@ -39,9 +38,10 @@ from .exact_linalg import (
     RationalSubspace,
     hnf,
     hnf_coords,
+    identity,
+    kernel_basis_ff,
     kernel_basis_int,
     mat_mul,
-    mat_vec,
     rank_int,
     transpose,
 )
@@ -115,11 +115,10 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
 def _contact_projection(tp: TangencyProblem) -> SimplexProjection:
     """The minimal simplex projection, read off the contact grouping,
     whose parts come by least index and go to vertex i in turn."""
-    parts = contact_grouping(tp)
-    pi = projection_for_partition(tp.config, parts)
-    if pi is None:
+    struct = projection_for_partition(tp.config, contact_grouping(tp))
+    if struct is None:
         raise CertificationError("contact grouping is not realizable over Z")
-    return SimplexProjection(tp.config, len(parts) - 1, parts, pi)
+    return struct
 
 
 def _part_difference_space(a: PointConfig, part) -> RationalSubspace:
@@ -171,56 +170,17 @@ def _alpha_problem(a: PointConfig, struct: SimplexProjection, seed: int,
         seed, bound, trials)
 
 
-def _frame_alpha_problem(frame: AffineFrame, label, vertex, seed: int,
-                         bound: int, trials: int) -> AlphaProblem:
-    """The alpha problem of the parts of a kept labeling of the affine
-    frame, written down in frame coordinates with no elimination.
+def _constant_on_parts(vertex, images, r: int) -> bool:
+    """Whether the images take one value on each of the r + 1 vertex
+    classes of a kept labeling: exactly when ker pi' lies in the kernel
+    of the map that gave them, over Q.
 
-    The frame map is x -> L * D^-1 (x - u_0), under which basis position
-    k sits at L * e_k (e_0 = 0); P_l is the set of positions labeled l.
-    A point j outside the basis, with vertex v, gives the K element
-    kappa_j: its component at each label l != v is -W_j restricted to
-    P_l, and its component at v is W_j off P_v.  V_l is spanned by the
-    vectors e_k - e_first(l) for k in P_l, which span the sum-zero space
-    S_l on P_l, and the W_j - L * e_first(l) of its points j; the latter
-    lie in the component at l of kappa_j plus S_l.  The kappa_j span K:
-    the sum of the V_l is ker pi' (over Q), the direct sum of the S_l,
-    so a K element less the matching combination of the kappa_j has its
-    components in the S_l and is zero.  Hence K = 0 exactly when every
-    W_j is supported on its own part's positions.
+    The differences of points that share a vertex lie in ker pi', and
+    those of the set P_l of basis points labeled l give |P_l| - 1
+    independent ones, n - r in all, which is dim ker pi'; so they span
+    it.
     """
-    n = frame.config.dim
-    spans: list[list] = [[] for _ in range(max(label) + 1)]
-    first: dict[int, int] = {}
-    for k, lab in enumerate(label):
-        if lab not in first:
-            first[lab] = k
-            continue
-        row = [0] * n
-        row[k - 1] = 1
-        if first[lab]:
-            row[first[lab] - 1] = -1
-        spans[lab].append(row)
-    k_rows = []
-    for j, w in frame.outside:
-        v = vertex[j]
-        row = [0] * (len(spans) * n)
-        for k, x in w:
-            lab = label[k]
-            if lab != v:
-                row[v * n + k - 1] += x
-                row[lab * n + k - 1] -= x
-        if any(row):
-            k_rows.append(row)
-            spans[v].append(row[v * n:(v + 1) * n])
-    return AlphaProblem.from_components(n, k_rows, spans, seed, bound,
-                                        trials)
-
-
-def _frame_k_nonzero(frame: AffineFrame, label, vertex) -> bool:
-    """Whether the K of ``_frame_alpha_problem`` is nonzero: some W_j
-    has an entry at a position not labeled with the vertex of point j."""
-    return any(label[k] != vertex[j] for j, w in frame.outside for k, _ in w)
+    return len(set(zip(vertex, images))) == r + 1
 
 
 def _minimal_quotient(a: PointConfig, struct: SimplexProjection,
@@ -364,16 +324,18 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     r' >= delta; those with r' < delta satisfy the law and cannot
     realize delta.  Per structure, a kept labeling of one affine frame,
     it computes only what the two checks read: a structure with
-    r' = delta and K != 0 (``_frame_k_nonzero``) builds nothing, the
-    alpha problem of any other is written down in the frame
-    (``_frame_alpha_problem``), and alpha stops at the first sample of
-    rank above r' - delta, which proves r' - c' < delta.
+    r' = delta and K != 0 (``AffineFrame.k_nonzero``) builds nothing,
+    the alpha problem of any other is written down in the frame
+    (``AffineFrame.k_and_spans``), and alpha stops at the first sample
+    of rank above r' - delta, which proves r' - c' < delta.
     The chain ker pi1 <= ker pi1' <= ker pi' <= ker pi of saturated
-    lattices is checked on Q-spans: ker pi1, mapped into the frame, in
-    the V' of ``vprime``, and the rows of pi in the row span of pi'.  The
-    rest of condition (4) holds by construction: V' lies in the sum of
-    the V_i, inside ker pi', and ``vprime`` checked that the V_i sum
-    directly mod V'.
+    lattices is checked on Q-spans, with no pi' and no lattice built:
+    a Q-basis of ker pi1 (``kernel_basis_ff``), mapped into the frame
+    once, in the V' of ``vprime``, and pi constant on each part of the
+    labeling (``_constant_on_parts``), as the differences within parts
+    span ker pi'.  The rest of condition (4) holds by construction: V'
+    lies in the sum of the V_i, inside ker pi', and ``vprime`` checked
+    that the V_i sum directly mod V'.
     """
     if cert.n != a.dim:
         raise CertificateMismatch(
@@ -419,10 +381,12 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         checks["condition4_chain"] = True
     elif exhaustive:
         frame = exhaustive_frame(a, limit)
-        # ker pi1 in frame coordinates: inclusion of spans survives the
-        # invertible linear part L * D^-1 of the frame map
-        ker_pi1 = [mat_vec(frame.inverse, row)
-                   for row in cert.pi1.kernel_lattice()]
+        # a Q-basis of ker pi1 in frame coordinates; a pi1 with no rows
+        # (c = n) has all of Q^n as its kernel
+        rows = cert.pi1.matrix_rows
+        ker_pi1 = frame.to_frame(kernel_basis_ff(rows) if rows
+                                 else identity(cert.n))
+        images = [pi.apply(u) for u in a.points]
         lower_ok = True
         chain_ok = True
         # a structure with r' < delta can neither break r' - c' <= delta
@@ -432,21 +396,21 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         # r' - c' < delta, so alpha reads no further.
         for label, vertex in frame.labelings(r_min=max(cert.delta, 0)):
             r2 = max(label)
-            if r2 == cert.delta and _frame_k_nonzero(frame, label, vertex):
+            if r2 == cert.delta and frame.k_nonzero(label, vertex):
                 continue
-            ap = _frame_alpha_problem(frame, label, vertex, cert.seed,
-                                      cert.bound, cert.trials)
+            ap = AlphaProblem.from_components(
+                cert.n, *frame.k_and_spans(label, vertex), cert.seed,
+                cert.bound, cert.trials)
             c2 = alpha_of(ap, above=r2 - cert.delta)
             if r2 - c2 > cert.delta:
                 lower_ok = False
             # condition (4) on spans: ker pi1 in V', the span of ker pi1',
-            # and ker pi' in ker pi, as pi' spans the rows of pi
+            # and ker pi' in ker pi, as pi is constant on each part
             if r2 - c2 != cert.delta or not check_star(ap):
                 continue
             span = vprime(ap, c2)
-            st = frame.projection(label, vertex)
-            if (not all(map(span.contains, ker_pi1))
-                    or rank_int(st.pi.matrix_rows + pi.matrix_rows) != r2):
+            if not (all(map(span.contains, ker_pi1))
+                    and _constant_on_parts(vertex, images, r2)):
                 chain_ok = False
         checks["lower_bound_law"] = lower_ok
         checks["condition4_chain"] = chain_ok

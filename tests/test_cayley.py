@@ -245,7 +245,9 @@ def _brute_force_projections(a):
     seen_kernels = set()
     for parts in _set_partitions(len(a), a.dim + 1):
         pi = _projection_by_solve(a, parts)
-        assert projection_for_partition(a, parts) == pi, (a.points, parts)
+        st = projection_for_partition(a, parts)
+        assert (None if st is None else st.pi) == pi, (a.points, parts)
+        assert st is None or st.parts == tuple(map(tuple, parts))
         if pi is None:
             continue
         struct = decompose_along(a, pi)

@@ -129,14 +129,27 @@ def test_nondefective_analyze_builds_no_basis_of_l(tmp_path, capsys,
 
 def test_verify_builds_no_kernel_lattice_of_pi1(tmp_path, capsys,
                                                 monkeypatch):
-    # pi1_kernel_rank reads the rank of pi1; only the chain of
-    # --exhaustive reads the rows of ker pi1
+    # pi1_kernel_rank reads the rank of pi1, and the chain of
+    # --exhaustive a Q-basis of ker pi1: no lattice of pi1 is built.
+    # The chain reads its last link off each labeling, so no pi' is
+    # built either, and the one rank_int of structure is
+    # pi1_kernel_rank, before the structure loop
     built = []
     real = GroupHom.kernel_lattice
+    cayley = importlib.import_module("dualdefect.cayley")
+    calls = collections.Counter()
 
     def spy(self):
         built.append(self.matrix_rows)
         return real(self)
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, spy)
 
     certs = []
     for name in ("ex5_8", "p1xp2"):
@@ -146,13 +159,17 @@ def test_verify_builds_no_kernel_lattice_of_pi1(tmp_path, capsys,
         certs.append((cfg, str(cert_path),
                       json.loads(cert_path.read_text())["pi1"]))
     monkeypatch.setattr(GroupHom, "kernel_lattice", spy)
+    counted(cayley.AffineFrame, "projection")
+    counted(structure, "rank_int")
     cfg, cert_path, pi1 = certs[0]
     assert invoke(capsys, "verify", cfg, cert_path)[0] == 0
     assert len(built) == 2 and pi1 not in built
     for cfg, cert_path, pi1 in certs:
         built.clear()
+        calls.clear()
         assert invoke(capsys, "verify", cfg, cert_path, "--exhaustive")[0] == 0
-        assert pi1 in built
+        assert built and pi1 not in built
+        assert calls == {"rank_int": 1}
 
 
 @pytest.mark.parametrize("shift,draws", [(0, 1), (1, 1), (-1, 3)])
@@ -388,6 +405,17 @@ def test_package_defines_nothing_unread():
     assert defined
     assert [(name, qual) for name, qual, short in defined
             if short not in read] == []
+
+
+def test_structure_reads_no_field_of_the_frame_layout():
+    # verify --exhaustive uses the affine frame through its methods; the
+    # coordinate layout (outside, inverse, scale) stays in cayley
+    tree = dict(_package_trees())["structure.py"]
+    read = [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in ("outside", "inverse", "scale")]
+    assert read == []
 
 
 def test_only_the_sample_stream_reads_sample_rounds():

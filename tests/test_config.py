@@ -1,6 +1,8 @@
 import json
 import random
+import re
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,20 @@ def test_dedupe_warning_names_a_named_configuration():
         PointConfig.make([(0, 0), (0, 0), (1, 0)], name="sq")
     assert [str(w.message) for w in rec] == [
         "configuration sq contains repeated points; deduplicated 3 -> 2"]
+
+
+@pytest.mark.parametrize("value", [0.7, 1.9, 2.5, True, Fraction(1, 2),
+                                   "1"])
+def test_constructors_refuse_non_integers(value):
+    # int() would truncate or coerce each of these; the library refuses
+    # them as the JSON loader does
+    named = re.escape(f"{value!r} is not an integer")
+    with pytest.raises(ValueError, match=named):
+        PointConfig.make([(0,), (value,)])
+    with pytest.raises(ValueError, match=named):
+        GroupHom.make([[value]])
+    with pytest.raises(ValueError, match=named):
+        GroupHom.make([[1]], [value])
 
 
 def test_json_roundtrip(segre_square):

@@ -34,7 +34,6 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     kernel_basis_int,
     mat_mul,
-    mat_vec,
     rank_int,
     saturate,
     sums_directly,
@@ -606,6 +605,19 @@ def test_exhaustive_chain_matches_the_reference_on_forged_certificates():
     assert outcomes[True, False] > 0 and outcomes[True, True] > 0
 
 
+def test_exhaustive_chain_reads_a_pi1_with_no_rows_as_all_of_q_n():
+    # a forged certificate with c = n has a pi1 with no rows, whose
+    # kernel is all of Q^n; claiming delta 1, it reaches the chain at
+    # the structures that realize delta, where V' is smaller
+    a = normalize(load_config_file(FIXTURES / "ex5_8.json"))[0]
+    forged = [cert for cert in _forged_certificates(a) if cert.c == a.dim]
+    assert [cert.pi1.codomain_rank for cert in forged] == [0]
+    cert = dataclasses.replace(forged[0], delta=1, oracle_delta=1)
+    report = verify_certificate(a, cert, exhaustive=True)
+    got = (report["lower_bound_law"], report["condition4_chain"])
+    assert got == exhaustive_reference(a, cert) == (True, False)
+
+
 def test_k_basis_is_empty_exactly_when_the_parts_sum_directly():
     # verify --exhaustive reads K = 0 off the alpha problem's K basis;
     # the parts taken as configurations are of join type exactly then
@@ -628,6 +640,13 @@ def test_k_basis_is_empty_exactly_when_the_parts_sum_directly():
     assert outcomes == {True, False}
 
 
+def frame_alpha_problem(frame, label, vertex):
+    """The alpha problem of a kept labeling, written down in the frame
+    as ``verify --exhaustive`` builds it."""
+    return AlphaProblem.from_components(
+        frame.config.dim, *frame.k_and_spans(label, vertex), 1, 7, 3)
+
+
 def test_frame_k_matches_the_part_space_reference():
     # verify --exhaustive reads K off the affine frame: the kappa rows
     # lie in the frame image of the K of the part difference spaces and
@@ -646,9 +665,8 @@ def test_frame_k_matches_the_part_space_reference():
             summands = [structure._part_difference_space(a, part)
                         for part in parts]
             images = [RationalSubspace.from_rows(
-                a.dim, [mat_vec(frame.inverse, row) for row in s.basis])
-                for s in summands]
-            ap = structure._frame_alpha_problem(frame, label, vertex, 1, 7, 3)
+                a.dim, frame.to_frame(s.basis)) for s in summands]
+            ap = frame_alpha_problem(frame, label, vertex)
             where = (a.points, parts)
             assert rank_int(ap.k_basis) == len(
                 AlphaProblem.make(summands).k_basis), where
@@ -669,8 +687,8 @@ def test_frame_k_matches_the_part_space_reference():
 
 def test_exhaustive_verify_builds_no_part_spaces(ex5_8, monkeypatch):
     # an honest exhaustive verify builds every alpha problem in frame
-    # coordinates, and pi' only for a structure that reaches the chain
-    # check, which one structure of ex5_8 does
+    # coordinates, and no pi': the one structure of ex5_8 that reaches
+    # the chain check reads its last link off the labeling
     cert = structure_certificate(ex5_8)
     calls = collections.Counter()
 
@@ -686,14 +704,16 @@ def test_exhaustive_verify_builds_no_part_spaces(ex5_8, monkeypatch):
     counted(AlphaProblem, "make")
     counted(cayley.AffineFrame, "projection")
     counted(structure, "vprime")
-    counted(structure, "_frame_alpha_problem")
+    counted(cayley.AffineFrame, "k_and_spans")
     counted(structure, "alpha_of")
+    counted(structure, "rank_int")
     report = verify_certificate(ex5_8, cert, exhaustive=True)
     assert report["all_passed"]
     # a structure with r' = delta and K != 0 is skipped on the frame
-    # test alone, so every alpha problem built is sampled
-    assert calls.pop("_frame_alpha_problem") == calls.pop("alpha_of") > 0
-    assert calls == {"projection": 1, "vprime": 1}
+    # test alone, so every alpha problem built is sampled; the one
+    # rank_int is pi1_kernel_rank, before the structure loop
+    assert calls.pop("k_and_spans") == calls.pop("alpha_of") > 0
+    assert calls == {"vprime": 1, "rank_int": 1}
 
 
 def test_frame_k_nonzero_matches_the_k_basis():
@@ -704,8 +724,8 @@ def test_frame_k_nonzero_matches_the_k_basis():
         a, _ = normalize(cfg)
         frame = exhaustive_frame(a)
         for label, vertex in frame.labelings():
-            ap = structure._frame_alpha_problem(frame, label, vertex, 1, 7, 3)
-            got = structure._frame_k_nonzero(frame, label, vertex)
+            ap = frame_alpha_problem(frame, label, vertex)
+            got = frame.k_nonzero(label, vertex)
             assert got == bool(ap.k_basis), (a.points, label)
             outcomes.add(got)
     assert outcomes == {True, False}
@@ -813,6 +833,68 @@ def test_exhaustive_checks_match_the_full_loop_on_the_cube_census():
             got = (report["lower_bound_law"], report["condition4_chain"])
             assert got == exhaustive_reference(a, edited), (a.points, step)
     assert deltas == {0: 54, 1: 39}
+
+
+def square_census():
+    """Every subset of {0,1,2}^2 that contains 0, has at least 3 points
+    and spans Q^2: some two of its points have a nonzero determinant."""
+    grid = list(itertools.product(range(3), repeat=2))[1:]
+    return [PointConfig.make([(0, 0), *pts])
+            for k in range(2, len(grid) + 1)
+            for pts in itertools.combinations(grid, k)
+            if any(p[0] * q[1] - p[1] * q[0]
+                   for p, q in itertools.combinations(pts, 2))]
+
+
+@pytest.mark.parametrize("family,counts", [
+    (cube_census, {(4, 0): 29, (5, 0): 5, (5, 1): 30, (6, 0): 12,
+                   (6, 1): 9, (7, 0): 7, (8, 0): 1}),
+    (square_census, {(3, 0): 25, (4, 0): 33, (4, 1): 23, (5, 0): 70,
+                     (6, 0): 56, (7, 0): 28, (8, 0): 8, (9, 0): 1}),
+])
+def test_census_certifies_and_verifies_exhaustively(family, counts):
+    # inputs built with no known structure: every certificate analyze
+    # writes passes verify --exhaustive, and the defects per size are
+    # pinned
+    got = collections.Counter()
+    for cfg in family():
+        a, _ = normalize(cfg)
+        cert = roundtrip(structure_certificate(a))
+        assert verify_certificate(a, cert, exhaustive=True)["all_passed"], \
+            cfg.points
+        got[len(cfg), cert.delta] += 1
+    assert dict(got) == counts
+
+
+def test_last_link_on_the_labeling_matches_the_rank_of_pi_prime():
+    # ker pi' <= ker pi exactly when pi is constant on each part of the
+    # labeling; the reference stacks the rows of pi' and pi and asks
+    # that the rank stay r'
+    ex58 = normalize(load_config_file(FIXTURES / "ex5_8.json"))[0]
+    forged = [cert.pi for cert in _forged_certificates(ex58)]
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus() + cube_census() + square_census()
+    rng = random.Random(25)
+    outcomes = collections.Counter()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        maps = [structure_certificate(a).pi]
+        if a.dim == ex58.dim:
+            maps += forged
+        maps += [GroupHom.make([[rng.randint(-2, 2) for _ in range(a.dim)]
+                                for _ in range(r)], None, a.dim)
+                 for r in (0, 1, 2)]
+        images = [[pi.apply(u) for u in a.points] for pi in maps]
+        frame = exhaustive_frame(a)
+        for label, vertex in frame.labelings():
+            r2 = max(label)
+            pi2 = frame.projection(label, vertex).pi.matrix_rows
+            for pi, im in zip(maps, images):
+                got = structure._constant_on_parts(vertex, im, r2)
+                assert got == (rank_int(pi2 + pi.matrix_rows) == r2), (
+                    a.points, label, pi)
+                outcomes[got] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_join_defect_law_certificates():
