@@ -7,9 +7,10 @@ generic element of K; the span itself is the minimal subspace whose
 quotient makes the V_i sum directly, provided the removal condition
 check_star holds.
 
-``AlphaProblem.make`` finds a K basis of the summands with one kernel;
-``AlphaProblem.from_components`` takes K as written down in the affine
-frame of ``verify --exhaustive`` (``cayley.AffineFrame.k_and_spans``).
+Every K element is kept as its components concatenated.  The pipeline
+writes K down in the affine frame (``cayley.AffineFrame.k_and_spans``)
+and passes it to ``AlphaProblem.from_components``; ``AlphaProblem.make``
+finds a K basis of hand-built summands with one kernel (``k_space``).
 
 Each sampled K element is eliminated once: one kernel of the relations
 among its components gives their rank and the removal condition (see
@@ -44,15 +45,16 @@ class AlphaProblem(SampledProblem):
     """The summands V_0, ..., V_r of Q^ambient_dim, and nothing around them.
 
     ``bases`` holds rows spanning each summand, and ``k_basis`` rows
-    spanning K, empty exactly when the summands sum directly.  From
-    ``make``, they are the RREF bases of the summands scaled by one
-    common denominator and the integer K basis in those coordinates.
-    Every sampled K element, and so every set of components, is the
-    rational one times a single positive integer, which leaves all ranks
-    and spans unchanged.  Each sample is kept as its components, their
-    rank and whether any two of them can be removed without shrinking
-    their span, both read off one dependency kernel
-    (``_rank_and_removable``).
+    spanning K, empty exactly when the summands sum directly; each K
+    row is its components concatenated.  From ``make``, the bases are
+    the RREF bases of the summands scaled by one common denominator and
+    each K row is an integer kernel vector in those coordinates, mapped
+    to its components.  Every sampled K element, and so every set of
+    components, is the rational one times a single positive integer,
+    which leaves all ranks and spans unchanged.  Each sample is kept as
+    its components, their rank and whether any two of them can be
+    removed without shrinking their span, both read off one dependency
+    kernel (``_rank_and_removable``).
     """
 
     ambient_dim: int
@@ -72,10 +74,16 @@ class AlphaProblem(SampledProblem):
         m = summands[0].ambient_dim
         if any(s.ambient_dim != m for s in summands):
             raise ValueError("summands live in different ambient spaces")
-        bases = tuple(tuple(tuple(row) for row in basis)
-                      for basis in _integer_bases(summands))
-        kb = tuple(tuple(row) for row in k_space(summands, bases))
-        return cls(m, kb, bases, seed, bound, trials)
+        bases = _integer_bases(summands)
+        k_rows = []
+        for coeffs in k_space(summands, bases):
+            row = []
+            for basis in bases:
+                row += ([sum(map(mul, coeffs, col)) for col in zip(*basis)]
+                        if basis else [0] * m)
+                coeffs = coeffs[len(basis):]
+            k_rows.append(row)
+        return cls.from_components(m, k_rows, bases, seed, bound, trials)
 
     @classmethod
     def from_components(cls, ambient_dim: int, k_rows, spans,
@@ -85,9 +93,9 @@ class AlphaProblem(SampledProblem):
         """The summands spanned by the rows of ``spans``, with K spanned
         by ``k_rows``: nonzero K elements, each its components
         concatenated.  Nothing is eliminated or checked."""
-        return _WrittenOut(ambient_dim, tuple(map(tuple, k_rows)),
-                           tuple(tuple(map(tuple, rows)) for rows in spans),
-                           seed, bound, trials)
+        return cls(ambient_dim, tuple(map(tuple, k_rows)),
+                   tuple(tuple(map(tuple, rows)) for rows in spans),
+                   seed, bound, trials)
 
     @property
     def sample_basis(self):
@@ -98,24 +106,7 @@ class AlphaProblem(SampledProblem):
         return (comps, *_rank_and_removable(comps))
 
     def components(self, element) -> IntMat:
-        """Split a K element (in summand coordinates) into its components."""
-        m = self.ambient_dim
-        out = []
-        pos = 0
-        for basis in self.bases:
-            coeffs = element[pos:pos + len(basis)]
-            pos += len(basis)
-            if basis:
-                out.append([sum(map(mul, coeffs, col)) for col in zip(*basis)])
-            else:
-                out.append([0] * m)
-        return out
-
-
-class _WrittenOut(AlphaProblem):
-    """A problem of ``from_components``: a K element is its components."""
-
-    def components(self, element) -> IntMat:
+        """Split a K element into its components, one per summand."""
         m = self.ambient_dim
         return [element[i * m:(i + 1) * m] for i in range(len(self.bases))]
 

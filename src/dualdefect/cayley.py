@@ -206,8 +206,8 @@ class AffineFrame(NamedTuple):
     (j, W_j) of every point u_j outside the basis: its image W_j as the
     nonzero entries (k, x), keyed by basis position k = 1..n; W_j != 0
     as u_j != u_0.  Other modules read the layout only through
-    ``labelings``, ``projection``, ``to_frame``, ``k_nonzero`` and
-    ``k_and_spans``.
+    ``labelings``, ``projection``, ``to_frame``, ``from_frame``,
+    ``k_nonzero`` and ``k_and_spans``.
     """
 
     config: PointConfig
@@ -249,6 +249,15 @@ class AffineFrame(NamedTuple):
         """The rows under the linear part L * D^-1 of the frame map,
         which is invertible and so keeps every inclusion of spans."""
         return [mat_vec(self.inverse, row) for row in rows]
+
+    def from_frame(self, rows) -> IntMat:
+        """The rows under D, L times the inverse of ``to_frame``: a row
+        y goes to the sum of y_k (u_bk - u_0), so every span comes back
+        to Z^n as the span whose image it is."""
+        points = self.config.points
+        diffs = transpose([[x - y for x, y in zip(points[b], points[0])]
+                           for b in self.basis[1:]])
+        return [mat_vec(diffs, row) for row in rows]
 
     def k_nonzero(self, label, vertex) -> bool:
         """Whether the K of ``k_and_spans`` is nonzero: some W_j has an
@@ -376,17 +385,19 @@ def exhaustive_frame(a: PointConfig,
     return _affine_frame(a)
 
 
-def projection_for_partition(a: PointConfig,
-                             parts) -> SimplexProjection | None:
+def projection_for_partition(a: PointConfig, parts):
     """The simplex projection sending part i to vertex i, if one exists.
 
     parts must partition the point indices of the normalized a, ordered
     by least index, so that u_0 lies in part 0; other parts raise
     ValueError.  Labels each point of the affine basis of
-    ``_affine_frame`` by its part, and returns the labeled projection of
-    ``AffineFrame.projection``, or None when a part holds no basis
-    point (its vertex is then outside the affine hull of the image) or a
-    point outside the basis misses the vertex of its part.
+    ``_affine_frame`` by its part, and returns (struct, frame, label,
+    vertex): the labeled projection of ``AffineFrame.projection``, the
+    frame, the label of each basis position and the part of each point,
+    as ``AffineFrame.k_and_spans`` takes them.  Returns None when a part
+    holds no basis point (its vertex is then outside the affine hull of
+    the image) or a point outside the basis misses the vertex of its
+    part.
     """
     require_normalized(a, "projection_for_partition")
     firsts = [min(part) for part in parts if part]
@@ -405,7 +416,7 @@ def projection_for_partition(a: PointConfig,
             _vertex_of(w, label, labels, frame.scale) != part_of[j]
             for j, w in frame.outside):
         return None
-    return frame.projection(label, part_of)
+    return frame.projection(label, part_of), frame, label, part_of
 
 
 def enumerate_simplex_projections(a: PointConfig,

@@ -2,9 +2,12 @@
 
 Given a normalized configuration, the contact grouping yields the minimal
 projection pi with simplex image; the alpha invariant of the part
-difference spaces inside ker pi gives c; quotienting by the minimal
-subspace factors pi = pi2 o pi1, and delta = r - c.  An independent
-randomized Hessian-corank oracle must agree or certification fails.
+difference spaces inside ker pi gives c, written down in the affine frame
+that found pi (``AffineFrame.k_and_spans``), as ``verify --exhaustive``
+writes it for every structure; quotienting by the minimal subspace,
+mapped back to Z^n (``AffineFrame.from_frame``), factors pi = pi2 o pi1,
+and delta = r - c.  An independent randomized Hessian-corank oracle must
+agree or certification fails.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from .alpha import AlphaProblem, alpha as alpha_of, check_star, vprime
 from .cayley import (
     EXHAUSTIVE_LIMIT,
     NotSimplexImage,
-    SimplexProjection,
     decompose_along,
     exhaustive_frame,
     is_join_type,
@@ -112,20 +114,14 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
     return GroupHom.make(rows, None, n)
 
 
-def _contact_projection(tp: TangencyProblem) -> SimplexProjection:
+def _contact_projection(tp: TangencyProblem):
     """The minimal simplex projection, read off the contact grouping,
-    whose parts come by least index and go to vertex i in turn."""
-    struct = projection_for_partition(tp.config, contact_grouping(tp))
-    if struct is None:
+    whose parts come by least index and go to vertex i in turn, with
+    its frame and labeling (``projection_for_partition``)."""
+    found = projection_for_partition(tp.config, contact_grouping(tp))
+    if found is None:
         raise CertificationError("contact grouping is not realizable over Z")
-    return struct
-
-
-def _part_difference_space(a: PointConfig, part) -> RationalSubspace:
-    base = a.points[part[0]]
-    rows = [[x - y for x, y in zip(a.points[i], base)]
-            for i in part[1:]]
-    return RationalSubspace.from_rows(a.dim, rows)
+    return found
 
 
 def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat,
@@ -159,17 +155,6 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
     return GroupHom.make(mat_mul(coords, u), None, pi1.codomain_rank)
 
 
-def _alpha_problem(a: PointConfig, struct: SimplexProjection, seed: int,
-                   bound: int, trials: int) -> AlphaProblem:
-    """The alpha problem of the part difference spaces of a simplex
-    projection.  They lie in ker pi, as every point of a part has the
-    image of its vertex (``simplex_projection``), but K and alpha do not
-    depend on that ambient."""
-    return AlphaProblem.make(
-        [_part_difference_space(a, part) for part in struct.parts],
-        seed, bound, trials)
-
-
 def _constant_on_parts(vertex, images, r: int) -> bool:
     """Whether the images take one value on each of the r + 1 vertex
     classes of a kept labeling: exactly when ker pi' lies in the kernel
@@ -183,33 +168,29 @@ def _constant_on_parts(vertex, images, r: int) -> bool:
     return len(set(zip(vertex, images))) == r + 1
 
 
-def _minimal_quotient(a: PointConfig, struct: SimplexProjection,
-                      ap: AlphaProblem, c: int):
-    """The factorization pi = pi2 o pi1 with ker pi1 = V', as (pi1, pi2).
+def _build_certificate(tp: TangencyProblem):
+    """One attempt at the full pipeline: (struct, c, (pi1, pi2)), with
+    ker pi1 = V' and pi = pi2 o pi1.
 
-    ``ap`` is the structure's alpha problem and ``c`` = alpha(ap).
-    Returns None when the removal condition fails on the sample, or when
-    pi does not factor through the quotient by V'.
+    The alpha problem of the contact structure is written down in its
+    affine frame, and V' is mapped back to Z^n; the frame map is
+    invertible, so this is the V' of the part difference spaces.
+    Returns None when the removal condition fails on this attempt's
+    sample, or when pi does not factor through the quotient by V', so
+    the caller can retry with a larger bound.
     """
+    n = tp.config.dim
+    struct, frame, label, vertex = _contact_projection(tp)
+    ap = AlphaProblem.from_components(
+        n, *frame.k_and_spans(label, vertex), tp.seed, tp.bound, tp.trials)
+    c = alpha_of(ap)
     if not check_star(ap):
         return None
-    pi1 = _quotient_map(vprime(ap, c).integer_lattice(), a.dim)
+    span = RationalSubspace.from_rows(
+        n, frame.from_frame(vprime(ap, c).basis))
+    pi1 = _quotient_map(span.integer_lattice(), n)
     pi2 = _factor_through(struct.pi.matrix_rows, pi1)
-    return None if pi2 is None else (pi1, pi2)
-
-
-def _build_certificate(tp: TangencyProblem):
-    """One attempt at the full pipeline: (struct, c, (pi1, pi2)).
-
-    Returns None when no minimal quotient is found on this attempt's
-    sample, so the caller can retry with a larger bound.
-    """
-    a = tp.config
-    struct = _contact_projection(tp)
-    ap = _alpha_problem(a, struct, tp.seed, tp.bound, tp.trials)
-    c = alpha_of(ap)
-    quotient = _minimal_quotient(a, struct, ap, c)
-    return None if quotient is None else (struct, c, quotient)
+    return None if pi2 is None else (struct, c, (pi1, pi2))
 
 
 def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,

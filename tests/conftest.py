@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dualdefect.alpha import AlphaProblem, check_star, vprime
 from dualdefect.config import (
     GroupHom,
     PointConfig,
@@ -14,6 +15,7 @@ from dualdefect.config import (
 )
 from dualdefect.cayley import cayley_sum, decompose_along
 from dualdefect.exact_linalg import (
+    RationalSubspace,
     hnf_basis,
     hnf_coords,
     identity,
@@ -25,7 +27,13 @@ from dualdefect.exact_linalg import (
     solve_int,
     transpose,
 )
-from dualdefect.tangency import sample_combination
+from dualdefect.structure import _factor_through, _quotient_map
+from dualdefect.tangency import (
+    DEFAULT_BOUND,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    sample_combination,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -201,6 +209,37 @@ def components_contained(ap, span):
     read this off the direct sum modulo the span."""
     return all(span.contains(c)
                for k_row in ap.k_basis for c in ap.components(k_row))
+
+
+def part_difference_space(a, part):
+    """Reference: the span of the differences of a part's points from
+    its first, in Z^n, a summand of the structure's alpha problem as
+    analyze built it before it wrote the problem down in the affine
+    frame."""
+    base = a.points[part[0]]
+    rows = [[x - y for x, y in zip(a.points[i], base)]
+            for i in part[1:]]
+    return RationalSubspace.from_rows(a.dim, rows)
+
+
+def part_alpha_problem(a, parts, seed=DEFAULT_SEED, bound=DEFAULT_BOUND,
+                       trials=DEFAULT_TRIALS):
+    """Reference: the alpha problem of the part difference spaces, built
+    by ``AlphaProblem.make`` and never through the affine frame."""
+    return AlphaProblem.make([part_difference_space(a, part)
+                              for part in parts], seed, bound, trials)
+
+
+def minimal_quotient(a, struct, ap, c):
+    """Reference: the factorization pi = pi2 o pi1 of a structure with
+    ker pi1 the V' of its alpha problem ``ap`` in Z^n, c = alpha(ap), as
+    (pi1, pi2); None when the removal condition fails on the sample or
+    pi does not factor through the quotient by V'."""
+    if not check_star(ap):
+        return None
+    pi1 = _quotient_map(vprime(ap, c).integer_lattice(), a.dim)
+    pi2 = _factor_through(struct.pi.matrix_rows, pi1)
+    return None if pi2 is None else (pi1, pi2)
 
 
 def grouping_per_point(a, kernel):

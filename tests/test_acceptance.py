@@ -35,7 +35,13 @@ from dualdefect.structure import (
 )
 from dualdefect.tangency import TangencyProblem, defect_oracle
 
-from conftest import FIXTURES, lattice_eq, random_unimodular, segre_product
+from conftest import (
+    FIXTURES,
+    lattice_eq,
+    part_alpha_problem,
+    random_unimodular,
+    segre_product,
+)
 
 
 class Budget:
@@ -206,16 +212,14 @@ def test_criterion_7_join_defect_law():
 
 def test_criterion_8_lower_bound_law_on_fixtures():
     with Budget(8, 300.0):
-        from dualdefect.structure import _alpha_problem
-
         for path in sorted(FIXTURES.iterdir()):
             cfg, _ = normalize(load_config_file(path))
             cert = structure_certificate(cfg)
             if cert.oracle_delta is None:
                 continue
             for st in enumerate_simplex_projections(cfg):
-                ap = _alpha_problem(cfg, st, cert.seed, cert.bound,
-                                    cert.trials)
+                ap = part_alpha_problem(cfg, st.parts, cert.seed,
+                                        cert.bound, cert.trials)
                 c2 = alpha(ap)
                 assert st.r - c2 <= cert.delta, (
                     path.name, st.parts, st.r, c2, cert.delta

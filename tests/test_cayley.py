@@ -245,7 +245,8 @@ def _brute_force_projections(a):
     seen_kernels = set()
     for parts in _set_partitions(len(a), a.dim + 1):
         pi = _projection_by_solve(a, parts)
-        st = projection_for_partition(a, parts)
+        found = projection_for_partition(a, parts)
+        st = None if found is None else found[0]
         assert (None if st is None else st.pi) == pi, (a.points, parts)
         assert st is None or st.parts == tuple(map(tuple, parts))
         if pi is None:

@@ -763,10 +763,10 @@ def test_removal_condition_failure_escalates_the_bound(capsys):
 
 
 def test_removal_condition_failure_exits_1(capsys):
-    # on ex5_7 one sample per bound fails the removal condition at bounds
-    # 1, 2 and 4; that is a named certification failure, not a traceback
-    code, out, err = invoke(capsys, "analyze", str(FIXTURES / "ex5_7.json"),
-                            "--bound", "1", "--trials", "1")
+    # on p1xp2 the samples fail the removal condition at bounds 1, 2 and
+    # 4; that is a named certification failure, not a traceback
+    code, out, err = invoke(capsys, "analyze", str(FIXTURES / "p1xp2.json"),
+                            "--bound", "1", "--trials", "2")
     assert code == 1 and out == ""
     assert "removal condition fails at every sampling bound up to 4" in err
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import random
@@ -63,6 +64,9 @@ from conftest import (
     join_type_wrt_recompute,
     lattice_eq,
     lattice_leq,
+    minimal_quotient,
+    part_alpha_problem,
+    part_difference_space,
     random_unimodular,
     segre_product,
     unit_vector,
@@ -476,9 +480,9 @@ def test_join_type_wrt_given_structure_matches_recompute():
         pairs = [(cert.pi1, cert.pi2)]
         for st in enumerate_simplex_projections(a):
             pairs.append((GroupHom.identity_map(a.dim), st.pi))
-            ap = structure._alpha_problem(a, st, cert.seed, cert.bound,
-                                          cert.trials)
-            quotient = structure._minimal_quotient(a, st, ap, alpha(ap))
+            ap = part_alpha_problem(a, st.parts, cert.seed, cert.bound,
+                                    cert.trials)
+            quotient = minimal_quotient(a, st, ap, alpha(ap))
             if quotient is not None:
                 pairs.append(quotient)
         for pi1, pi2 in pairs:
@@ -497,13 +501,6 @@ def test_verify_exhaustive_ex5_8(ex5_8):
     assert report["all_passed"]
 
 
-def reference_alpha_problem(a, st, cert):
-    """The alpha problem of the part difference spaces of a structure."""
-    summands = [structure._part_difference_space(a, part)
-                for part in st.parts]
-    return AlphaProblem.make(summands, cert.seed, cert.bound, cert.trials)
-
-
 def exhaustive_reference(a, cert):
     """Reference: the exhaustive checks over the full enumeration, with
     alpha sampled over the whole first round on every structure, as
@@ -516,13 +513,14 @@ def exhaustive_reference(a, cert):
     ker_pi1 = cert.pi1.kernel_lattice()
     ker_pi = cert.pi.kernel_lattice()
     for st in enumerate_simplex_projections(a):
-        ap = reference_alpha_problem(a, st, cert)
+        ap = part_alpha_problem(a, st.parts, cert.seed, cert.bound,
+                                cert.trials)
         c2 = alpha(ap)
         if st.r - c2 > cert.delta:
             lower_ok = False
         if st.r - c2 != cert.delta:
             continue
-        quotient = structure._minimal_quotient(a, st, ap, c2)
+        quotient = minimal_quotient(a, st, ap, c2)
         if quotient is None:
             continue
         pi1b, _ = quotient
@@ -628,9 +626,8 @@ def test_k_basis_is_empty_exactly_when_the_parts_sum_directly():
     for cfg in inputs:
         a, _ = normalize(cfg)
         for st in enumerate_simplex_projections(a):
-            summands = [structure._part_difference_space(a, part)
-                        for part in st.parts]
-            ap = structure._alpha_problem(a, st, 1, 7, 3)
+            summands = [part_difference_space(a, part) for part in st.parts]
+            ap = part_alpha_problem(a, st.parts, 1, 7, 3)
             direct = sums_directly(s.basis for s in summands)
             assert direct == (not ap.k_basis), (a.points, st.parts)
             assert direct == is_join_type(
@@ -662,14 +659,13 @@ def test_frame_k_matches_the_part_space_reference():
         for label, vertex in frame.labelings():
             parts = [[j for j, v in enumerate(vertex) if v == lab]
                      for lab in range(max(label) + 1)]
-            summands = [structure._part_difference_space(a, part)
-                        for part in parts]
+            summands = [part_difference_space(a, part) for part in parts]
             images = [RationalSubspace.from_rows(
                 a.dim, frame.to_frame(s.basis)) for s in summands]
             ap = frame_alpha_problem(frame, label, vertex)
             where = (a.points, parts)
             assert rank_int(ap.k_basis) == len(
-                AlphaProblem.make(summands).k_basis), where
+                part_alpha_problem(a, parts).k_basis), where
             for row in ap.k_basis:
                 comps = ap.components(row)
                 assert not any(map(sum, zip(*comps))), where
@@ -700,7 +696,6 @@ def test_exhaustive_verify_builds_no_part_spaces(ex5_8, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, spy)
 
-    counted(structure, "_part_difference_space")
     counted(AlphaProblem, "make")
     counted(cayley.AffineFrame, "projection")
     counted(structure, "vprime")
@@ -846,6 +841,15 @@ def square_census():
                    for p, q in itertools.combinations(pts, 2))]
 
 
+# SHA-256 of the certificate bytes of every census input, in order
+CENSUS_DIGESTS = {
+    "cube_census":
+        "d066db7a9228f916065af6a7536d4101ef5d46248a5991a26701f5a43a8b4a7f",
+    "square_census":
+        "b1473a656d8de1be5332fa45a53d02c0c12f6fe68a973f82f9b6c47209d00e3d",
+}
+
+
 @pytest.mark.parametrize("family,counts", [
     (cube_census, {(4, 0): 29, (5, 0): 5, (5, 1): 30, (6, 0): 12,
                    (6, 1): 9, (7, 0): 7, (8, 0): 1}),
@@ -854,16 +858,75 @@ def square_census():
 ])
 def test_census_certifies_and_verifies_exhaustively(family, counts):
     # inputs built with no known structure: every certificate analyze
-    # writes passes verify --exhaustive, and the defects per size are
-    # pinned
+    # writes passes verify --exhaustive, and the defects per size and
+    # the certificates' bytes are pinned
     got = collections.Counter()
+    hashed = hashlib.sha256()
     for cfg in family():
         a, _ = normalize(cfg)
-        cert = roundtrip(structure_certificate(a))
+        text = certificate_to_json(structure_certificate(a))
+        hashed.update(text.encode())
+        cert = certificate_from_json(text)
         assert verify_certificate(a, cert, exhaustive=True)["all_passed"], \
             cfg.points
         got[len(cfg), cert.delta] += 1
     assert dict(got) == counts
+    assert hashed.hexdigest() == CENSUS_DIGESTS[family.__name__]
+
+
+@pytest.mark.parametrize("cfg", [
+    load_config_file(FIXTURES / "ex5_8.json"), segre_product(2, 4)])
+def test_round_trip_writes_its_alpha_problem_in_the_frame(cfg, monkeypatch):
+    # analyze writes its alpha problem in the frame that found its
+    # contact structure, one frame per attempt, and verify builds none
+    a, _ = normalize(cfg)
+    alpha_module = importlib.import_module("dualdefect.alpha")
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(alpha_module, "k_space")
+    counted(AlphaProblem, "make")
+    counted(cayley, "_affine_frame")
+    counted(structure, "_build_certificate")
+    cert = structure_certificate(a)
+    assert cert.delta > 0
+    assert verify_certificate(a, cert)["all_passed"]
+    assert calls == {"_affine_frame": calls["_build_certificate"],
+                     "_build_certificate": calls["_build_certificate"]}
+    assert calls["_build_certificate"] > 0
+
+
+def test_analyze_pi1_matches_the_part_space_reference():
+    # the V' of the frame problem, mapped back to Z^n, is the V' of the
+    # part difference spaces: the reference builds it through
+    # AlphaProblem.make, escalating the bound as analyze does
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += small_join_corpus() + cube_census() + square_census()
+    inputs += [segre_product(1, 3), segre_product(2, 3), segre_product(2, 4),
+               segre_product(1, 6)]
+    defective = 0
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        cert = structure_certificate(a)
+        st = simplex_projection(a, cert.pi)
+        for k in range(tangency.ESCALATIONS + 1):
+            ap = part_alpha_problem(a, st.parts, cert.seed,
+                                    cert.bound << k, cert.trials)
+            quotient = minimal_quotient(a, st, ap, alpha(ap))
+            if quotient is not None:
+                break
+        assert quotient is not None, cfg.points
+        assert lattice_eq(cert.pi1.kernel_lattice(),
+                          quotient[0].kernel_lattice()), cfg.points
+        defective += cert.delta > 0
+    assert defective == 79
 
 
 def test_last_link_on_the_labeling_matches_the_rank_of_pi_prime():
@@ -989,6 +1052,14 @@ PINNED_CERTIFICATE_DIGESTS = {
         "f89b688b896b39f01b02521bd2068f44682280f39f1630b2741baa70ec38686b",
     "join_009":
         "4ebab37388140b9c43843579e04c9b937cab5366b3a6ab90ab8a83b111fe156e",
+    "segre_1_3":
+        "9191732e8d54b2f65575004a0bf37eae6b3b72e4f68ddfe834d4cff2c15f733d",
+    "segre_2_3":
+        "468507366a3286e5ce476435e86f45ca4a299151efe8bc30a62598f74ffcfcbf",
+    "segre_2_4":
+        "074b959ae3e648ae74b918c1f202843db9aa8255162f6241a8f06f6ca21e2ba6",
+    "segre_1_6":
+        "9d518a9c5ef8ab6ded78287334320f68404977b42a1a04a22aa9e177b22702e3",
 }
 
 
@@ -997,6 +1068,8 @@ def test_certificate_bytes_pinned():
               for p in sorted(FIXTURES.iterdir())]
     inputs += [(cfg.name, cfg) for cfg, _ in
                generate_corpus("cayley_join_type", 10, None, None, 1)]
+    inputs += [(f"segre_{a}_{b}", segre_product(a, b))
+               for a, b in ((1, 3), (2, 3), (2, 4), (1, 6))]
     got = {}
     for name, cfg in inputs:
         text = certificate_to_json(structure_certificate(normalize(cfg)[0]))
