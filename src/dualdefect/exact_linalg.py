@@ -589,7 +589,3 @@ class RationalSubspace:
     def contains(self, v) -> bool:
         """Whether the integer vector v lies in the subspace."""
         return not any(self.reduce(v))
-
-    def integer_lattice(self) -> IntMat:
-        """HNF basis of (this subspace) intersected with Z^n."""
-        return saturate([list(r) for r in self.basis])

@@ -37,7 +37,6 @@ from .config import (
 )
 from .exact_linalg import (
     IntMat,
-    RationalSubspace,
     hnf,
     hnf_coords,
     identity,
@@ -45,6 +44,7 @@ from .exact_linalg import (
     kernel_basis_int,
     mat_mul,
     rank_int,
+    saturate,
     transpose,
 )
 from .tangency import (
@@ -52,6 +52,7 @@ from .tangency import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     ESCALATIONS,
+    GenericityFailure,
     TangencyProblem,
     check_sampling,
     check_seed,
@@ -114,16 +115,6 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
     return GroupHom.make(rows, None, n)
 
 
-def _contact_projection(tp: TangencyProblem):
-    """The minimal simplex projection, read off the contact grouping,
-    whose parts come by least index and go to vertex i in turn, with
-    its frame and labeling (``projection_for_partition``)."""
-    found = projection_for_partition(tp.config, contact_grouping(tp))
-    if found is None:
-        raise CertificationError("contact grouping is not realizable over Z")
-    return found
-
-
 def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat,
                         pi2: GroupHom) -> GroupHom:
     """The map p with p = pi1 restricted to ker pi, in kernel bases;
@@ -168,29 +159,39 @@ def _constant_on_parts(vertex, images, r: int) -> bool:
     return len(set(zip(vertex, images))) == r + 1
 
 
-def _build_certificate(tp: TangencyProblem):
+def _build_certificate(tp: TangencyProblem, delta: int):
     """One attempt at the full pipeline: (struct, c, (pi1, pi2)), with
-    ker pi1 = V' and pi = pi2 o pi1.
+    r - c = delta, ker pi1 = V' and pi = pi2 o pi1.
 
-    The alpha problem of the contact structure is written down in its
-    affine frame, and V' is mapped back to Z^n; the frame map is
-    invertible, so this is the V' of the part difference spaces.
-    Returns None when the removal condition fails on this attempt's
-    sample, or when pi does not factor through the quotient by V', so
-    the caller can retry with a larger bound.
+    The contact grouping's projection comes from its affine frame
+    (``projection_for_partition``), its alpha problem is written down in
+    that frame, and V' is mapped back to Z^n and saturated; the frame
+    map is invertible, so this is the V' of the part difference spaces.
+    Raises CertificationError naming the step that fails on this
+    attempt's sample: the grouping is not realizable, the removal
+    condition fails, r - c disagrees with the oracle's delta, or pi does
+    not factor through the quotient by V'.  A GenericityFailure of
+    ``contact_grouping``, ``check_star`` or ``vprime`` passes through.
     """
     n = tp.config.dim
-    struct, frame, label, vertex = _contact_projection(tp)
+    found = projection_for_partition(tp.config, contact_grouping(tp))
+    if found is None:
+        raise CertificationError("contact grouping is not realizable over Z")
+    struct, frame, label, vertex = found
     ap = AlphaProblem.from_components(
         n, *frame.k_and_spans(label, vertex), tp.seed, tp.bound, tp.trials)
     c = alpha_of(ap)
     if not check_star(ap):
-        return None
-    span = RationalSubspace.from_rows(
-        n, frame.from_frame(vprime(ap, c).basis))
-    pi1 = _quotient_map(span.integer_lattice(), n)
+        raise CertificationError("removal condition fails")
+    if struct.r - c != delta:
+        raise CertificationError(f"structure delta {struct.r - c} "
+                                 f"disagrees with oracle delta {delta}")
+    pi1 = _quotient_map(saturate(frame.from_frame(vprime(ap, c).basis)), n)
     pi2 = _factor_through(struct.pi.matrix_rows, pi1)
-    return None if pi2 is None else (struct, c, (pi1, pi2))
+    if pi2 is None:
+        raise CertificationError("pi does not factor through the quotient "
+                                 "by V'")
+    return struct, c, (pi1, pi2)
 
 
 def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
@@ -199,10 +200,12 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
                           ) -> StructureCertificate:
     """Compute delta with a replayable structure certificate.
 
-    The structural computation delta = r - c and the Hessian corank
-    oracle must agree, and the removal condition must hold; either
-    failure persisting after escalating the sampling bound raises
-    CertificationError.
+    When the Hessian corank oracle finds delta > 0, each attempt
+    (``_build_certificate``) must certify the same delta = r - c; an
+    attempt that fails, by a CertificationError or a GenericityFailure,
+    is retried with the sampling bound doubled, up to ESCALATIONS times.
+    When every attempt fails, one CertificationError names the failure,
+    or each failure with its bound when they differ.
     """
     require_normalized(a, "structure_certificate")
     n = a.dim
@@ -218,25 +221,23 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
             seed=seed, bound=bound, trials=trials,
             oracle_delta=oracle.delta, checks=checks,
         )
+    failures = []
     for k in range(ESCALATIONS + 1):
-        # the first attempt reads the oracle's samples from tp itself
-        last = _build_certificate(tp if k == 0 else
-                                  replace(tp, bound=bound << k))
-        if last is not None:
-            struct, c, (pi1, pi2) = last
-            if struct.r - c == oracle.delta:
-                break
+        try:
+            # the first attempt reads the oracle's samples from tp itself
+            struct, c, (pi1, pi2) = _build_certificate(
+                tp if k == 0 else replace(tp, bound=bound << k),
+                oracle.delta)
+            break
+        except (CertificationError, GenericityFailure) as exc:
+            failures.append((bound << k, str(exc)))
     else:
-        if last is None:
+        if len({failure for _, failure in failures}) == 1:
             raise CertificationError(
-                f"removal condition fails at every sampling bound up to "
-                f"{bound << ESCALATIONS}: the samples are not generic, or "
-                f"no minimal quotient exists"
-            )
-        raise CertificationError(
-            f"structure delta {struct.r - c} disagrees with oracle "
-            f"delta {oracle.delta} after escalation"
-        )
+                f"{failures[0][1]} at every sampling bound up to "
+                f"{bound << ESCALATIONS}")
+        raise CertificationError("every sampling bound fails: " + "; ".join(
+            f"at bound {b}, {failure}" for b, failure in failures))
     delta = struct.r - c
     checks = tuple(zip(RECORDED_CHECKS, (
         delta == oracle.delta,

@@ -23,6 +23,7 @@ from dualdefect.exact_linalg import (
     mat_vec,
     rank_int,
     rref,
+    saturate,
     snf,
     solve_int,
     transpose,
@@ -237,7 +238,7 @@ def minimal_quotient(a, struct, ap, c):
     pi does not factor through the quotient by V'."""
     if not check_star(ap):
         return None
-    pi1 = _quotient_map(vprime(ap, c).integer_lattice(), a.dim)
+    pi1 = _quotient_map(saturate(vprime(ap, c).basis), a.dim)
     pi2 = _factor_through(struct.pi.matrix_rows, pi1)
     return None if pi2 is None else (pi1, pi2)
 

@@ -771,6 +771,20 @@ def test_removal_condition_failure_exits_1(capsys):
     assert "removal condition fails at every sampling bound up to 4" in err
 
 
+def test_attempts_that_fail_differently_are_each_named(capsys):
+    # on ex5_8 at seed 0 the bound-1 grouping has no simplex projection,
+    # and the groupings at bounds 2 and 4 give one delta less than the
+    # oracle's; the message names each attempt's failure with its bound
+    code, out, err = invoke(capsys, "analyze", str(FIXTURES / "ex5_8.json"),
+                            "--seed", "0", "--bound", "1", "--trials", "1")
+    assert code == 1 and out == ""
+    assert err == (
+        "certification failed: every sampling bound fails: at bound 1, "
+        "contact grouping is not realizable over Z; at bound 2, structure "
+        "delta 1 disagrees with oracle delta 2; at bound 4, structure "
+        "delta 1 disagrees with oracle delta 2\n")
+
+
 @pytest.mark.parametrize("field,value", [("bound", 0), ("trials", 0),
                                          ("trials", None),
                                          ("trials", MAX_TRIALS + 1),

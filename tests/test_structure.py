@@ -1188,3 +1188,37 @@ def test_unrealizable_grouping_raises_certification_error(ex5_8,
                         lambda a, parts: None)
     with pytest.raises(CertificationError, match="not realizable"):
         structure_certificate(ex5_8)
+
+
+def test_weak_sampling_fails_only_by_certification_error():
+    # samples drawn from tiny bounds are often not generic; every failed
+    # attempt is retried, and an input whose attempts all fail ends in
+    # one CertificationError, never a GenericityFailure.  The grid is the
+    # fixtures, four Segre products and the small join corpus at seeds 0
+    # and 4, bounds 1..3 and trials 1..3: 378 cells
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += [segre_product(1, 3), segre_product(2, 3), segre_product(2, 4),
+               segre_product(1, 6)]
+    inputs += small_join_corpus()
+    outcomes = collections.Counter()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        for sampling in itertools.product((0, 4), (1, 2, 3), (1, 2, 3)):
+            try:
+                cert = structure_certificate(a, *sampling)
+            except CertificationError:
+                outcomes["failed"] += 1
+                continue
+            assert verify_certificate(a, cert)["all_passed"], (a.points,
+                                                               sampling)
+            outcomes["certified"] += 1
+    assert outcomes == {"certified": 321, "failed": 57}
+
+
+def test_segre_1_6_retries_a_sampling_failure():
+    # at bound 1 no sampled component span passes; the attempt at
+    # bound 2 certifies
+    a, _ = normalize(segre_product(1, 6))
+    cert = structure_certificate(a, seed=0, bound=1, trials=1)
+    assert (cert.delta, cert.bound) == (5, 1)
+    assert verify_certificate(a, cert)["all_passed"]
