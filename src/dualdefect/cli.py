@@ -2,9 +2,18 @@
 
 Subcommands: analyze (structure certificate), oracle (randomized corank
 oracle only), verify (re-check an emitted certificate), gen (test corpus
-generation), batch (analyze a directory).  Exit codes: 0 success, 1
-verification or certification failure, or a stdout whose reader went
-away, 2 input error.
+generation), batch (analyze a directory).
+
+``run`` alone maps outcomes to exit codes.  Exit 2 with ``error: ...``
+on stderr: an ``InputError`` (unreadable or malformed input, unwritable
+``--out``, bad flag value), ``TooLarge``, ``CertificateMismatch``, or an
+argparse usage error.  Exit 1 with ``verification failed: ...`` (verify)
+or ``certification failed: ...`` (the other commands): one of the
+``NAMED_FAILURES``, ``CertificationError`` and ``GenericityFailure``.
+Exit 1 also for a report whose checks did not all pass, or a stdout
+whose reader went away.  batch records an unreadable or malformed file
+or a ``NAMED_FAILURES`` exception per file, exits 1 if any file failed,
+and never reads its own ``--out``.  Other exceptions are bugs: uncaught.
 """
 
 from __future__ import annotations
@@ -51,6 +60,11 @@ from .tangency import (
 MAX_GEN_DIM = 8
 MAX_GEN_POINTS = 14
 GEN_KINDS = ("random", "cayley_join_type", "unimodular_twist")
+NAMED_FAILURES = (CertificationError, GenericityFailure)
+
+
+class InputError(Exception):
+    """Input a command cannot use; ``run`` exits 2 on it."""
 
 
 def _add_sampling(p: argparse.ArgumentParser, seed_only: bool = False):
@@ -148,11 +162,14 @@ def _emit(text: str, out: Path | None):
         finally:
             os.close(fd)
     except OSError as exc:
-        raise _cannot_write(out, exc)
+        raise InputError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _cannot_write(path: Path, exc: OSError) -> SystemExit:
-    return SystemExit(_fail_input(f"cannot write {path}: {exc.strerror}"))
+def _report(args, obj, text):
+    """Emit ``obj`` as indented JSON or, with ``--format text``, the
+    lines that ``text()`` builds."""
+    _emit(json.dumps(obj, indent=2) if args.format == "json"
+          else "\n".join(text()), args.out)
 
 
 def _read_config(path: Path) -> PointConfig:
@@ -171,25 +188,10 @@ def _load(path: Path) -> PointConfig:
     try:
         return _read_config(path)
     except (OSError, ValueError) as exc:
-        raise SystemExit(_fail_input(f"cannot read {path}: {exc}"))
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _fail_input(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
-def _analysis_payload(cfg: PointConfig, args, exhaustive: bool,
-                      limit: int):
-    a, _theta = normalize(cfg)
-    cert = structure_certificate(a, args.seed, args.bound, args.trials)
-    report = None
-    if exhaustive:
-        report = verify_certificate(a, cert, exhaustive=True, limit=limit)
-    return a, cert, report
-
-
-def _cert_text(name, cert, report) -> str:
+def _cert_lines(name, cert, report) -> list[str]:
     lines = [
         f"configuration: {name or '(unnamed)'}",
         f"n: {cert.n}",
@@ -207,30 +209,20 @@ def _cert_text(name, cert, report) -> str:
     ]
     if report is not None:
         lines.append(f"exhaustive checks: {report}")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_analyze(args) -> int:
     cfg = _load(args.config)
-    try:
-        a, cert, report = _analysis_payload(
-            cfg, args, args.exhaustive, args.exhaustive_limit
-        )
-    except (CertificationError, GenericityFailure) as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 1
-    except TooLarge as exc:
-        return _fail_input(str(exc))
-    if args.format == "json":
-        payload = certificate_to_obj(cert)
-        if report is not None:
-            payload["exhaustive_checks"] = report
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(_cert_text(cfg.name, cert, report), args.out)
-    if report is not None and not report["all_passed"]:
-        return 1
-    return 0
+    a, _theta = normalize(cfg)
+    cert = structure_certificate(a, args.seed, args.bound, args.trials)
+    obj = certificate_to_obj(cert)
+    report = None
+    if args.exhaustive:
+        report = obj["exhaustive_checks"] = verify_certificate(
+            a, cert, exhaustive=True, limit=args.exhaustive_limit)
+    _report(args, obj, lambda: _cert_lines(cfg.name, cert, report))
+    return 0 if report is None or report["all_passed"] else 1
 
 
 def cmd_oracle(args) -> int:
@@ -245,16 +237,12 @@ def cmd_oracle(args) -> int:
         "delta": res.delta,
         "samples_used": res.samples_used,
     }
-    if args.format == "json":
-        _emit(json.dumps(obj, indent=2), args.out)
-    else:
-        _emit(
-            f"configuration: {obj['name'] or '(unnamed)'}\n"
-            f"status: {obj['status']}\n"
-            f"delta: {obj['delta']}\n"
-            f"samples used: {obj['samples_used']}",
-            args.out,
-        )
+    _report(args, obj, lambda: [
+        f"configuration: {obj['name'] or '(unnamed)'}",
+        f"status: {obj['status']}",
+        f"delta: {obj['delta']}",
+        f"samples used: {obj['samples_used']}",
+    ])
     return 0
 
 
@@ -265,24 +253,14 @@ def cmd_verify(args) -> int:
             args.certificate.read_text(encoding="utf-8")
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        return _fail_input(f"cannot read certificate: {exc}")
+        raise InputError(f"cannot read certificate: {exc}") from exc
     a, _ = normalize(cfg)
-    try:
-        report = verify_certificate(
-            a, cert, exhaustive=args.exhaustive, limit=args.exhaustive_limit
-        )
-    except (TooLarge, CertificateMismatch) as exc:
-        return _fail_input(str(exc))
-    except GenericityFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        _emit(json.dumps({"checks": report,
-                          "passed": report["all_passed"]}, indent=2),
-              args.out)
-    else:
-        lines = [f"{k}: {'pass' if v else 'FAIL'}" for k, v in report.items()]
-        _emit("\n".join(lines), args.out)
+    report = verify_certificate(
+        a, cert, exhaustive=args.exhaustive, limit=args.exhaustive_limit
+    )
+    _report(args, {"checks": report, "passed": report["all_passed"]},
+            lambda: [f"{k}: {'pass' if v else 'FAIL'}"
+                     for k, v in report.items()])
     return 0 if report["all_passed"] else 1
 
 
@@ -371,12 +349,12 @@ def cmd_gen(args) -> int:
         corpus = generate_corpus(args.kind, args.count, args.n, args.points,
                                  args.seed)
     except ValueError as exc:
-        return _fail_input(str(exc))
+        raise InputError(str(exc)) from exc
     outdir = args.out or Path(".")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _cannot_write(outdir, exc)
+        raise InputError(f"cannot write {outdir}: {exc.strerror}") from exc
     manifest = []
     for cfg, expected in corpus:
         obj = json.loads(dump_config_json(cfg))
@@ -393,60 +371,41 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _batch_files(inputs):
-    files = []
+def _batch_files(inputs, out: Path | None):
+    """The input files and the .json and .txt files of the input
+    directories, sorted, without the report file ``out``."""
+    files = set()
     for p in inputs:
-        if p.is_dir():
-            files.extend(sorted(q for q in p.iterdir()
-                                if q.suffix in (".json", ".txt")))
-        else:
-            files.append(p)
-    return sorted(set(files))
+        files.update([q for q in p.iterdir() if q.suffix in (".json", ".txt")]
+                     if p.is_dir() else [p])
+    if out is not None:
+        # realpath, not Path.resolve, which raises on a symlink loop
+        report = os.path.realpath(out)
+        files = {f for f in files if os.path.realpath(f) != report}
+    return sorted(files)
 
 
 def cmd_batch(args) -> int:
     records = []
-    any_failed = False
-    for path in _batch_files(args.inputs):
+    for path in _batch_files(args.inputs, args.out):
         rec = {"file": str(path)}
         try:
-            cfg = _read_config(path)
-            a, _ = normalize(cfg)
+            a, _ = normalize(_read_config(path))
             cert = structure_certificate(a, args.seed, args.bound,
                                          args.trials)
             rec.update(delta=cert.delta, r=cert.r, c=cert.c, ok=True)
-        except Exception as exc:  # per-file failures do not abort the batch
+        except (OSError, ValueError, *NAMED_FAILURES) as exc:
             rec.update(ok=False, error=str(exc))
-            any_failed = True
         records.append(rec)
-    if args.format == "json":
-        _emit(json.dumps(records, indent=2), args.out)
-    else:
-        lines = []
-        for rec in records:
-            if rec["ok"]:
-                lines.append(f"{rec['file']}: delta={rec['delta']} "
-                             f"r={rec['r']} c={rec['c']}")
-            else:
-                lines.append(f"{rec['file']}: FAILED ({rec['error']})")
-        _emit("\n".join(lines), args.out)
-    return 1 if any_failed else 0
+    _report(args, records, lambda: [
+        f"{rec['file']}: delta={rec['delta']} r={rec['r']} c={rec['c']}"
+        if rec["ok"] else f"{rec['file']}: FAILED ({rec['error']})"
+        for rec in records])
+    return 0 if all(rec["ok"] for rec in records) else 1
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "exhaustive_limit" in vars(args):
-        if args.exhaustive_limit is None:
-            args.exhaustive_limit = EXHAUSTIVE_LIMIT
-        elif not args.exhaustive:
-            return _fail_input("--exhaustive-limit needs --exhaustive")
-    if "seed" in vars(args):  # every command but verify
-        try:
-            check_seed(args.seed)
-            if "trials" in vars(args):
-                check_sampling(args.bound, args.trials)
-        except ValueError as exc:
-            return _fail_input(str(exc))
     handler = {
         "analyze": cmd_analyze,
         "oracle": cmd_oracle,
@@ -455,10 +414,26 @@ def run(argv=None) -> int:
         "batch": cmd_batch,
     }[args.command]
     try:
+        if "exhaustive_limit" in vars(args):
+            if args.exhaustive_limit is None:
+                args.exhaustive_limit = EXHAUSTIVE_LIMIT
+            elif not args.exhaustive:
+                raise InputError("--exhaustive-limit needs --exhaustive")
+        if "seed" in vars(args):  # every command but verify
+            try:
+                check_seed(args.seed)
+                if "trials" in vars(args):
+                    check_sampling(args.bound, args.trials)
+            except ValueError as exc:
+                raise InputError(str(exc)) from exc
         return handler(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    except (InputError, TooLarge, CertificateMismatch) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NAMED_FAILURES as exc:
+        check = "verification" if args.command == "verify" else "certification"
+        print(f"{check} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from dualdefect import exact_linalg, structure, tangency
+from dualdefect import cli, exact_linalg, structure, tangency
 from dualdefect.cli import generate_corpus, run
 from dualdefect.config import GroupHom, load_config_file, normalize
 from dualdefect.structure import (
@@ -437,6 +437,35 @@ def test_only_the_sample_stream_reads_sample_rounds():
     assert inside and outside == []
 
 
+def test_only_run_maps_exceptions_to_exit_codes():
+    # no module raises or catches SystemExit, and of the cli functions
+    # only run (for the exit code) and cmd_batch (for per-file records)
+    # catch the exceptions that end a command with exit 1 or 2
+    assert [(name, node.lineno) for name, tree in _package_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "SystemExit"] == []
+    tree = dict(_package_trees())["cli.py"]
+    constants = {t.id: {n.id for n in ast.walk(node.value)
+                        if isinstance(n, ast.Name)}
+                 for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)}
+    mapped = {"InputError", "TooLarge", "CertificateMismatch",
+              "CertificationError", "GenericityFailure"}
+    caught = {}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = {n.id for h in ast.walk(fn) if isinstance(h, ast.ExceptHandler)
+                 and h.type is not None for n in ast.walk(h.type)
+                 if isinstance(n, ast.Name)}
+        caught[fn.name] = set().union(names, *(constants.get(n, ())
+                                               for n in names)) & mapped
+    assert caught.pop("run") == mapped
+    assert caught.pop("cmd_batch") == {"CertificationError",
+                                       "GenericityFailure"}
+    assert {name: c for name, c in caught.items() if c} == {}
+
+
 def test_package_has_no_assert_statements():
     # python -O strips asserts, so invariants are explicit exceptions
     asserts = [(path.name, node.lineno)
@@ -631,6 +660,48 @@ def test_batch_partial_failure(tmp_path, capsys):
     records = json.loads(out)
     status = {r["file"].split("/")[-1]: r["ok"] for r in records}
     assert status["good.txt"] is True and status["bad.json"] is False
+
+
+def test_batch_does_not_read_its_own_report(tmp_path, capsys, monkeypatch):
+    # the report written into an input directory is not an input of the
+    # next run, however --out spells its path
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "good.txt").write_text("0\n1\n", encoding="utf-8")
+    report = d / "report.json"
+    assert invoke(capsys, "batch", str(d), "--out", str(report))[0] == 0
+    first = report.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert invoke(capsys, "batch", str(d), "--out", "d/report.json")[0] == 0
+    assert report.read_bytes() == first
+    assert [r["file"] for r in json.loads(first)] == [str(d / "good.txt")]
+    # a symlink loop is a failed file, with or without --out
+    (d / "loop.json").symlink_to("loop.json")
+    for out in ([], ["--out", str(report)]):
+        code, _, _ = invoke(capsys, "batch", str(d), *out)
+        assert code == 1
+    assert [r["ok"] for r in json.loads(report.read_text())] == [True, False]
+
+
+def test_batch_records_named_failures_and_surfaces_bugs(tmp_path, capsys,
+                                                        monkeypatch):
+    # a failed check is recorded per file; any other exception is a bug
+    # and escapes run instead of becoming a failed record
+    (tmp_path / "p1xp2.json").write_bytes(
+        (FIXTURES / "p1xp2.json").read_bytes())
+    code, out, _ = invoke(capsys, "batch", str(tmp_path), "--bound", "1",
+                          "--trials", "2")
+    assert code == 1
+    [rec] = json.loads(out)
+    assert rec["ok"] is False and rec["error"] == (
+        "removal condition fails at every sampling bound up to 4")
+
+    def broken(*args):
+        raise ArithmeticError("a bug")
+
+    monkeypatch.setattr(cli, "structure_certificate", broken)
+    with pytest.raises(ArithmeticError):
+        run(["batch", str(tmp_path)])
 
 
 def test_byte_identical_reports(capsys):
