@@ -997,6 +997,39 @@ def test_misshapen_certificate_exit_2(tmp_path, capsys, edit):
     assert err.startswith("error: cannot read certificate: ")
 
 
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda cert: None, "certificate is not a JSON object",
+                 id="null"),
+    pytest.param(lambda cert: "abc", "certificate is not a JSON object",
+                 id="string"),
+    pytest.param(lambda cert: 7, "certificate is not a JSON object",
+                 id="number"),
+    pytest.param(lambda cert: [], "certificate is not a JSON object",
+                 id="array"),
+    pytest.param(lambda cert: {k: v for k, v in cert.items()
+                               if k != "checks"},
+                 "certificate has no 'checks' field", id="no_checks"),
+])
+def test_certificate_not_an_object_or_without_a_field_exit_2(
+        tmp_path, capsys, edit, message):
+    # the message names what is wrong, not the Python error it caused
+    cert = edit(_ex5_8_certificate(capsys))
+    code, out, err = _verify_edited(tmp_path, capsys, cert)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read certificate: {message}\n"
+
+
+def test_exhaustive_analysis_verifies_as_a_certificate(tmp_path, capsys):
+    # keys beyond the certificate's, as analyze --exhaustive writes
+    # exhaustive_checks, are accepted
+    cfg = str(FIXTURES / "ex5_8.json")
+    cert_path = tmp_path / "cert.json"
+    assert invoke(capsys, "analyze", cfg, "--exhaustive",
+                  "--out", str(cert_path))[0] == 0
+    assert "exhaustive_checks" in json.loads(cert_path.read_text())
+    assert invoke(capsys, "verify", cfg, str(cert_path))[0] == 0
+
+
 def test_decimal_string_numbers_accepted(tmp_path, capsys):
     # _enc_int writes |x| >= 2^53 as decimal strings; any size reads back
     cert = _ex5_8_certificate(capsys)

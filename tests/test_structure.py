@@ -61,6 +61,7 @@ from conftest import (
     FIXTURES,
     components_contained,
     factor_through_snf,
+    is_surjective_snf,
     join_type_wrt_recompute,
     lattice_eq,
     lattice_leq,
@@ -759,13 +760,16 @@ def test_every_vprime_span_holds_every_k_component(monkeypatch):
     load_config_file(FIXTURES / "ex5_8.json"), segre_product(2, 4)])
 def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
     # components are split only off sampled K elements (vprime reads no
-    # K basis), and join_type_wrt builds no configuration
+    # K basis), and join_type_wrt builds no configuration; analyze tests
+    # neither join type nor surjectivity, which hold by construction, so
+    # each is derived once, by verify
     a, _ = normalize(cfg)
     calls = collections.Counter()
     inside = []
     real_components = AlphaProblem.components
     real_evaluate = AlphaProblem.evaluate
     real_post_init = PointConfig.__post_init__
+    real_is_surjective = GroupHom.is_surjective
 
     def components(self, element):
         calls["components"] += 1
@@ -779,6 +783,10 @@ def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
         calls["config_in_join_type"] += bool(inside)
         real_post_init(self)
 
+    def is_surjective(self):
+        calls["is_surjective"] += 1
+        return real_is_surjective(self)
+
     def join_type(struct, pi1):
         calls["join_type_wrt"] += 1
         inside.append(True)
@@ -790,11 +798,13 @@ def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
     monkeypatch.setattr(AlphaProblem, "components", components)
     monkeypatch.setattr(AlphaProblem, "evaluate", evaluate)
     monkeypatch.setattr(PointConfig, "__post_init__", post_init)
+    monkeypatch.setattr(GroupHom, "is_surjective", is_surjective)
     monkeypatch.setattr(structure, "join_type_wrt", join_type)
     cert = structure_certificate(a)
+    assert calls["join_type_wrt"] == calls["is_surjective"] == 0
     assert verify_certificate(a, cert)["all_passed"]
     assert calls["components"] == calls["evaluate"] > 0
-    assert calls["join_type_wrt"] == 2
+    assert calls["join_type_wrt"] == calls["is_surjective"] == 1
     assert calls["config_in_join_type"] == 0
 
 
@@ -1211,6 +1221,7 @@ def test_weak_sampling_fails_only_by_certification_error():
                 continue
             assert verify_certificate(a, cert)["all_passed"], (a.points,
                                                                sampling)
+            assert is_surjective_snf(cert.pi1.matrix_rows)
             outcomes["certified"] += 1
     assert outcomes == {"certified": 321, "failed": 57}
 
