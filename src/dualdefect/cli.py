@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
         cert = certificate_from_json(
             args.certificate.read_text(encoding="utf-8")
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read certificate: {exc}") from exc
     a, _ = normalize(cfg)
     report = verify_certificate(

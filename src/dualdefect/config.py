@@ -19,7 +19,6 @@ from .exact_linalg import (
     hnf_basis,
     hnf_coords,
     identity,
-    is_surjective,
     kernel_basis_int,
     mat_mul,
     mat_vec,
@@ -158,9 +157,6 @@ class GroupHom:
             tr = [x + t for x, t in zip(tr, self.translation)]
         translation = tuple(tr) if any(tr) else None
         return GroupHom.make(mat, translation, inner.domain_rank)
-
-    def is_surjective(self) -> bool:
-        return is_surjective(self.matrix_rows)
 
     def kernel_lattice(self) -> IntMat:
         """Saturated HNF basis of the kernel of the linear part."""

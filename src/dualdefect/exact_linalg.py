@@ -9,13 +9,14 @@ those integer rows.  Determinants, Hessian coranks and kernels and
 the tangency samples come from one forward Bareiss pass (``_bareiss``),
 shared by ``det`` and ``Echelon``; a kernel back-substituted from it
 has the rows of ``kernel_basis_ff``.  Lattices are handled by the Hermite
-normal form alone: kernels, saturation, coordinates (``hnf_coords``)
-and surjectivity.  The Smith normal form (``snf``) and its solver
-``solve_int``, like the one rational routine, ``rref`` over
-``fractions.Fraction``, are the definitions the pipeline is checked
-against; nothing in the pipeline calls them.  Matrices are plain lists
-of lists in row-major order, and all lattice maps act on row vectors
-(u * m = h convention for normal forms).
+normal form alone: kernels, saturation, coordinates (``hnf_coords``),
+and the image and rank of a map, both read off one HNF of its columns.
+The Smith normal form (``snf``) and its solver ``solve_int``, like
+the one rational routine, ``rref`` over ``fractions.Fraction``, are
+the definitions the pipeline is checked against; nothing in the
+pipeline calls them.  Matrices are plain lists of lists in row-major
+order, and all lattice maps act on row vectors (u * m = h convention
+for normal forms).
 """
 
 from __future__ import annotations
@@ -503,12 +504,6 @@ def hnf_coords(basis: IntMat, v) -> list[int] | None:
             rest = [x - q * y for x, y in zip(rest, row)]
         coords.append(q)
     return None if any(rest) else coords
-
-
-def is_surjective(m: IntMat) -> bool:
-    """Whether v -> m * v maps Z^cols onto Z^rows: the columns generate
-    Z^rows exactly when their HNF basis is the identity."""
-    return hnf_basis(transpose(m)) == identity(len(m))
 
 
 # --- rational row reduction ------------------------------------------------

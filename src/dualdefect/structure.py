@@ -38,12 +38,12 @@ from .config import (
 from .exact_linalg import (
     IntMat,
     hnf,
+    hnf_basis,
     hnf_coords,
     identity,
     kernel_basis_ff,
     kernel_basis_int,
     mat_mul,
-    rank_int,
     saturate,
     transpose,
 )
@@ -114,17 +114,18 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
     return GroupHom.make(rows, None, n)
 
 
-def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat,
-                        pi2: GroupHom) -> GroupHom:
+def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat) -> GroupHom:
     """The map p with p = pi1 restricted to ker pi, in kernel bases;
-    ``ker_pi`` is the HNF basis ``pi.kernel_lattice()``."""
-    ker_pi2 = pi2.kernel_lattice()
-    cols = []
-    for b in ker_pi:
-        coords = hnf_coords(ker_pi2, pi1.apply(b))
-        if coords is None:
-            raise ArithmeticError("pi1 does not map ker pi into ker pi2")
-        cols.append(coords)
+    ``ker_pi`` is the HNF basis ``pi.kernel_lattice()``.
+
+    As pi = pi2 o pi1 with pi1 surjective, pi1(ker pi) = ker pi2: a y
+    with pi2(y) = 0 is pi1(x) for some x, and pi(x) = 0.  So the HNF
+    basis of the images pi1(b) is the basis of ker pi2, and column b of
+    p holds the coordinates of pi1(b) in it, which always exist.
+    """
+    images = [pi1.apply(b) for b in ker_pi]
+    ker_pi2 = hnf_basis(images)
+    cols = [hnf_coords(ker_pi2, y) for y in images]
     return GroupHom.make(transpose(cols), None, len(ker_pi))
 
 
@@ -239,7 +240,7 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
                 "every sampling bound fails: " + "; ".join(
                     f"at bound {b}, {failure}" for b, failure in failures))
         r, grouping = struct.r, struct.parts
-        p = _restrict_to_kernel(pi1, struct.pi.kernel_lattice(), pi2)
+        p = _restrict_to_kernel(pi1, struct.pi.kernel_lattice())
     return StructureCertificate(
         n=a.dim, r=r, c=c, delta=r - c, grouping=grouping, pi1=pi1, pi2=pi2,
         p=p, seed=seed, bound=bound, trials=trials, oracle_delta=oracle.delta,
@@ -325,13 +326,13 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         sorted(recorded) == sorted(RECORDED_CHECKS)
         and all(v is True for v in recorded.values())
     )
-    checks["pi1_surjective"] = cert.pi1.is_surjective()
+    # one HNF of the columns of pi1 gives its image and its rank
+    image = hnf_basis(transpose(cert.pi1.matrix_rows))
+    checks["pi1_surjective"] = image == identity(cert.pi1.codomain_rank)
+    checks["pi1_kernel_rank"] = cert.n - len(image) == cert.c
     pi = cert.pi
-    ker_pi = pi.kernel_lattice()
-    checks["pi1_kernel_rank"] = (cert.n - rank_int(cert.pi1.matrix_rows)
-                                 == cert.c)
-    checks["p_matches"] = cert.p == _restrict_to_kernel(cert.pi1, ker_pi,
-                                                        cert.pi2)
+    checks["p_matches"] = cert.p == _restrict_to_kernel(
+        cert.pi1, pi.kernel_lattice())
     try:
         struct = simplex_projection(a, pi)
     except NotSimplexImage:

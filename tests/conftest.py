@@ -182,6 +182,18 @@ def factor_through_snf(pi_mat, pi1):
     return pi2
 
 
+def restrict_to_kernel_via_pi2(pi1, ker_pi, pi2):
+    """Reference: the map p = pi1 restricted to ker pi, in the bases
+    ``ker_pi`` and the kernel lattice of pi2, as ``_restrict_to_kernel``
+    computed it before it read ker pi2 off pi1(ker pi); None when pi1
+    does not map ker pi into ker pi2."""
+    ker_pi2 = pi2.kernel_lattice()
+    cols = [hnf_coords(ker_pi2, pi1.apply(b)) for b in ker_pi]
+    if any(col is None for col in cols):
+        return None
+    return GroupHom.make(transpose(cols), None, len(ker_pi))
+
+
 def join_type_wrt_recompute(a, pi1, pi2):
     """Reference: join type w.r.t. (pi1, pi2) as it was computed before
     callers passed their Cayley structure, decomposing a along pi2 o pi1

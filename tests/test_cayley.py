@@ -23,12 +23,13 @@ from dualdefect.config import (
     load_config_file,
     normalize,
 )
-from dualdefect.exact_linalg import solve_int, transpose
+from dualdefect.exact_linalg import mat_vec, snf, transpose
 
 from conftest import (
     EX58_U,
     EX58_V,
     FIXTURES,
+    is_surjective_snf,
     lattice_leq,
     random_unimodular,
     segre_product,
@@ -210,30 +211,46 @@ def _set_partitions(n: int, max_parts: int):
     yield from rec(0, 0)
 
 
-def _projection_by_solve(a, parts):
-    """Reference: the projection sending part i to vertex i, if one
-    exists, by Smith normal form solves of P(u - u0) = vertex(part of u)
-    over Z, one for each row of P, u0 the first point of part 0; None
-    when the system has no integer solution or P is not surjective."""
+def _point_solver(a):
+    """Reference: a solver of (u_j - u_0) . x = b_j over Z for every
+    point u_j of a, b the indicator of a given part, by one Smith normal
+    form of the differences in point order: x is v * y with
+    s * y = u * b.  None when there is no integer solution."""
+    u0 = a.points[0]
+    s, u, v = snf([[x - y for x, y in zip(pt, u0)] for pt in a.points])
+    u_cols = transpose(u)
+
+    def solve(part):
+        y = [0] * a.dim
+        for i, c in enumerate(map(sum, zip(*(u_cols[j] for j in part)))):
+            d = s[i][i] if i < a.dim else 0
+            if d:
+                y[i], rem = divmod(c, d)
+                if rem:
+                    return None
+            elif c:
+                return None
+        return mat_vec(v, y)
+    return solve
+
+
+def _projection_by_solve(a, parts, solve):
+    """Reference: the projection P sending part i to vertex i, if one
+    exists, from P(u - u_0) = vertex(part of u), as part 0 holds u_0,
+    the first point (as in every restricted growth string), solved one
+    row of P at a time by ``solve`` (``_point_solver(a)``); None when
+    the system has no integer solution or P is not surjective."""
     r = len(parts) - 1
     if r == 0:
         return GroupHom.zero_map(a.dim)
-    u0 = a.points[parts[0][0]]
-    d_rows = []
-    e_rows = []
-    for i, part in enumerate(parts):
-        v = list(unit_vector(i, r))
-        for j in part:
-            d_rows.append([x - y for x, y in zip(a.points[j], u0)])
-            e_rows.append(v)
     p_rows = []
-    for col in transpose(e_rows):
-        row = solve_int(d_rows, col)
+    for part in parts[1:]:
+        row = solve(part)
         if row is None:
             return None
         p_rows.append(row)
-    pi = GroupHom.make(p_rows, None, a.dim)
-    return pi if pi.is_surjective() else None
+    return (GroupHom.make(p_rows, None, a.dim)
+            if is_surjective_snf(p_rows) else None)
 
 
 def _brute_force_projections(a):
@@ -243,8 +260,9 @@ def _brute_force_projections(a):
     projection_for_partition must give the same answer on every one."""
     out = []
     seen_kernels = set()
+    solve = _point_solver(a)
     for parts in _set_partitions(len(a), a.dim + 1):
-        pi = _projection_by_solve(a, parts)
+        pi = _projection_by_solve(a, parts, solve)
         found = projection_for_partition(a, parts)
         st = None if found is None else found[0]
         assert (None if st is None else st.pi) == pi, (a.points, parts)

@@ -129,11 +129,12 @@ def test_nondefective_analyze_builds_no_basis_of_l(tmp_path, capsys,
 
 def test_verify_builds_no_kernel_lattice_of_pi1(tmp_path, capsys,
                                                 monkeypatch):
-    # pi1_kernel_rank reads the rank of pi1, and the chain of
-    # --exhaustive a Q-basis of ker pi1: no lattice of pi1 is built.
-    # The chain reads its last link off each labeling, so no pi' is
-    # built either, and the one rank_int of structure is
-    # pi1_kernel_rank, before the structure loop
+    # pi1_surjective and pi1_kernel_rank read one HNF of the columns of
+    # pi1, p_matches the HNF of pi1(ker pi), and the chain of
+    # --exhaustive a Q-basis of ker pi1: no lattice of pi1 is built, and
+    # only the one of pi.  The chain reads its last link off each
+    # labeling, so no pi' is built either, and structure runs those
+    # three eliminations before the structure loop and none in it
     built = []
     real = GroupHom.kernel_lattice
     cayley = importlib.import_module("dualdefect.cayley")
@@ -160,16 +161,17 @@ def test_verify_builds_no_kernel_lattice_of_pi1(tmp_path, capsys,
                       json.loads(cert_path.read_text())["pi1"]))
     monkeypatch.setattr(GroupHom, "kernel_lattice", spy)
     counted(cayley.AffineFrame, "projection")
-    counted(structure, "rank_int")
+    for name in ("hnf_basis", "kernel_basis_ff"):
+        counted(structure, name)
     cfg, cert_path, pi1 = certs[0]
     assert invoke(capsys, "verify", cfg, cert_path)[0] == 0
-    assert len(built) == 2 and pi1 not in built
+    assert len(built) == 1 and pi1 not in built
     for cfg, cert_path, pi1 in certs:
         built.clear()
         calls.clear()
         assert invoke(capsys, "verify", cfg, cert_path, "--exhaustive")[0] == 0
         assert built and pi1 not in built
-        assert calls == {"rank_int": 1}
+        assert calls == {"hnf_basis": 2, "kernel_basis_ff": 1}
 
 
 @pytest.mark.parametrize("shift,draws", [(0, 1), (1, 1), (-1, 3)])
@@ -1282,9 +1284,6 @@ cases = [
      lambda: config.normalize(doubled)),
     (cayley, "hnf_coords", lambda b, v: None,
      lambda: cayley.decompose_along(square, pr2)),
-    (structure, "hnf_coords", lambda b, v: None,
-     lambda: structure._restrict_to_kernel(GroupHom.identity_map(2),
-                                           pr2.kernel_lattice(), pr2)),
     (cli, "is_join_type", lambda fibers: False,
      lambda: cli.generate_corpus("cayley_join_type", 1, None, None, 0)),
     (cayley, "_vertex_of", lambda w, label, labels, scale: 0,
@@ -1316,7 +1315,7 @@ def test_solve_path_invariants_survive_optimized_interpreter():
     # against; the others pass arguments of the wrong shape
     proc = run_module("-O", "-c", _BROKEN_INVARIANTS)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["ArithmeticError"] * 5 + [
+    assert proc.stdout.decode().split() == ["ArithmeticError"] * 4 + [
         "ValueError", "DimensionError", "DimensionError"]
 
 

@@ -14,7 +14,6 @@ from dualdefect.exact_linalg import (
     hnf_basis,
     hnf_coords,
     identity,
-    is_surjective,
     kernel_basis_ff,
     kernel_basis_int,
     mat_mul,
@@ -258,7 +257,11 @@ def small_maps(draw):
 @example([[2, 3]])
 @example([[2, 4]])
 def test_is_surjective_matches_snf_reference(m):
-    assert is_surjective(m) == is_surjective_snf(m)
+    # one HNF of the columns reads both surjectivity and rank, as
+    # verify reads pi1_surjective and pi1_kernel_rank
+    image = hnf_basis(transpose(m))
+    assert (image == identity(len(m))) == is_surjective_snf(m)
+    assert len(image) == rank_int(m)
 
 
 @settings(max_examples=200, deadline=None)

@@ -69,6 +69,7 @@ from conftest import (
     part_alpha_problem,
     part_difference_space,
     random_unimodular,
+    restrict_to_kernel_via_pi2,
     segre_product,
     unit_vector,
 )
@@ -155,7 +156,7 @@ def test_certificate_ex5_8(ex5_8):
 def test_certificate_invariants(ex5_8):
     cert = structure_certificate(ex5_8)
     assert cert.delta == cert.r - cert.c
-    assert cert.pi1.is_surjective()
+    assert is_surjective_snf(cert.pi1.matrix_rows)
     assert mat_mul(cert.pi2.matrix_rows, cert.pi1.matrix_rows) \
         == cert.pi.matrix_rows
     ker = cert.pi1.kernel_lattice()
@@ -322,7 +323,7 @@ def _forged_certificates(a):
             yield structure.StructureCertificate(
                 n=a.dim, r=st.r, c=len(span), delta=delta,
                 grouping=st.parts, pi1=pi1, pi2=pi2,
-                p=structure._restrict_to_kernel(pi1, basis, pi2),
+                p=structure._restrict_to_kernel(pi1, basis),
                 seed=structure.DEFAULT_SEED, bound=structure.DEFAULT_BOUND,
                 trials=structure.DEFAULT_TRIALS, oracle_delta=delta,
                 checks=tuple((name, True)
@@ -340,6 +341,8 @@ def test_forged_certificates_pass_only_with_the_true_delta():
         a = normalize(cfg)[0]
         for cert in _forged_certificates(a):
             assert roundtrip(cert) == cert
+            assert cert.p == restrict_to_kernel_via_pi2(
+                cert.pi1, cert.pi.kernel_lattice(), cert.pi2)
             report = verify_certificate(a, cert)
             if report["all_passed"]:
                 accepted.append((cert.delta, known))
@@ -702,14 +705,17 @@ def test_exhaustive_verify_builds_no_part_spaces(ex5_8, monkeypatch):
     counted(structure, "vprime")
     counted(cayley.AffineFrame, "k_and_spans")
     counted(structure, "alpha_of")
-    counted(structure, "rank_int")
+    for name in ("hnf", "hnf_basis", "kernel_basis_ff", "kernel_basis_int",
+                 "saturate"):
+        counted(structure, name)
     report = verify_certificate(ex5_8, cert, exhaustive=True)
     assert report["all_passed"]
     # a structure with r' = delta and K != 0 is skipped on the frame
-    # test alone, so every alpha problem built is sampled; the one
-    # rank_int is pi1_kernel_rank, before the structure loop
+    # test alone, so every alpha problem built is sampled; of structure's
+    # own eliminations, verify runs one HNF of the columns of pi1, one of
+    # pi1(ker pi) and one Q-basis of ker pi1, all before the loop
     assert calls.pop("k_and_spans") == calls.pop("alpha_of") > 0
-    assert calls == {"vprime": 1, "rank_int": 1}
+    assert calls == {"vprime": 1, "hnf_basis": 2, "kernel_basis_ff": 1}
 
 
 def test_frame_k_nonzero_matches_the_k_basis():
@@ -760,16 +766,15 @@ def test_every_vprime_span_holds_every_k_component(monkeypatch):
     load_config_file(FIXTURES / "ex5_8.json"), segre_product(2, 4)])
 def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
     # components are split only off sampled K elements (vprime reads no
-    # K basis), and join_type_wrt builds no configuration; analyze tests
-    # neither join type nor surjectivity, which hold by construction, so
-    # each is derived once, by verify
+    # K basis), and join_type_wrt builds no configuration; analyze does
+    # not test join type, which holds by construction, so it is derived
+    # once, by verify
     a, _ = normalize(cfg)
     calls = collections.Counter()
     inside = []
     real_components = AlphaProblem.components
     real_evaluate = AlphaProblem.evaluate
     real_post_init = PointConfig.__post_init__
-    real_is_surjective = GroupHom.is_surjective
 
     def components(self, element):
         calls["components"] += 1
@@ -783,10 +788,6 @@ def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
         calls["config_in_join_type"] += bool(inside)
         real_post_init(self)
 
-    def is_surjective(self):
-        calls["is_surjective"] += 1
-        return real_is_surjective(self)
-
     def join_type(struct, pi1):
         calls["join_type_wrt"] += 1
         inside.append(True)
@@ -798,13 +799,12 @@ def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
     monkeypatch.setattr(AlphaProblem, "components", components)
     monkeypatch.setattr(AlphaProblem, "evaluate", evaluate)
     monkeypatch.setattr(PointConfig, "__post_init__", post_init)
-    monkeypatch.setattr(GroupHom, "is_surjective", is_surjective)
     monkeypatch.setattr(structure, "join_type_wrt", join_type)
     cert = structure_certificate(a)
-    assert calls["join_type_wrt"] == calls["is_surjective"] == 0
+    assert calls["join_type_wrt"] == 0
     assert verify_certificate(a, cert)["all_passed"]
     assert calls["components"] == calls["evaluate"] > 0
-    assert calls["join_type_wrt"] == calls["is_surjective"] == 1
+    assert calls["join_type_wrt"] == 1
     assert calls["config_in_join_type"] == 0
 
 
@@ -877,6 +877,8 @@ def test_census_certifies_and_verifies_exhaustively(family, counts):
         text = certificate_to_json(structure_certificate(a))
         hashed.update(text.encode())
         cert = certificate_from_json(text)
+        assert cert.p == restrict_to_kernel_via_pi2(
+            cert.pi1, cert.pi.kernel_lattice(), cert.pi2)
         assert verify_certificate(a, cert, exhaustive=True)["all_passed"], \
             cfg.points
         got[len(cfg), cert.delta] += 1
