@@ -315,10 +315,11 @@ class AffineFrame(NamedTuple):
         """The simplex projection of a labeling that ``labelings`` kept.
 
         label holds the vertex of every basis position and vertex that
-        of every point.  Checks that the map is integral and sends every
-        u_j - u_b0 to its vertex, so that, every vertex being hit by a
-        basis point, the image of the configuration is a translated unit
-        simplex.
+        of every point.  The map sends basis position k to e_label[k] by
+        how its rows are built, and both callers have sent every other
+        point to its vertex with ``_vertex_of``; every vertex being hit
+        by a basis point, the image is a translated unit simplex.  Only
+        integrality, which the exact division needs, is checked.
         """
         a = self.config
         n = a.dim
@@ -335,13 +336,6 @@ class AffineFrame(NamedTuple):
                 f"partition {parts} passed the vertex test but its "
                 "projection is not integral")
         mat = [[x // self.scale for x in row] for row in rows]
-        u0 = a.points[0]
-        for j, p in enumerate(a.points):
-            off = [x - y for x, y in zip(p, u0)]
-            if tuple(mat_vec(mat, off)) != _simplex_vertex(vertex[j], r):
-                raise ArithmeticError(
-                    f"partition {parts} passed the vertex test but its "
-                    f"projection does not send point {j} to its vertex")
         # no kernel dedupe: the parts are the cosets of ker pi met with a,
         # so distinct partitions have distinct kernels
         return SimplexProjection(a, r, parts, GroupHom.make(mat, None, n))

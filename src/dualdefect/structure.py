@@ -169,9 +169,10 @@ def _build_certificate(tp: TangencyProblem, delta: int):
     map is invertible, so this is the V' of the part difference spaces.
     Raises CertificationError naming the step that fails on this
     attempt's sample: the grouping is not realizable, the removal
-    condition fails, r - c disagrees with the oracle's delta, or pi does
-    not factor through the quotient by V'.  A GenericityFailure of
-    ``contact_grouping``, ``check_star`` or ``vprime`` passes through.
+    condition fails, or r - c disagrees with the oracle's delta.  A
+    GenericityFailure of ``contact_grouping``, ``check_star`` or
+    ``vprime`` passes through.  pi always factors: V' lies in ker pi
+    over Q and ker pi is saturated, so ker pi1 = sat(V') lies in ker pi.
     """
     n = tp.config.dim
     found = projection_for_partition(tp.config, contact_grouping(tp))
@@ -187,11 +188,7 @@ def _build_certificate(tp: TangencyProblem, delta: int):
         raise CertificationError(f"structure delta {struct.r - c} "
                                  f"disagrees with oracle delta {delta}")
     pi1 = _quotient_map(saturate(frame.from_frame(vprime(ap, c).basis)), n)
-    pi2 = _factor_through(struct.pi.matrix_rows, pi1)
-    if pi2 is None:
-        raise CertificationError("pi does not factor through the quotient "
-                                 "by V'")
-    return struct, c, (pi1, pi2)
+    return struct, c, (pi1, _factor_through(struct.pi.matrix_rows, pi1))
 
 
 def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,

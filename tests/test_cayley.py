@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -322,7 +323,16 @@ def _assert_enumeration_matches(a, label):
             assert (redone.r, redone.parts) == (st.r, st.parts), label
 
 
-def test_enumerate_matches_brute_force_on_fixtures():
+def _reuse_frames(monkeypatch):
+    """Build each configuration's affine frame once: the frame is a pure
+    function of the configuration, and ``projection_for_partition``
+    rebuilds it for every one of the brute force's partitions."""
+    monkeypatch.setattr(cayley, "_affine_frame",
+                        functools.lru_cache(maxsize=1)(cayley._affine_frame))
+
+
+def test_enumerate_matches_brute_force_on_fixtures(monkeypatch):
+    _reuse_frames(monkeypatch)
     for path in sorted(FIXTURES.iterdir()):
         a, _ = normalize(load_config_file(path))
         if len(a) > 12:
@@ -330,7 +340,8 @@ def test_enumerate_matches_brute_force_on_fixtures():
         _assert_enumeration_matches(a, path.name)
 
 
-def test_enumerate_matches_brute_force_on_random_configs():
+def test_enumerate_matches_brute_force_on_random_configs(monkeypatch):
+    _reuse_frames(monkeypatch)
     rng = random.Random(0xB311)
     for _ in range(100):
         a = _random_normalized_config(rng)

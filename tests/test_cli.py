@@ -1278,6 +1278,9 @@ from dualdefect.config import GroupHom, PointConfig
 square = PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)])
 # normalize of an already normalized square takes no coordinates at all
 doubled = PointConfig.make([(0, 0), (2, 0), (0, 2), (2, 2)])
+# its greedy affine basis has det 2, so a faked vertex test lets through
+# the labeling of parts ((0, 1, 3), (2,)), whose map is not integral
+skew = PointConfig.make([(0, 0), (1, -1), (1, 1), (2, 1)])
 pr2 = GroupHom.make([[0, 1]])
 cases = [
     (config, "hnf_coords", lambda b, v: None,
@@ -1287,7 +1290,7 @@ cases = [
     (cli, "is_join_type", lambda fibers: False,
      lambda: cli.generate_corpus("cayley_join_type", 1, None, None, 0)),
     (cayley, "_vertex_of", lambda w, label, labels, scale: 0,
-     lambda: cayley.enumerate_simplex_projections(square)),
+     lambda: cayley.enumerate_simplex_projections(skew)),
     # shape checks on bad arguments, with nothing faked
     (cayley, None, None,
      lambda: cayley.SimplexProjection(square, 1, ((0, 1, 2, 3),), pr2)),

@@ -7,16 +7,19 @@ geometric rule.
 
 import collections
 import itertools
+import random
 
 import pytest
 
-from dualdefect.config import PointConfig, normalize
+from dualdefect.config import PointConfig, load_config_file, normalize
 from dualdefect.structure import (
     certificate_from_json,
     certificate_to_json,
     structure_certificate,
     verify_certificate,
 )
+
+from conftest import FIXTURES, random_unimodular
 
 
 def scroll(a, ks):
@@ -106,3 +109,50 @@ def test_plane_rule_on_small_subsets_of_the_4_by_4_grid():
             got[k, delta] += 1
     assert got == {(4, 0): 1278, (4, 1): 532, (5, 0): 4248, (5, 1): 120,
                    (6, 0): 8008}
+
+
+def _certified_delta(cfg):
+    """delta of cfg, normalized, after checking that its certificate
+    verifies."""
+    a, _ = normalize(cfg)
+    cert = structure_certificate(a)
+    assert verify_certificate(a, cert)["all_passed"], cfg.points
+    return a, cert.delta
+
+
+def test_delta_is_invariant_under_lattice_maps_and_grows_on_pyramids():
+    # metamorphic relations of the dual defect on the fixtures and 30
+    # seeded subsets of {0,1}^3 with 5 to 8 points:
+    # - an affine unimodular map, a dilation and the order in which the
+    #   points are listed leave the toric variety, so delta, unchanged;
+    # - the pyramid over A (a new zero coordinate and the apex e_(n+1))
+    #   gives the cone over X_A, whose dual lies in the hyperplane dual
+    #   to the vertex and equals the dual of X_A there: delta goes up by
+    #   1, unless A is affinely independent, when both duals are empty
+    #   and delta stays 0
+    rng = random.Random(0x3E7A)
+    cube = list(itertools.product((0, 1), repeat=3))
+    inputs = [load_config_file(path) for path in sorted(FIXTURES.iterdir())]
+    inputs += [PointConfig.make(rng.sample(cube, rng.randint(5, 8)))
+               for _ in range(30)]
+    seen = collections.Counter()
+    for cfg in inputs:
+        a, delta = _certified_delta(cfg)
+        n = cfg.dim
+        for _ in range(5):
+            u = random_unimodular(rng, n)
+            shift = [rng.randint(-3, 3) for _ in range(n)]
+            k = rng.choice((1, 2, 3))
+            pts = [tuple(k * sum(x * y for x, y in zip(row, p)) + t
+                         for row, t in zip(u, shift)) for p in cfg.points]
+            rng.shuffle(pts)
+            assert _certified_delta(PointConfig.make(pts))[1] == delta, \
+                (cfg.points, u, shift, k)
+        pyramid = PointConfig.make([p + (0,) for p in a.points]
+                                   + [(0,) * a.dim + (1,)])
+        simplex = len(a) == a.dim + 1
+        assert _certified_delta(pyramid)[1] == (0 if simplex else delta + 1), \
+            cfg.points
+        seen[delta, simplex] += 1
+    # the three simplex fixtures are the affinely independent inputs
+    assert seen == {(0, False): 20, (1, False): 14, (0, True): 3}
