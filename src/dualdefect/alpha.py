@@ -140,7 +140,7 @@ def _rank_and_removable(comps: IntMat) -> tuple[int, bool]:
     """
     count = len(comps)
     if comps[0]:
-        deps = kernel_basis_ff([list(row) for row in zip(*comps)])
+        deps = kernel_basis_ff(list(zip(*comps)))
     else:
         deps = identity(count)
     rank = count - len(deps)

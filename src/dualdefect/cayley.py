@@ -338,7 +338,7 @@ class AffineFrame(NamedTuple):
         mat = [[x // self.scale for x in row] for row in rows]
         # no kernel dedupe: the parts are the cosets of ker pi met with a,
         # so distinct partitions have distinct kernels
-        return SimplexProjection(a, r, parts, GroupHom.make(mat, None, n))
+        return SimplexProjection(a, r, parts, GroupHom(mat, None, n))
 
 
 def _affine_frame(a: PointConfig) -> AffineFrame:

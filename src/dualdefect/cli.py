@@ -337,8 +337,8 @@ def generate_corpus(kind: str, count: int, n: int | None,
         else:
             base = PointConfig.make([(0, 0), (1, 0), (0, 1), (1, 1)])
             u = _random_unimodular(rng, 2)
-            t = [rng.randint(-5, 5) for _ in range(2)]
-            cfg = apply_affine(base, GroupHom.make(u, t))
+            t = tuple(rng.randint(-5, 5) for _ in range(2))
+            cfg = apply_affine(base, GroupHom(u, t, 2))
             cfg = PointConfig(cfg.dim, cfg.points, f"twist_{idx:03d}")
             out.append((cfg, 0))
     return out

@@ -11,7 +11,7 @@ import functools
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact_linalg import (
     DimensionError,
@@ -96,19 +96,19 @@ class PointConfig:
 class GroupHom:
     """A Z-affine map v -> matrix * v + translation between lattices.
 
-    matrix has shape codomain_rank x domain_rank; translation, when
-    present, has codomain length.
+    matrix has shape codomain_rank x domain_rank and is stored as tuple
+    rows, whatever rows it is given; translation, when present, is a
+    tuple of codomain length.  Like ``PointConfig``, the plain
+    constructor serves the maps the package computes, whose entries are
+    ints by construction, and ``make`` serves input from outside.
     """
 
     matrix: tuple[tuple[int, ...], ...]
-    translation: tuple[int, ...] | None = None
-    domain_rank: int = field(default=-1)
+    translation: tuple[int, ...] | None
+    domain_rank: int
 
     def __post_init__(self):
-        if self.domain_rank < 0:
-            if not self.matrix:
-                raise ValueError("domain rank required for empty matrix")
-            object.__setattr__(self, "domain_rank", len(self.matrix[0]))
+        object.__setattr__(self, "matrix", tuple(map(tuple, self.matrix)))
         if self.translation is not None:
             if len(self.translation) != self.codomain_rank:
                 raise DimensionError(
@@ -130,10 +130,6 @@ class GroupHom:
     def codomain_rank(self) -> int:
         return len(self.matrix)
 
-    @property
-    def matrix_rows(self) -> IntMat:
-        return [list(r) for r in self.matrix]
-
     def apply(self, v) -> tuple[int, ...]:
         if len(v) != self.domain_rank:
             raise DimensionError(f"vector of length {len(v)} for domain "
@@ -149,25 +145,24 @@ class GroupHom:
             raise DimensionError(
                 f"cannot compose after a map onto rank "
                 f"{inner.codomain_rank}; domain rank is {self.domain_rank}")
-        mat = mat_mul(self.matrix_rows, inner.matrix_rows)
+        mat = mat_mul(self.matrix, inner.matrix)
         tr = [0] * self.codomain_rank
         if inner.translation is not None:
-            tr = mat_vec(self.matrix_rows, list(inner.translation))
+            tr = mat_vec(self.matrix, inner.translation)
         if self.translation is not None:
             tr = [x + t for x, t in zip(tr, self.translation)]
         translation = tuple(tr) if any(tr) else None
-        return GroupHom.make(mat, translation, inner.domain_rank)
+        return GroupHom(mat, translation, inner.domain_rank)
 
     def kernel_lattice(self) -> IntMat:
         """Saturated HNF basis of the kernel of the linear part."""
-        mat = self.matrix_rows
-        if not mat:
+        if not self.matrix:
             return identity(self.domain_rank)
-        return hnf_basis(kernel_basis_int(mat))
+        return hnf_basis(kernel_basis_int(self.matrix))
 
     @classmethod
     def identity_map(cls, n: int) -> "GroupHom":
-        return cls.make(identity(n), None, n)
+        return cls(identity(n), None, n)
 
     @classmethod
     def zero_map(cls, domain_rank: int) -> "GroupHom":
@@ -253,7 +248,7 @@ def normalize(a: PointConfig) -> tuple[PointConfig, GroupHom]:
     # theta: k -> k * basis + base, column convention => matrix = basis^T
     matrix = transpose(basis) if basis else [[] for _ in range(a.dim)]
     translation = tuple(base) if any(base) else None
-    theta = GroupHom.make(matrix, translation, m)
+    theta = GroupHom(matrix, translation, m)
     return b, theta
 
 

@@ -557,7 +557,7 @@ class RationalSubspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "RationalSubspace":
-        red, piv = rref_ff([list(row) for row in rows])
+        red, piv = rref_ff(rows)
         return cls(ambient_dim, tuple(tuple(r) for r in red), tuple(piv))
 
     @property

@@ -110,8 +110,7 @@ def _quotient_map(lattice: IntMat, n: int) -> GroupHom:
     """
     if not lattice:
         return GroupHom.identity_map(n)
-    rows = kernel_basis_int([list(r) for r in lattice])
-    return GroupHom.make(rows, None, n)
+    return GroupHom(kernel_basis_int(lattice), None, n)
 
 
 def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat) -> GroupHom:
@@ -126,7 +125,7 @@ def _restrict_to_kernel(pi1: GroupHom, ker_pi: IntMat) -> GroupHom:
     images = [pi1.apply(b) for b in ker_pi]
     ker_pi2 = hnf_basis(images)
     cols = [hnf_coords(ker_pi2, y) for y in images]
-    return GroupHom.make(transpose(cols), None, len(ker_pi))
+    return GroupHom(transpose(cols), None, len(ker_pi))
 
 
 def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
@@ -136,14 +135,14 @@ def _factor_through(pi_mat: IntMat, pi1: GroupHom) -> GroupHom | None:
     row, and row i of pi2 is x * u for the one x with x * h = row i of
     pi (``hnf_coords``).
     """
-    h, u = hnf(pi1.matrix_rows)
+    h, u = hnf(pi1.matrix)
     coords = []
     for row in pi_mat:
         x = hnf_coords(h, row)
         if x is None:
             return None
         coords.append(x)
-    return GroupHom.make(mat_mul(coords, u), None, pi1.codomain_rank)
+    return GroupHom(mat_mul(coords, u), None, pi1.codomain_rank)
 
 
 def _constant_on_parts(vertex, images, r: int) -> bool:
@@ -188,7 +187,7 @@ def _build_certificate(tp: TangencyProblem, delta: int):
         raise CertificationError(f"structure delta {struct.r - c} "
                                  f"disagrees with oracle delta {delta}")
     pi1 = _quotient_map(saturate(frame.from_frame(vprime(ap, c).basis)), n)
-    return struct, c, (pi1, _factor_through(struct.pi.matrix_rows, pi1))
+    return struct, c, (pi1, _factor_through(struct.pi.matrix, pi1))
 
 
 def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
@@ -324,7 +323,7 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         and all(v is True for v in recorded.values())
     )
     # one HNF of the columns of pi1 gives its image and its rank
-    image = hnf_basis(transpose(cert.pi1.matrix_rows))
+    image = hnf_basis(transpose(cert.pi1.matrix))
     checks["pi1_surjective"] = image == identity(cert.pi1.codomain_rank)
     checks["pi1_kernel_rank"] = cert.n - len(image) == cert.c
     pi = cert.pi
@@ -353,7 +352,7 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
         frame = exhaustive_frame(a, limit)
         # a Q-basis of ker pi1 in frame coordinates; a pi1 with no rows
         # (c = n) has all of Q^n as its kernel
-        rows = cert.pi1.matrix_rows
+        rows = cert.pi1.matrix
         ker_pi1 = frame.to_frame(kernel_basis_ff(rows) if rows
                                  else identity(cert.n))
         images = [pi.apply(u) for u in a.points]
@@ -458,7 +457,7 @@ def certificate_from_json(text: str) -> StructureCertificate:
         m = table(key)
         if len(m) != rows or any(len(row) != cols for row in m):
             raise ValueError(f"{key} is not a {rows} x {cols} matrix")
-        return GroupHom.make(m, None, cols)
+        return GroupHom(m, None, cols)
 
     oracle = obj["oracle_delta"]
     bound = _dec_int(obj["bound"])

@@ -203,8 +203,11 @@ def sample_combination(rng: random.Random, basis, bound: int):
     One weight per basis vector (``len(basis)``) is drawn from
     [-bound, bound]; all weights are redrawn while they are all zero.
     Rows are summed with the weights; an ``Echelon`` back-substitutes
-    the primitive kernel vector with them (``Echelon.combine``).
+    the primitive kernel vector with them (``Echelon.combine``).  An
+    empty basis has no nonzero combination: ValueError.
     """
+    if not basis:
+        raise ValueError("an empty basis has no nonzero combination")
     while True:
         weights = [rng.randint(-bound, bound) for _ in range(len(basis))]
         if any(weights):

@@ -55,6 +55,32 @@ def random_unimodular(rng: random.Random, n: int):
     return u
 
 
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def cube_census():
+    """Every subset of {0,1}^3 that contains 0, has at least 4 points and
+    spans Q^3: some three of its points have a nonzero determinant."""
+    corners = list(itertools.product((0, 1), repeat=3))[1:]
+    return [PointConfig.make([(0, 0, 0), *pts])
+            for k in range(3, len(corners) + 1)
+            for pts in itertools.combinations(corners, k)
+            if any(_det3(t) for t in itertools.combinations(pts, 3))]
+
+
+def square_census():
+    """Every subset of {0,1,2}^2 that contains 0, has at least 3 points
+    and spans Q^2: some two of its points have a nonzero determinant."""
+    grid = list(itertools.product(range(3), repeat=2))[1:]
+    return [PointConfig.make([(0, 0), *pts])
+            for k in range(2, len(grid) + 1)
+            for pts in itertools.combinations(grid, k)
+            if any(p[0] * q[1] - p[1] * q[0]
+                   for p, q in itertools.combinations(pts, 2))]
+
+
 def segre_product(a: int, b: int) -> PointConfig:
     """Vertex set of the Segre embedding of P^a x P^b."""
     pts = []
@@ -170,14 +196,14 @@ def factor_through_snf(pi_mat, pi1):
     the standard basis of the codomain of pi1 through pi1 with one SNF
     solve each, as ``structure._factor_through`` did before it read the
     coordinates in the HNF of pi1."""
-    m1 = pi1.matrix_rows
+    m1 = pi1.matrix
     k = pi1.codomain_rank
     lifts = [solve_int(m1, e) for e in identity(k)]
     if any(lift is None for lift in lifts):
         return None
     pi2 = GroupHom.make(mat_mul(pi_mat, transpose(lifts)) if k else [],
                         None, k)
-    if mat_mul(pi2.matrix_rows, m1) != pi_mat:
+    if mat_mul(pi2.matrix, m1) != pi_mat:
         return None
     return pi2
 
@@ -251,7 +277,7 @@ def minimal_quotient(a, struct, ap, c):
     if not check_star(ap):
         return None
     pi1 = _quotient_map(saturate(vprime(ap, c).basis), a.dim)
-    pi2 = _factor_through(struct.pi.matrix_rows, pi1)
+    pi2 = _factor_through(struct.pi.matrix, pi1)
     return None if pi2 is None else (pi1, pi2)
 
 

@@ -111,7 +111,7 @@ def test_criterion_3_nine_points_in_z6_with_exhaustive_check():
         }
         expected_pi = [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]
         assert lattice_eq(
-            hnf_basis(kernel_basis_int(cert.pi.matrix_rows)),
+            hnf_basis(kernel_basis_int(cert.pi.matrix)),
             hnf_basis(kernel_basis_int(expected_pi)),
         )
     with Budget(3, 30.0):

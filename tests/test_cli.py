@@ -141,7 +141,7 @@ def test_verify_builds_no_kernel_lattice_of_pi1(tmp_path, capsys,
     calls = collections.Counter()
 
     def spy(self):
-        built.append(self.matrix_rows)
+        built.append([list(row) for row in self.matrix])
         return real(self)
 
     def counted(owner, name):
@@ -437,6 +437,25 @@ def test_only_the_sample_stream_reads_sample_rounds():
                 (inside if id(node) in stream else outside).append(
                     (name, node.lineno))
     assert inside and outside == []
+
+
+def test_the_package_builds_no_map_with_make():
+    # GroupHom.make checks entries that come from outside the program;
+    # the maps the package computes have int entries by construction,
+    # so they are built with the plain constructor
+    calls = []
+    for name, tree in _package_trees():
+        own = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "GroupHom"
+               for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "make"
+                    and isinstance(node.value, ast.Name)
+                    and (node.value.id == "GroupHom"
+                         or (id(node) in own
+                             and node.value.id in ("cls", "self")))):
+                calls.append((name, node.lineno))
+    assert calls == []
 
 
 def test_only_run_maps_exceptions_to_exit_codes():
@@ -1348,6 +1367,38 @@ def test_unnormalized_input_refused_optimized():
     proc = run_module("-O", "-c", _UNNORMALIZED_ENTRY_POINTS)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == ["ValueError"] * 5
+
+
+_EMPTY_BASIS_SAMPLES = """
+import random
+from dualdefect import tangency
+from dualdefect.alpha import AlphaProblem
+from dualdefect.config import PointConfig, normalize
+
+triangle, _ = normalize(PointConfig.make([(0, 0), (1, 0), (0, 1)]))
+cases = [
+    lambda: next(tangency.TangencyProblem.make(triangle).first_round()),
+    lambda: tangency.sample_combination(random.Random(1), [], 3),
+    lambda: next(next(tangency.sample_rounds([], 1, 3, 5))),
+    lambda: next(AlphaProblem.from_components(
+        2, [], [[(1, 0)], [(0, 1)]]).first_round()),
+]
+for call in cases:
+    try:
+        call()
+        print("passed")
+    except ValueError:
+        print("ValueError")
+"""
+
+
+def test_sampling_an_empty_basis_raises():
+    # every weight of a draw from no basis vectors is zero, so a sampler
+    # that redraws until some weight is nonzero would never return; the
+    # unit triangle has an empty dual, and its tangency basis is empty
+    proc = run_module("-c", _EMPTY_BASIS_SAMPLES, timeout=10)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["ValueError"] * 4
 
 
 @pytest.mark.parametrize("edit,check", [

@@ -19,7 +19,7 @@ from dualdefect.structure import (
     verify_certificate,
 )
 
-from conftest import FIXTURES, random_unimodular
+from conftest import FIXTURES, cube_census, random_unimodular, square_census
 
 
 def scroll(a, ks):
@@ -120,39 +120,61 @@ def _certified_delta(cfg):
     return a, cert.delta
 
 
+def _mapped(rng, cfg):
+    """cfg under a seeded unimodular map with translation in [-3, 3]^n,
+    dilated by 1 to 3, its points listed in a shuffled order."""
+    n = cfg.dim
+    u = random_unimodular(rng, n)
+    shift = [rng.randint(-3, 3) for _ in range(n)]
+    k = rng.choice((1, 2, 3))
+    pts = [tuple(k * sum(x * y for x, y in zip(row, p)) + t
+                 for row, t in zip(u, shift)) for p in cfg.points]
+    rng.shuffle(pts)
+    return PointConfig.make(pts)
+
+
+def _pyramid(a):
+    """The pyramid over a: a new zero coordinate and the apex e_(n+1)."""
+    return PointConfig.make([p + (0,) for p in a.points]
+                            + [(0,) * a.dim + (1,)])
+
+
 def test_delta_is_invariant_under_lattice_maps_and_grows_on_pyramids():
-    # metamorphic relations of the dual defect on the fixtures and 30
-    # seeded subsets of {0,1}^3 with 5 to 8 points:
+    # metamorphic relations of the dual defect on the fixtures, 30
+    # seeded subsets of {0,1}^3 with 5 to 8 points (five maps each), the
+    # cube and square censuses and the scrolls with at most 30 points
+    # (one map each, and delta is also the closed form):
     # - an affine unimodular map, a dilation and the order in which the
     #   points are listed leave the toric variety, so delta, unchanged;
     # - the pyramid over A (a new zero coordinate and the apex e_(n+1))
     #   gives the cone over X_A, whose dual lies in the hyperplane dual
     #   to the vertex and equals the dual of X_A there: delta goes up by
     #   1, unless A is affinely independent, when both duals are empty
-    #   and delta stays 0
+    #   and delta stays 0; so a pyramid over a mapped pyramid adds 2
     rng = random.Random(0x3E7A)
     cube = list(itertools.product((0, 1), repeat=3))
-    inputs = [load_config_file(path) for path in sorted(FIXTURES.iterdir())]
-    inputs += [PointConfig.make(rng.sample(cube, rng.randint(5, 8)))
-               for _ in range(30)]
+    inputs = [(load_config_file(path), 5, None)
+              for path in sorted(FIXTURES.iterdir())]
+    inputs += [(PointConfig.make(rng.sample(cube, rng.randint(5, 8))), 5,
+                None) for _ in range(30)]
+    inputs += [(cfg, 1, None) for cfg in cube_census() + square_census()]
+    inputs += [(scroll(a, ks), 1, scroll_delta(a, ks)) for a, ks in SCROLLS
+               if len(scroll(a, ks)) <= 30]
     seen = collections.Counter()
-    for cfg in inputs:
+    for cfg, maps, expected in inputs:
         a, delta = _certified_delta(cfg)
-        n = cfg.dim
-        for _ in range(5):
-            u = random_unimodular(rng, n)
-            shift = [rng.randint(-3, 3) for _ in range(n)]
-            k = rng.choice((1, 2, 3))
-            pts = [tuple(k * sum(x * y for x, y in zip(row, p)) + t
-                         for row, t in zip(u, shift)) for p in cfg.points]
-            rng.shuffle(pts)
-            assert _certified_delta(PointConfig.make(pts))[1] == delta, \
-                (cfg.points, u, shift, k)
-        pyramid = PointConfig.make([p + (0,) for p in a.points]
-                                   + [(0,) * a.dim + (1,)])
+        assert expected in (None, delta), cfg.points
+        for _ in range(maps):
+            assert _certified_delta(_mapped(rng, cfg))[1] == delta, \
+                cfg.points
         simplex = len(a) == a.dim + 1
-        assert _certified_delta(pyramid)[1] == (0 if simplex else delta + 1), \
-            cfg.points
+        pyramid, once = _certified_delta(_pyramid(a))
+        assert once == (0 if simplex else delta + 1), cfg.points
+        twice = _certified_delta(_pyramid(_mapped(rng, pyramid)))[1]
+        assert twice == (0 if simplex else delta + 2), cfg.points
         seen[delta, simplex] += 1
-    # the three simplex fixtures are the affinely independent inputs
-    assert seen == {(0, False): 20, (1, False): 14, (0, True): 3}
+    # the affinely independent inputs are three simplex fixtures and the
+    # 29 + 25 census inputs of dim + 1 points; the scrolls give every
+    # delta from 2 to 4
+    assert seen == {(0, False): 253, (1, False): 85, (2, False): 8,
+                    (3, False): 4, (4, False): 3, (0, True): 57}

@@ -60,6 +60,7 @@ from conftest import (
     EX58_V,
     FIXTURES,
     components_contained,
+    cube_census,
     factor_through_snf,
     is_surjective_snf,
     join_type_wrt_recompute,
@@ -71,6 +72,7 @@ from conftest import (
     random_unimodular,
     restrict_to_kernel_via_pi2,
     segre_product,
+    square_census,
     unit_vector,
 )
 
@@ -89,7 +91,7 @@ def test_find_min_projection_ex5_8(ex5_8):
     assert pi.codomain_rank == 2
     expected = [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]
     assert lattice_eq(
-        hnf_basis(kernel_basis_int(pi.matrix_rows)),
+        hnf_basis(kernel_basis_int(pi.matrix)),
         hnf_basis(kernel_basis_int(expected)),
     )
 
@@ -99,7 +101,7 @@ def test_find_min_projection_ex5_7(ex5_7):
     assert pi.codomain_rank == 3
     # kernel = Z^2 x {0}, the projection factors through pr
     assert lattice_eq(
-        hnf_basis(kernel_basis_int(pi.matrix_rows)),
+        hnf_basis(kernel_basis_int(pi.matrix)),
         [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
     )
 
@@ -148,7 +150,7 @@ def test_certificate_ex5_8(ex5_8):
     )
     expected_pi = [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]
     assert lattice_eq(
-        hnf_basis(kernel_basis_int(cert.pi.matrix_rows)),
+        hnf_basis(kernel_basis_int(cert.pi.matrix)),
         hnf_basis(kernel_basis_int(expected_pi)),
     )
 
@@ -156,9 +158,9 @@ def test_certificate_ex5_8(ex5_8):
 def test_certificate_invariants(ex5_8):
     cert = structure_certificate(ex5_8)
     assert cert.delta == cert.r - cert.c
-    assert is_surjective_snf(cert.pi1.matrix_rows)
-    assert mat_mul(cert.pi2.matrix_rows, cert.pi1.matrix_rows) \
-        == cert.pi.matrix_rows
+    assert is_surjective_snf(cert.pi1.matrix)
+    assert mat_mul(cert.pi2.matrix, cert.pi1.matrix) \
+        == [list(row) for row in cert.pi.matrix]
     ker = cert.pi1.kernel_lattice()
     assert len(ker) == cert.c
     from dualdefect.exact_linalg import saturate
@@ -286,7 +288,7 @@ def quotients_and_maps(draw):
     r = draw(hst.integers(0, 3)) if k else 0
     m = draw(hst.lists(hst.lists(hst.integers(-3, 3), min_size=k,
                                  max_size=k), min_size=r, max_size=r))
-    pi = mat_mul(m, pi1.matrix_rows)
+    pi = mat_mul(m, pi1.matrix)
     if r and draw(hst.booleans()):
         i = draw(hst.integers(0, r - 1))
         pi[i] = [x + y for x, y in zip(pi[i], draw(row))]
@@ -318,7 +320,7 @@ def _forged_certificates(a):
                   for u, v in itertools.combinations(basis, 2)]
         for span in spans:
             pi1 = structure._quotient_map(span, a.dim)
-            pi2 = structure._factor_through(st.pi.matrix_rows, pi1)
+            pi2 = structure._factor_through(st.pi.matrix, pi1)
             delta = st.r - len(span)
             yield structure.StructureCertificate(
                 n=a.dim, r=st.r, c=len(span), delta=delta,
@@ -808,21 +810,6 @@ def test_round_trip_reads_k_components_and_points_once(cfg, monkeypatch):
     assert calls["config_in_join_type"] == 0
 
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def cube_census():
-    """Every subset of {0,1}^3 that contains 0, has at least 4 points and
-    spans Q^3: some three of its points have a nonzero determinant."""
-    corners = list(itertools.product((0, 1), repeat=3))[1:]
-    return [PointConfig.make([(0, 0, 0), *pts])
-            for k in range(3, len(corners) + 1)
-            for pts in itertools.combinations(corners, k)
-            if any(_det3(t) for t in itertools.combinations(pts, 3))]
-
-
 def test_exhaustive_checks_match_the_full_loop_on_the_cube_census():
     # no structure was planted in these inputs; the frame loop must give
     # the reports of the full loop over the part spaces at delta - 1,
@@ -838,17 +825,6 @@ def test_exhaustive_checks_match_the_full_loop_on_the_cube_census():
             got = (report["lower_bound_law"], report["condition4_chain"])
             assert got == exhaustive_reference(a, edited), (a.points, step)
     assert deltas == {0: 54, 1: 39}
-
-
-def square_census():
-    """Every subset of {0,1,2}^2 that contains 0, has at least 3 points
-    and spans Q^2: some two of its points have a nonzero determinant."""
-    grid = list(itertools.product(range(3), repeat=2))[1:]
-    return [PointConfig.make([(0, 0), *pts])
-            for k in range(2, len(grid) + 1)
-            for pts in itertools.combinations(grid, k)
-            if any(p[0] * q[1] - p[1] * q[0]
-                   for p, q in itertools.combinations(pts, 2))]
 
 
 # SHA-256 of the certificate bytes of every census input, in order
@@ -963,10 +939,10 @@ def test_last_link_on_the_labeling_matches_the_rank_of_pi_prime():
         frame = exhaustive_frame(a)
         for label, vertex in frame.labelings():
             r2 = max(label)
-            pi2 = frame.projection(label, vertex).pi.matrix_rows
+            pi2 = frame.projection(label, vertex).pi.matrix
             for pi, im in zip(maps, images):
                 got = structure._constant_on_parts(vertex, im, r2)
-                assert got == (rank_int(pi2 + pi.matrix_rows) == r2), (
+                assert got == (rank_int(pi2 + pi.matrix) == r2), (
                     a.points, label, pi)
                 outcomes[got] += 1
     assert outcomes[True] and outcomes[False]
@@ -1223,7 +1199,7 @@ def test_weak_sampling_fails_only_by_certification_error():
                 continue
             assert verify_certificate(a, cert)["all_passed"], (a.points,
                                                                sampling)
-            assert is_surjective_snf(cert.pi1.matrix_rows)
+            assert is_surjective_snf(cert.pi1.matrix)
             outcomes["certified"] += 1
     assert outcomes == {"certified": 321, "failed": 57}
 
