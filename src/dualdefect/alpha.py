@@ -9,7 +9,7 @@ check_star holds.
 
 Every K element is kept as its components concatenated.  The pipeline
 writes K down in the affine frame (``cayley.AffineFrame.k_and_spans``)
-and passes it to ``AlphaProblem.from_components``; ``AlphaProblem.make``
+and passes it to the ``AlphaProblem`` constructor; ``AlphaProblem.make``
 finds a K basis of hand-built summands with one kernel (``k_space``).
 
 Each sampled K element is eliminated once: one kernel of the relations
@@ -20,6 +20,7 @@ more and makes one check, that the summands sum directly modulo it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
@@ -58,8 +59,8 @@ class AlphaProblem(SampledProblem):
     """
 
     ambient_dim: int
-    k_basis: tuple[tuple[int, ...], ...]
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
+    k_basis: Sequence[Sequence[int]]
+    bases: Sequence[Sequence[Sequence[int]]]
     seed: int = DEFAULT_SEED
     bound: int = DEFAULT_BOUND
     trials: int = DEFAULT_TRIALS
@@ -83,18 +84,8 @@ class AlphaProblem(SampledProblem):
                         if basis else [0] * m)
                 coeffs = coeffs[len(basis):]
             k_rows.append(row)
-        return cls.from_components(m, k_rows, bases, seed, bound, trials)
-
-    @classmethod
-    def from_components(cls, ambient_dim: int, k_rows, spans,
-                        seed: int = DEFAULT_SEED,
-                        bound: int = DEFAULT_BOUND,
-                        trials: int = DEFAULT_TRIALS) -> "AlphaProblem":
-        """The summands spanned by the rows of ``spans``, with K spanned
-        by ``k_rows``: nonzero K elements, each its components
-        concatenated.  Nothing is eliminated or checked."""
-        return cls(ambient_dim, tuple(map(tuple, k_rows)),
-                   tuple(tuple(map(tuple, rows)) for rows in spans),
+        return cls(m, tuple(map(tuple, k_rows)),
+                   tuple(tuple(map(tuple, rows)) for rows in bases),
                    seed, bound, trials)
 
     @property

@@ -268,7 +268,7 @@ class AffineFrame(NamedTuple):
     def k_and_spans(self, label, vertex):
         """The K rows and the summand spans of the parts of a kept
         labeling, written down in frame coordinates with no elimination,
-        as ``AlphaProblem.from_components`` takes them.
+        as the ``AlphaProblem`` constructor takes them.
 
         P_l is the set of basis positions labeled l.  A point j outside
         the basis, with vertex v, gives the K element kappa_j: its

@@ -33,7 +33,6 @@ from .config import (
     GroupHom,
     PointConfig,
     apply_affine,
-    dump_config_json,
     load_config_file,
     normalize,
 )
@@ -357,7 +356,8 @@ def cmd_gen(args) -> int:
         raise InputError(f"cannot write {outdir}: {exc.strerror}") from exc
     manifest = []
     for cfg, expected in corpus:
-        obj = json.loads(dump_config_json(cfg))
+        obj = {"name": cfg.name or "",
+               "points": [list(p) for p in cfg.points]}
         if expected is not None:
             obj["expected_delta"] = expected
         path = outdir / f"{cfg.name}.json"
@@ -373,11 +373,16 @@ def cmd_gen(args) -> int:
 
 def _batch_files(inputs, out: Path | None):
     """The input files and the .json and .txt files of the input
-    directories, sorted, without the report file ``out``."""
+    directories, sorted, without the report file ``out``; an input that
+    cannot be examined or listed is an InputError."""
     files = set()
     for p in inputs:
-        files.update([q for q in p.iterdir() if q.suffix in (".json", ".txt")]
-                     if p.is_dir() else [p])
+        try:
+            files.update([q for q in p.iterdir()
+                          if q.suffix in (".json", ".txt")]
+                         if p.is_dir() else [p])
+        except OSError as exc:
+            raise InputError(f"cannot read {p}: {exc.strerror}") from exc
     if out is not None:
         # realpath, not Path.resolve, which raises on a symlink loop
         report = os.path.realpath(out)

@@ -312,10 +312,3 @@ def load_config_file(path) -> PointConfig:
     if cfg.name is None:
         cfg = PointConfig(cfg.dim, cfg.points, p.stem)
     return cfg
-
-
-def dump_config_json(a: PointConfig) -> str:
-    return json.dumps(
-        {"name": a.name or "", "points": [list(p) for p in a.points]},
-        separators=(", ", ": "),
-    )

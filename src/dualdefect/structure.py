@@ -58,7 +58,6 @@ from .tangency import (
     check_seed,
     contact_grouping,
     defect_oracle,
-    first_corank_at_most,
 )
 
 
@@ -178,8 +177,8 @@ def _build_certificate(tp: TangencyProblem, delta: int):
     if found is None:
         raise CertificationError("contact grouping is not realizable over Z")
     struct, frame, label, vertex = found
-    ap = AlphaProblem.from_components(
-        n, *frame.k_and_spans(label, vertex), tp.seed, tp.bound, tp.trials)
+    ap = AlphaProblem(n, *frame.k_and_spans(label, vertex), tp.seed,
+                      tp.bound, tp.trials)
     c = alpha_of(ap)
     if not check_star(ap):
         raise CertificationError("removal condition fails")
@@ -213,7 +212,7 @@ def structure_certificate(a: PointConfig, seed: int = DEFAULT_SEED,
     require_normalized(a, "structure_certificate")
     tp = TangencyProblem.make(a, seed, bound, trials)
     oracle = defect_oracle(tp)
-    if oracle.empty_dual or oracle.delta == 0:
+    if not oracle.delta:
         r, c, grouping = 0, 0, (tuple(range(len(a))),)
         pi1 = p = GroupHom.identity_map(a.dim)
         pi2 = GroupHom.zero_map(a.dim)
@@ -261,7 +260,7 @@ def join_factors(cert: StructureCertificate, a: PointConfig):
         res = defect_oracle(
             TangencyProblem.make(nf, cert.seed, cert.bound, cert.trials)
         )
-        if not res.empty_dual and res.delta != 0:
+        if res.delta:
             raise CertificationError(
                 f"join factor has nonzero defect {res.delta}"
             )
@@ -275,13 +274,14 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     when cert.n is not a.dim.
 
     Passing checks prove delta from both sides, with no genericity
-    assumption.  Upper bound, ``oracle_replayed``: the replay reads the
-    problem's round 0 under the certificate's seed, bound and trials up
-    to the first Hessian kernel of size <= delta, and passes when that
-    size is delta, as a rank at a sample never exceeds the generic
-    rank; analyze read corank delta and none lower in that round, so the
-    replay cannot fail a certificate that analyze wrote.  Lower bound,
-    ``simplex_image``, ``r_matches``, ``pi1_surjective``,
+    assumption.  Upper bound, ``oracle_replayed``: the replay is
+    ``defect_oracle`` with ``at_most`` = delta under the certificate's
+    seed, bound and trials.  It reads round 0 up to the first Hessian
+    corank <= delta and passes when that corank is delta, or an empty
+    dual when delta is 0, as a rank at a sample never exceeds the
+    generic rank; analyze read corank delta and none lower in that
+    round, so the replay cannot fail a certificate that analyze wrote.
+    Lower bound, ``simplex_image``, ``r_matches``, ``pi1_surjective``,
     ``pi1_kernel_rank``, ``join_type_wrt_pi2``: the pi1(V_i) sum
     directly, so the components of a K element lie in ker pi1 and
     alpha <= c; the law r' - alpha' <= delta of arXiv 1605.05801, for
@@ -339,12 +339,11 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
     checks["join_type_wrt_pi2"] = cert.r == 0 or (
         struct is not None and join_type_wrt(struct, cert.pi1)
     )
-    tp = TangencyProblem.make(a, cert.seed, cert.bound, cert.trials)
-    checks["oracle_replayed"] = (
-        (tp.dim_l == 0 and cert.delta == 0)
-        or first_corank_at_most(tp, cert.delta) == cert.delta
-    )
-    if exhaustive and tp.dim_l == 0:
+    oracle = defect_oracle(
+        TangencyProblem.make(a, cert.seed, cert.bound, cert.trials),
+        cert.delta)
+    checks["oracle_replayed"] = (oracle.delta or 0) == cert.delta
+    if exhaustive and oracle.empty_dual:
         # no dual hypersurface, so the lower-bound law is vacuous
         checks["lower_bound_law"] = True
         checks["condition4_chain"] = True
@@ -367,9 +366,8 @@ def verify_certificate(a: PointConfig, cert: StructureCertificate,
             r2 = max(label)
             if r2 == cert.delta and frame.k_nonzero(label, vertex):
                 continue
-            ap = AlphaProblem.from_components(
-                cert.n, *frame.k_and_spans(label, vertex), cert.seed,
-                cert.bound, cert.trials)
+            ap = AlphaProblem(cert.n, *frame.k_and_spans(label, vertex),
+                              cert.seed, cert.bound, cert.trials)
             c2 = alpha_of(ap, above=r2 - cert.delta)
             if r2 - c2 > cert.delta:
                 lower_ok = False

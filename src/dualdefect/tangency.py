@@ -232,14 +232,15 @@ def sample_rounds(basis, seed: int, bound: int, trials: int):
                for b in itertools.repeat(bound << k, trials))
 
 
-def defect_oracle(p: TangencyProblem) -> DefectResult:
+def defect_oracle(p: TangencyProblem, at_most: int = 0) -> DefectResult:
     """delta = n - (generic rank of the Hessian), or EmptyDual.
 
     delta is the least Hessian corank over the first round of samples,
     and the witness the first sample that reaches it; lower
     semicontinuity of rank makes the minimum correct with overwhelming
-    probability.  Corank 0 is the least there is, so the round is read
-    only up to the first nonsingular Hessian; ``samples_used`` counts
+    probability.  The round is read only up to the first corank
+    <= ``at_most``, which is then the least read: at 0, the least there
+    is, up to the first nonsingular Hessian.  ``samples_used`` counts
     the samples read.
     """
     if p.dim_l == 0:
@@ -248,18 +249,9 @@ def defect_oracle(p: TangencyProblem) -> DefectResult:
     for used, (coeffs, h) in enumerate(p.first_round(), 1):
         if best is None or len(h) < len(best[1]):
             best = coeffs, h
-        if not h:
+        if len(h) <= at_most:
             break
     return DefectResult(len(best[1]), best[0], used)
-
-
-def first_corank_at_most(p: TangencyProblem, delta: int) -> int | None:
-    """The first Hessian corank <= delta in the problem's round 0, or
-    None; each corank is read off the Hessian's forward pass."""
-    if p.dim_l == 0:
-        return None
-    coranks = (len(h) for _coeffs, h in p.first_round())
-    return next((k for k in coranks if k <= delta), None)
 
 
 def _grouping_from_kernel(a: PointConfig, kernel: IntMat):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,7 +34,10 @@ from dualdefect.tangency import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    hessian,
     sample_combination,
+    sample_rounds,
+    tangency_space,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -120,6 +124,13 @@ def ex5_8():
     return PointConfig.make(pts)
 
 
+def dump_config_json(a: PointConfig) -> str:
+    """A configuration file as ``load_config_file`` reads it: the name
+    and points that ``dualdefect gen`` writes, without expected_delta."""
+    return json.dumps(
+        {"name": a.name or "", "points": [list(p) for p in a.points]})
+
+
 def unit_simplex(n: int) -> PointConfig:
     pts = [(0,) * n] + [unit_vector(i, n) for i in range(1, n + 1)]
     return PointConfig.make(pts)
@@ -169,6 +180,23 @@ def escalation_loop(basis, seed: int, bound: int, trials: int, taken):
         rounds.append(drawn)
         bound *= 2
     return rounds
+
+
+def first_corank_rule(a, seed: int, bound: int, trials: int, delta: int):
+    """Reference for the replay of a claimed delta: the Hessian coranks
+    n - rank over round 0 of a list-basis tangency sampler, read up to
+    the first one <= delta, pass when that one is delta; an empty dual
+    passes only at delta 0.  Returns (passed, samples read)."""
+    basis = tangency_space(a)
+    if not basis:
+        return delta == 0, 0
+    read = 0
+    for coeffs in next(sample_rounds(basis, seed, bound, trials)):
+        read += 1
+        corank = a.dim - rank_int(hessian(a, coeffs))
+        if corank <= delta:
+            return corank == delta, read
+    return False, read
 
 
 def solve_int_left(m, b):

@@ -196,8 +196,7 @@ def test_replay_reads_the_samples_the_oracle_read(ex5_8, monkeypatch):
     tp = tangency.TangencyProblem.make(ex5_8)
     assert tangency.defect_oracle(tp).samples_used == 3
     counts = _count_draws_and_hessians(monkeypatch)
-    assert [tangency.first_corank_at_most(tp, d) for d in (1, 0)] == [
-        1, None]
+    assert [tangency.defect_oracle(tp, d).delta for d in (1, 0)] == [1, 1]
     assert counts == {}
 
 
@@ -702,6 +701,28 @@ def test_batch_does_not_read_its_own_report(tmp_path, capsys, monkeypatch):
         code, _, _ = invoke(capsys, "batch", str(d), *out)
         assert code == 1
     assert [r["ok"] for r in json.loads(report.read_text())] == [True, False]
+
+
+@pytest.mark.parametrize("method", ["is_dir", "iterdir"])
+def test_batch_input_that_cannot_be_listed_exits_2(tmp_path, capsys,
+                                                   monkeypatch, method):
+    # an input the batch cannot examine or list is an input error, with
+    # nothing on stdout and no report; a root user reads any directory
+    # whatever its mode, so the refusal is patched in
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "good.txt").write_text("0\n1\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+
+    def refuse(self, *args):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                              str(self))
+
+    monkeypatch.setattr(Path, method, refuse)
+    for out in ([], ["--out", str(report)]):
+        assert invoke(capsys, "batch", str(d), *out) == (
+            2, "", f"error: cannot read {d}: {os.strerror(errno.EACCES)}\n")
+    assert not report.exists()
 
 
 def test_batch_records_named_failures_and_surfaces_bugs(tmp_path, capsys,
@@ -1380,7 +1401,7 @@ cases = [
     lambda: next(tangency.TangencyProblem.make(triangle).first_round()),
     lambda: tangency.sample_combination(random.Random(1), [], 3),
     lambda: next(next(tangency.sample_rounds([], 1, 3, 5))),
-    lambda: next(AlphaProblem.from_components(
+    lambda: next(AlphaProblem(
         2, [], [[(1, 0)], [(0, 1)]]).first_round()),
 ]
 for call in cases:

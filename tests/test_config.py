@@ -13,7 +13,6 @@ from dualdefect.config import (
     PointConfig,
     apply_affine,
     difference_lattice,
-    dump_config_json,
     is_normalized,
     load_config_json,
     load_config_text,
@@ -24,6 +23,7 @@ from dualdefect.exact_linalg import identity, snf
 from conftest import (
     EX58_U,
     EX58_V,
+    dump_config_json,
     normalize_general,
     random_unimodular,
     unit_vector,

@@ -26,7 +26,6 @@ from dualdefect.config import (
     GroupHom,
     PointConfig,
     apply_affine,
-    dump_config_json,
     load_config_file,
     normalize,
 )
@@ -51,7 +50,6 @@ from dualdefect.structure import (
 from dualdefect.tangency import (
     TangencyProblem,
     defect_oracle,
-    first_corank_at_most,
     tangency_space,
 )
 
@@ -61,7 +59,9 @@ from conftest import (
     FIXTURES,
     components_contained,
     cube_census,
+    dump_config_json,
     factor_through_snf,
+    first_corank_rule,
     is_surjective_snf,
     join_type_wrt_recompute,
     lattice_eq,
@@ -75,6 +75,7 @@ from conftest import (
     square_census,
     unit_vector,
 )
+from test_known_defects import SCROLLS, scroll, scroll_delta
 
 
 # the minimal simplex projection is published as cert.pi = pi2 o pi1
@@ -335,13 +336,20 @@ def _forged_certificates(a):
 def test_forged_certificates_pass_only_with_the_true_delta():
     # verify bounds delta from above by oracle_replayed and from below
     # by join_type_wrt_pi2, so a forged certificate whose recorded
-    # fields are all consistent passes only when it claims the defect
+    # fields are all consistent passes only when it claims the defect;
+    # the inputs are two fixtures, two Segre products and the 17 scrolls
+    # with at most 12 points in dimension at most 5
+    inputs = [(load_config_file(FIXTURES / "ex5_8.json"), 1),
+              (load_config_file(FIXTURES / "p1xp2.json"), 1),
+              (segre_product(1, 3), 2), (segre_product(2, 3), 1)]
+    inputs += [(scroll(a, ks), scroll_delta(a, ks)) for a, ks in SCROLLS
+               if len(scroll(a, ks)) <= 12 and scroll(a, ks).dim <= 5]
+    forged = 0
     accepted = []
-    for cfg, known in ((load_config_file(FIXTURES / "ex5_8.json"), 1),
-                       (load_config_file(FIXTURES / "p1xp2.json"), 1),
-                       (segre_product(1, 3), 2)):
+    for cfg, known in inputs:
         a = normalize(cfg)[0]
         for cert in _forged_certificates(a):
+            forged += 1
             assert roundtrip(cert) == cert
             assert cert.p == restrict_to_kernel_via_pi2(
                 cert.pi1, cert.pi.kernel_lattice(), cert.pi2)
@@ -352,7 +360,8 @@ def test_forged_certificates_pass_only_with_the_true_delta():
                 assert not report["join_type_wrt_pi2"], cert
             elif cert.delta < known:
                 assert not report["oracle_replayed"], cert
-    assert accepted and all(d == known for d, known in accepted)
+    assert all(d == known for d, known in accepted)
+    assert (forged, len(accepted)) == (3442, 26)
 
 
 def test_verify_replays_the_draws_of_analyze(ex5_8, monkeypatch):
@@ -410,8 +419,7 @@ def test_replay_on_a_round_that_is_not_generic(ex5_8):
     assert [ex5_8.dim - rank_int(tangency.hessian(ex5_8, coeffs))
             for coeffs in round0] == [2, 2, 1]
     assert [len(h) for _coeffs, h in tp.first_round()] == [2, 2, 1]
-    assert [first_corank_at_most(tp, d) for d in range(4)] == [
-        None, 1, 2, 2]
+    assert [defect_oracle(tp, d).delta for d in range(4)] == [1, 1, 2, 2]
     cert = dataclasses.replace(structure_certificate(ex5_8), seed=4,
                                bound=1, trials=3)
     for delta, replayed in ((0, False), (1, True), (2, True), (3, False)):
@@ -646,7 +654,7 @@ def test_k_basis_is_empty_exactly_when_the_parts_sum_directly():
 def frame_alpha_problem(frame, label, vertex):
     """The alpha problem of a kept labeling, written down in the frame
     as ``verify --exhaustive`` builds it."""
-    return AlphaProblem.from_components(
+    return AlphaProblem(
         frame.config.dim, *frame.k_and_spans(label, vertex), 1, 7, 3)
 
 
@@ -1176,6 +1184,29 @@ def test_unrealizable_grouping_raises_certification_error(ex5_8,
                         lambda a, parts: None)
     with pytest.raises(CertificationError, match="not realizable"):
         structure_certificate(ex5_8)
+
+
+def test_oracle_stop_rule_matches_the_first_corank_reference():
+    # verify replays defect_oracle with at_most = delta; on the 378 cells
+    # of the weak-sampling grid and every delta in -1..n+1, it passes and
+    # reads samples exactly as the first corank <= delta rule does
+    inputs = [load_config_file(p) for p in sorted(FIXTURES.iterdir())]
+    inputs += [segre_product(1, 3), segre_product(2, 3), segre_product(2, 4),
+               segre_product(1, 6)]
+    inputs += small_join_corpus()
+    verdicts = collections.Counter()
+    for cfg in inputs:
+        a, _ = normalize(cfg)
+        for sampling in itertools.product((0, 4), (1, 2, 3), (1, 2, 3)):
+            tp = TangencyProblem.make(a, *sampling)
+            for delta in range(-1, a.dim + 2):
+                oracle = defect_oracle(tp, delta)
+                passed, read = first_corank_rule(a, *sampling, delta)
+                assert ((oracle.delta or 0) == delta) is passed, (
+                    a.points, sampling, delta)
+                assert oracle.samples_used == read
+                verdicts[passed] += 1
+    assert verdicts == {True: 411, False: 2235}
 
 
 def test_weak_sampling_fails_only_by_certification_error():

@@ -435,7 +435,7 @@ def test_problem_without_tangency_space_draws_nothing(monkeypatch):
     tp = TangencyProblem.make(unit_simplex(3))
     assert tp.dim_l == 0 and tangency_space(tp.config) == []
     assert defect_oracle(tp) == tangency.DefectResult(None, None, 0)
-    assert tangency.first_corank_at_most(tp, 0) is None
+    assert defect_oracle(tp, 2) == tangency.DefectResult(None, None, 0)
     with pytest.raises(ValueError):
         contact_grouping(tp)
 
